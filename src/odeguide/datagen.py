@@ -338,6 +338,10 @@ def gen_dex_dataset(
 def _write_arm_csv(path: Path, units: list[UnitRecord], arm: str) -> None:
     d_x = units[0].factual.d_x
     header = ["unit_id", "t", "y"] + [f"x_{j+1}" for j in range(d_x)] + ["a", "observed_flag"]
+    # the noiseless outcome is optional: an empty cell where a unit lacks it
+    with_clean = any(getattr(u, arm).y_clean is not None for u in units)
+    if with_clean:
+        header.append("y_clean")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -347,6 +351,8 @@ def _write_arm_csv(path: Path, units: list[UnitRecord], arm: str) -> None:
                 row = [unit.unit_id, repr(float(traj.times[k])), repr(float(traj.y[k]))]
                 row += [repr(float(v)) for v in traj.x[k]]
                 row += [int(traj.a[k]), int(traj.observed[k])]
+                if with_clean:
+                    row.append("" if traj.y_clean is None else repr(float(traj.y_clean[k])))
                 writer.writerow(row)
 
 
@@ -397,6 +403,8 @@ def _read_arm_csv(path: Path) -> dict[str, Trajectory]:
         reader = csv.reader(fh)
         header = next(reader)
         d_x = sum(1 for h in header if h.startswith("x_"))
+        # files written before the y_clean column existed load without it
+        clean_col = header.index("y_clean") if "y_clean" in header else None
         for row in reader:
             rows_by_unit.setdefault(row[0], []).append(row)
     out = {}
@@ -406,7 +414,12 @@ def _read_arm_csv(path: Path) -> dict[str, Trajectory]:
         x = np.array([[float(v) for v in r[3 : 3 + d_x]] for r in rows])
         a = np.array([int(r[3 + d_x]) for r in rows])
         observed = np.array([bool(int(r[4 + d_x])) for r in rows])
-        out[unit_id] = Trajectory(times=times, y=y, x=x, a=a, observed=observed)
+        y_clean = None
+        if clean_col is not None and rows[0][clean_col] != "":
+            y_clean = np.array([float(r[clean_col]) for r in rows])
+        out[unit_id] = Trajectory(
+            times=times, y=y, x=x, a=a, observed=observed, y_clean=y_clean
+        )
     return out
 
 

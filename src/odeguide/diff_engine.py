@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "TrainingError",
     "Tensor",
     "ParamSet",
     "MlpSpec",
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 
+class TrainingError(RuntimeError):
+    """A training loop met a non-finite loss."""
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     while grad.ndim > len(shape):
@@ -49,6 +54,9 @@ class Tensor:
     """Array node on the autodiff tape."""
 
     __slots__ = ("data", "grad", "_parents", "_backward")
+    # numpy operators defer to the reflected Tensor operator, so that
+    # ``array * tensor`` records a tape node instead of an object array
+    __array_ufunc__ = None
 
     def __init__(self, data, parents: tuple = (), backward: Callable | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -275,19 +283,16 @@ def _accum(node: Tensor, grad: np.ndarray) -> None:
         node.grad = node.grad + grad
 
 
-def concat(parts: Sequence) -> Tensor:
-    """Concatenate 1-D tensors/arrays (or scalars) into one 1-D tensor."""
+def concat(parts: Sequence, axis: int = -1) -> Tensor:
+    """Concatenate tensors/arrays along ``axis``; scalars count as 1-D."""
     tensors = [_as_tensor(p) for p in parts]
     datas = [np.atleast_1d(t.data) for t in tensors]
-    out = Tensor(np.concatenate(datas), tuple(tensors))
-    sizes = [d.size for d in datas]
+    out = Tensor(np.concatenate(datas, axis=axis), tuple(tensors))
+    bounds = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
     def back():
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            piece = out.grad[offset : offset + size]
+        for t, piece in zip(tensors, np.split(out.grad, bounds, axis=axis)):
             _accum(t, piece.reshape(t.data.shape))
-            offset += size
 
     out._backward = back
     return out

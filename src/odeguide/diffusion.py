@@ -9,11 +9,7 @@ import numpy as np
 
 from . import diff_engine as de
 from .datagen import Dataset, UnitRecord
-from .diff_engine import MlpSpec, ParamSet, Tensor
-
-
-class TrainingError(RuntimeError):
-    pass
+from .diff_engine import MlpSpec, ParamSet, Tensor, TrainingError
 
 
 @dataclass(frozen=True)

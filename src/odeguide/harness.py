@@ -359,8 +359,8 @@ def run_experiment(
 def _stage_data(config, state, out, meta):
     dataset = _load_or_generate(config)
     units = dataset.units
-    horizons = {u.factual.horizon for u in units}
-    if len(horizons) != 1:
+    # the hybrid predictor integrates all units together on one grid
+    if any(not np.array_equal(u.factual.times, units[0].factual.times) for u in units):
         raise ValueError("all units must share one time grid")
     ev = config.evaluation
     rng = np.random.default_rng([config.seed, 23])

@@ -2,8 +2,14 @@
 covariate channels co-evolving with a mechanistic expert state, learned
 initial-state encoders, and learned readouts.
 
-Training backpropagates through the fixed-step RK4 rollout; inference runs
-the same code on plain numpy arrays.
+The rollout integrates U units at once on their shared time grid: the
+latent states are (U, m_y), (U, m_x) and (U, e) arrays with one row per
+unit, so every RK4 stage is one batched MLP evaluation. Each unit's
+treatment reaches the expert as a (U, 1) drive computed off the tape at each
+stage time: the dose plasma level for PKPD, the contact rate beta_t (from
+the unit's own mandate start) for SEIRM. Training backpropagates through one
+rollout of the whole training set; inference runs the same code on plain
+numpy arrays, with U = 1 for a single prediction.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diff_engine as de
-from .datagen import Dataset, Trajectory
-from .diff_engine import MlpSpec, ParamSet, Tensor
+from .datagen import Dataset, Trajectory, UnitRecord
+from .diff_engine import MlpSpec, ParamSet, Tensor, TrainingError
 from .expert_models import (
     PkpdParams,
     SeirmParams,
@@ -24,10 +30,6 @@ from .expert_models import (
     pkpd_terms,
     seirm_terms,
 )
-
-
-class TrainingError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -88,23 +90,29 @@ def make_hybrid_model(
 
 
 def _cat(parts):
+    """Concatenate along the last axis, on the tape when any part is a Tensor."""
     if any(isinstance(p, Tensor) for p in parts):
         return de.concat(parts)
-    return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in parts])
+    return np.concatenate(parts, axis=-1)
 
 
 def normalize_expert_state(raw, family: str, expert_params):
     """Map an unconstrained encoder output onto the family's state space:
-    positivity via softplus, plus a total-population rescale for SEIRM."""
+    positivity via softplus, plus a per-row total-population rescale for
+    SEIRM."""
     pos = de.softplus(raw)
     if family == "SEIRM":
-        return pos * (expert_params.N / pos.sum())
+        total = pos.sum(axis=-1)
+        return pos * (expert_params.N / total.reshape(*total.shape, 1))
     return pos
 
 
-def encode_init(model: HybridCpModel, params, x0, a0: float, y0: float):
-    """Initial latent states (z_x, z_y, z_e) from the first observation."""
-    obs = np.concatenate([np.atleast_1d(np.asarray(x0, float)), [a0], [y0]])
+def encode_init(model: HybridCpModel, params, x0, a0, y0):
+    """Initial latent states (z_x, z_y, z_e) from the first observations:
+    ``x0`` is (U, d_x), ``a0`` and ``y0`` are (U,)."""
+    a0 = np.asarray(a0, float)[:, None]
+    y0 = np.asarray(y0, float)[:, None]
+    obs = np.concatenate([np.asarray(x0, float), a0, y0], axis=1)
     zx0 = de.mlp_apply(model.specs["gxi"], params, obs, prefix="gxi_")
     zy0 = de.mlp_apply(model.specs["gzeta"], params, _cat([zx0, a0, y0]), prefix="gzeta_")
     ze_raw = de.mlp_apply(model.specs["geta"], params, obs, prefix="geta_")
@@ -112,110 +120,111 @@ def encode_init(model: HybridCpModel, params, x0, a0: float, y0: float):
     return zx0, zy0, ze0
 
 
-def expert_derivative(model: HybridCpModel, ze, t: float, treatment: TreatmentSchedule):
-    """Mechanistic derivative of the expert state; never learned."""
+def treatment_drive(model: HybridCpModel, treatment: TreatmentSchedule, t: float) -> float:
+    """The treatment's input to the expert at time t: the dose plasma level
+    for PKPD, the contact rate beta_t for SEIRM."""
     p = model.expert_params
     if model.family == "SEIRM":
-        bt = beta_schedule(t, p.beta, model.config.decay_lambda, treatment.mandate_start)
-        terms = seirm_terms(ze[0], ze[1], ze[2], ze[3], ze[4], p, bt)
+        return beta_schedule(t, p.beta, model.config.decay_lambda, treatment.mandate_start)
+    return dex_plasma(t, treatment, p.k_3)
+
+
+def expert_rhs(model: HybridCpModel, ze, drive):
+    """Mechanistic derivative of the expert state (last axis) under the
+    treatment drive; never learned. ``drive`` broadcasts against one state
+    column: a scalar for one unit, (U, 1) for a batch."""
+    cols = [ze[..., k : k + 1] for k in range(model.e_dim)]
+    if model.family == "SEIRM":
+        terms = seirm_terms(*cols, model.expert_params, drive)
     else:
-        z3_t = dex_plasma(t, treatment, p.k_3)
-        terms = pkpd_terms([ze[k] for k in range(p.dim)], p, z3_t)
+        terms = pkpd_terms(cols, model.expert_params, drive)
     return _cat(terms)
 
 
-def hybrid_rhs(model: HybridCpModel, params, zy, zx, ze, zy_lag, a_t: float, t: float, treatment):
-    """Coupled derivative of (z_y, z_x, z_e); the covariate channel sees the
-    outcome latent through a one-grid-step delay buffer."""
+def expert_derivative(model: HybridCpModel, ze, t: float, treatment: TreatmentSchedule):
+    """Mechanistic derivative of one unit's expert state at time t."""
+    return expert_rhs(model, ze, treatment_drive(model, treatment, t))
+
+
+def hybrid_rhs(model: HybridCpModel, params, state, zy_lag, a_t, drive):
+    """Coupled derivative of the state (z_y, z_x, z_e); the covariate channel
+    sees the outcome latent through a one-grid-step delay buffer."""
+    zy, zx, ze = state
     dzy = de.mlp_apply(model.specs["fy"], params, _cat([zy, ze, zx, a_t]), prefix="fy_")
     dzx = de.mlp_apply(model.specs["fx"], params, _cat([zx, zy_lag, a_t]), prefix="fx_")
-    dze = expert_derivative(model, ze, t, treatment)
+    dze = expert_rhs(model, ze, drive)
     return dzy, dzx, dze
 
 
-def readout(model: HybridCpModel, params, zy, zx, ze, a_t: float):
+def readout(model: HybridCpModel, params, zy, zx, ze, a_t):
+    """Outcome (U, 1) and covariates (U, d_x) from the latent states."""
     y = de.mlp_apply(model.specs["gy"], params, _cat([ze, zy, zx, a_t]), prefix="gy_")
     x = de.mlp_apply(model.specs["gx"], params, _cat([zx, a_t]), prefix="gx_")
-    return y[0], x
+    return y, x
 
 
-def _rk4_joint(model, params, zy, zx, ze, zy_lag, a_t, t, dt, treatment):
-    k1 = hybrid_rhs(model, params, zy, zx, ze, zy_lag, a_t, t, treatment)
-    k2 = hybrid_rhs(
-        model,
-        params,
-        zy + 0.5 * dt * k1[0],
-        zx + 0.5 * dt * k1[1],
-        ze + 0.5 * dt * k1[2],
-        zy_lag,
-        a_t,
-        t + 0.5 * dt,
-        treatment,
-    )
-    k3 = hybrid_rhs(
-        model,
-        params,
-        zy + 0.5 * dt * k2[0],
-        zx + 0.5 * dt * k2[1],
-        ze + 0.5 * dt * k2[2],
-        zy_lag,
-        a_t,
-        t + 0.5 * dt,
-        treatment,
-    )
-    k4 = hybrid_rhs(
-        model,
-        params,
-        zy + dt * k3[0],
-        zx + dt * k3[1],
-        ze + dt * k3[2],
-        zy_lag,
-        a_t,
-        t + dt,
-        treatment,
-    )
+def _rk4_joint(model, params, state, zy_lag, a_t, t, dt, drive):
+    """One RK4 step of the state tuple; ``drive(t)`` gives the treatment
+    drive at a stage time, and the delay buffer and treatment stay fixed."""
+
+    def rhs(s, t_stage):
+        return hybrid_rhs(model, params, s, zy_lag, a_t, drive(t_stage))
+
+    def shift(h, k):
+        return tuple(z + h * d for z, d in zip(state, k))
+
+    k1 = rhs(state, t)
+    k2 = rhs(shift(0.5 * dt, k1), t + 0.5 * dt)
+    k3 = rhs(shift(0.5 * dt, k2), t + 0.5 * dt)
+    k4 = rhs(shift(dt, k3), t + dt)
     sixth = dt / 6.0
-    zy = zy + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    zx = zx + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    ze = ze + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return zy, zx, ze
+    return tuple(
+        z + sixth * (d1 + 2 * d2 + 2 * d3 + d4) for z, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
+    )
 
 
 def rollout(
     model: HybridCpModel,
     params,
     x0,
-    a0: float,
-    y0: float,
-    a_seq: np.ndarray,
+    a0,
+    y0,
+    a_seq,
     times: np.ndarray,
-    treatment: TreatmentSchedule,
+    treatments,
 ):
-    """Encode, integrate, and read out at every grid point.
+    """Encode, integrate, and read out U units at every point of their
+    shared grid.
 
-    Returns (ys, xs, zes): per-point outcome scalars, covariate vectors, and
-    expert states (tensors during training, arrays during inference).
+    ``x0`` is (U, d_x); ``a0`` and ``y0`` are (U,); ``a_seq`` is (U, T);
+    ``treatments`` holds one schedule per unit. Returns the outcome (U, T)
+    and covariates (U, T, d_x): tensors during training, arrays during
+    inference.
     """
-    if len(a_seq) != len(times):
+    a_seq = np.asarray(a_seq, float)
+    if a_seq.shape[1] != len(times):
         raise ValueError("treatment sequence must cover the grid")
+
+    def drive(t):
+        return np.array([[treatment_drive(model, tr, t)] for tr in treatments])
+
     zx, zy, ze = encode_init(model, params, x0, a0, y0)
-    y_out, x_out = readout(model, params, zy, zx, ze, float(a_seq[0]))
-    ys, xs, zes = [y_out], [x_out], [ze]
+    y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, :1])
+    ys, xs = [y_out], [x_out]
     zy_lag = zy
     n_sub = model.config.n_substeps
     for k in range(len(times) - 1):
         zy_start = zy
         dt = (times[k + 1] - times[k]) / n_sub
-        a_t = float(a_seq[k])
+        a_t = a_seq[:, k : k + 1]
         for s in range(n_sub):
             t = times[k] + s * dt
-            zy, zx, ze = _rk4_joint(model, params, zy, zx, ze, zy_lag, a_t, t, dt, treatment)
+            zy, zx, ze = _rk4_joint(model, params, (zy, zx, ze), zy_lag, a_t, t, dt, drive)
         zy_lag = zy_start
-        y_out, x_out = readout(model, params, zy, zx, ze, float(a_seq[k + 1]))
+        y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, k + 1 : k + 2])
         ys.append(y_out)
         xs.append(x_out)
-        zes.append(ze)
-    return ys, xs, zes
+    return _cat(ys), _cat(xs).reshape(len(treatments), len(times), model.d_x)
 
 
 def predict(
@@ -227,13 +236,18 @@ def predict(
     times: np.ndarray,
     treatment: TreatmentSchedule,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic point prediction (y, x) over the grid."""
-    ys, xs, _ = rollout(
-        model, dict(model.params.items()), x0, a0, y0, a_seq, np.asarray(times, float), treatment
+    """Deterministic point prediction (y, x) over the grid for one unit."""
+    y, x = rollout(
+        model,
+        dict(model.params.items()),
+        np.asarray(x0, float)[None, :],
+        [a0],
+        [y0],
+        np.asarray(a_seq, float)[None, :],
+        np.asarray(times, float),
+        [treatment],
     )
-    y = np.array([float(v) for v in ys])
-    x = np.stack([np.asarray(v, float) for v in xs])
-    return y, x
+    return y[0], x[0]
 
 
 def predict_unit(model: HybridCpModel, traj: Trajectory, treatment: TreatmentSchedule):
@@ -242,34 +256,30 @@ def predict_unit(model: HybridCpModel, traj: Trajectory, treatment: TreatmentSch
     )
 
 
-def _dataset_loss(model: HybridCpModel, tensors, units):
-    y_terms = []
-    x_terms = []
-    n_y = 0
-    n_x = 0
-    for unit in units:
-        traj = unit.factual
-        ys, xs, _ = rollout(
-            model,
-            tensors,
-            traj.x[0],
-            float(traj.a[0]),
-            float(traj.y[0]),
-            traj.a,
-            traj.times,
-            unit.treatment_factual,
-        )
-        for k in range(traj.horizon):
-            if not traj.observed[k]:
-                continue
-            y_terms.append((ys[k] - float(traj.y[k])) ** 2)
-            diff = xs[k] - traj.x[k]
-            x_terms.append((diff * diff).sum())
-            n_y += 1
-            n_x += traj.d_x
-    total = sum(y_terms[1:], y_terms[0]) * (1.0 / n_y)
-    total = total + sum(x_terms[1:], x_terms[0]) * (1.0 / n_x)
-    return total
+def _dataset_loss(model: HybridCpModel, tensors, units: list[UnitRecord]):
+    """Mean squared error of one batched rollout over the factual arms:
+    outcome and covariate errors, each averaged over the observed points
+    only. Works on tensors for training and on plain arrays for evaluation."""
+    trajs = [u.factual for u in units]
+    times = trajs[0].times
+    if any(not np.array_equal(tr.times, times) for tr in trajs):
+        raise ValueError("all units must share one time grid")
+    y_hat, x_hat = rollout(
+        model,
+        tensors,
+        np.stack([tr.x[0] for tr in trajs]),
+        [float(tr.a[0]) for tr in trajs],
+        [float(tr.y[0]) for tr in trajs],
+        np.stack([tr.a for tr in trajs]),
+        times,
+        [u.treatment_factual for u in units],
+    )
+    # (unit, time) pairs of the observed points, unit-major
+    obs = np.nonzero(np.stack([tr.observed for tr in trajs]))
+    y = np.stack([tr.y for tr in trajs])[obs]
+    x = np.stack([tr.x for tr in trajs])[obs]
+    dx = x_hat[obs] - x
+    return ((y_hat[obs] - y) ** 2).sum() * (1.0 / y.size) + (dx * dx).sum() * (1.0 / x.size)
 
 
 def train_hybrid(
@@ -296,7 +306,7 @@ def train_hybrid(
             raise TrainingError(f"loss diverged at epoch {epoch}")
         losses.append(record.loss)
         params, state = de.adam_step(params, record.gradient, state, config.lr)
-    final = float(de.value_and_grad(loss_fn, params).loss)
+    final = float(_dataset_loss(model, dict(params.items()), dataset.units))
     losses.append(final)
     trained = replace(model)
     trained.params = params

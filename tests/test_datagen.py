@@ -181,3 +181,32 @@ def test_serialization_byte_identical(tmp_path):
     write_dataset(gen_dex_dataset(n_patients=3, seed=4), tmp_path / "b")
     for name in ("factual.csv", "counterfactual.csv", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_dataset_round_trip_keeps_noiseless_outcome(tmp_path):
+    ds = gen_dex_dataset(n_patients=3, seed=2, sigma=0.5)
+    write_dataset(ds, tmp_path)
+    by_id = {u.unit_id: u for u in read_dataset(tmp_path).units}
+    for unit in ds.units:
+        other = by_id[unit.unit_id]
+        for arm in ("factual", "counterfactual"):
+            want = getattr(unit, arm).y_clean
+            assert not np.array_equal(want, getattr(unit, arm).y)
+            assert np.array_equal(getattr(other, arm).y_clean, want)
+
+
+def test_dataset_written_without_noiseless_column_still_loads(tmp_path):
+    ds = gen_dex_dataset(n_patients=2, seed=3)
+    write_dataset(ds, tmp_path)
+    for name in ("factual.csv", "counterfactual.csv"):
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        assert lines[0].endswith(",y_clean")
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    back = read_dataset(tmp_path)
+    by_id = {u.unit_id: u for u in back.units}
+    for unit in ds.units:
+        other = by_id[unit.unit_id]
+        assert other.factual.y_clean is None and other.counterfactual.y_clean is None
+        assert np.array_equal(unit.factual.y, other.factual.y)
+        assert np.array_equal(unit.factual.observed, other.factual.observed)

@@ -289,3 +289,17 @@ def test_case_study_csv_output(tmp_path):
     assert recs[0]["region"] == "weak_0"
     assert float(recs[0]["proxy_wd"]) == pytest.approx(1.0)
     assert recs[0]["model_wd"] == ""
+
+
+def test_units_on_shifted_grids_fail_in_the_data_stage(tmp_path):
+    from odeguide.datagen import gen_dex_dataset, write_dataset
+
+    ds = gen_dex_dataset(n_patients=3, seed=0, n_days=4)
+    unit = ds.units[1]
+    unit.factual.times = unit.factual.times + 0.5  # same horizon, other grid
+    write_dataset(ds, tmp_path / "data")
+    config = _tiny_config(tmp_path / "run", dataset={"path": str(tmp_path / "data")})
+    with pytest.raises(StageError) as err:
+        run_experiment(config)
+    assert err.value.stage == "data"
+    assert "one time grid" in str(err.value)

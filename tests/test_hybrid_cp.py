@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from odeguide import diff_engine as de
-from odeguide.datagen import gen_dex_dataset
+from odeguide.datagen import gen_covid_dataset, gen_dex_dataset
 from odeguide.expert_models import PkpdParams, SeirmParams, TreatmentSchedule, seirm_terms
 from odeguide.hybrid_cp import (
     HybridCpConfig,
+    _dataset_loss,
     expert_derivative,
     make_hybrid_model,
     normalize_expert_state,
@@ -143,3 +144,179 @@ def test_training_halves_loss_on_noiseless_data():
     unit = data.units[0]
     y, x = predict_unit(trained, unit.factual, unit.treatment_factual)
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(x))
+
+
+# -- batched rollout against a per-unit reference ------------------------
+
+# Bound on the batched rollout's loss, gradients and predictions against the
+# per-unit reference, relative to the largest magnitude of each compared
+# array: the arithmetic per unit is the same, but matrix products run on
+# (U, n) rows instead of (n,) vectors and the loss sums run in another
+# order, so the two agree to rounding (about 2e-15 here), far inside it.
+BATCH_RTOL = 1e-12
+
+
+def _reference_rollout(model, params, traj, treatment):
+    """One unit on 1-D states, unit by unit, as the predictor ran before it
+    was batched. Returns per-point outcome scalars and covariate vectors."""
+
+    def cat(parts):
+        if any(isinstance(p, de.Tensor) for p in parts):
+            return de.concat(parts)
+        return np.concatenate([np.atleast_1d(p) for p in parts])
+
+    def mlp(name, v):
+        return de.mlp_apply(model.specs[name], params, v, prefix=f"{name}_")
+
+    def rhs(zy, zx, ze, zy_lag, a_t, t):
+        dzy = mlp("fy", cat([zy, ze, zx, a_t]))
+        dzx = mlp("fx", cat([zx, zy_lag, a_t]))
+        return dzy, dzx, expert_derivative(model, ze, t, treatment)
+
+    def read(zy, zx, ze, a_t):
+        return mlp("gy", cat([ze, zy, zx, a_t]))[0], mlp("gx", cat([zx, a_t]))
+
+    a, times = traj.a.astype(float), traj.times
+    obs = np.concatenate([traj.x[0], [a[0], traj.y[0]]])
+    zx = mlp("gxi", obs)
+    zy = mlp("gzeta", cat([zx, a[0], traj.y[0]]))
+    ze = normalize_expert_state(mlp("geta", obs), model.family, model.expert_params)
+    y, x = read(zy, zx, ze, a[0])
+    ys, xs = [y], [x]
+    zy_lag = zy
+    n_sub = model.config.n_substeps
+    for k in range(len(times) - 1):
+        zy_start = zy
+        dt = (times[k + 1] - times[k]) / n_sub
+        for s in range(n_sub):
+            t = times[k] + s * dt
+            state = (zy, zx, ze)
+            k1 = rhs(*state, zy_lag, a[k], t)
+            k2 = rhs(*(z + 0.5 * dt * d for z, d in zip(state, k1)), zy_lag, a[k], t + 0.5 * dt)
+            k3 = rhs(*(z + 0.5 * dt * d for z, d in zip(state, k2)), zy_lag, a[k], t + 0.5 * dt)
+            k4 = rhs(*(z + dt * d for z, d in zip(state, k3)), zy_lag, a[k], t + dt)
+            zy, zx, ze = (
+                z + dt / 6.0 * (d1 + 2 * d2 + 2 * d3 + d4)
+                for z, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
+            )
+        zy_lag = zy_start
+        y, x = read(zy, zx, ze, a[k + 1])
+        ys.append(y)
+        xs.append(x)
+    return ys, xs
+
+
+def _reference_loss(model, tensors, units):
+    y_terms, x_terms = [], []
+    for unit in units:
+        traj = unit.factual
+        ys, xs = _reference_rollout(model, tensors, traj, unit.treatment_factual)
+        for k in np.flatnonzero(traj.observed):
+            y_terms.append((ys[k] - float(traj.y[k])) ** 2)
+            diff = xs[k] - traj.x[k]
+            x_terms.append((diff * diff).sum())
+    n_y = len(y_terms)
+    n_x = n_y * units[0].factual.d_x
+    return sum(y_terms[1:], y_terms[0]) * (1.0 / n_y) + sum(x_terms[1:], x_terms[0]) * (1.0 / n_x)
+
+
+def _dex_case():
+    data = gen_dex_dataset(n_patients=4, seed=5, sigma=0.1, n_days=6, drop_measurements=True)
+    masks = {tuple(u.factual.observed) for u in data.units}
+    assert len(masks) > 1, "the case needs masks that differ per unit"
+    model = make_hybrid_model("PKPD", PkpdParams(), d_x=1, config=TINY, seed=2)
+    return model, data.units
+
+
+def _covid_case():
+    cities = [("a", 2.0e5), ("b", 5.0e5), ("c", 1.0e6), ("d", 3.0e6)]
+    data = gen_covid_dataset(cities, seed=3, n_weeks=44)
+    starts = {u.treatment_factual.mandate_start for u in data.units}
+    assert len(starts) == 2, "the case needs both mandate starts"
+    params = SeirmParams(0.5, 0.3, 0.25, 0.02, 1000.0)
+    model = make_hybrid_model("SEIRM", params, d_x=data.units[0].factual.d_x, config=TINY, seed=4)
+    return model, data.units
+
+
+CASES = {"dex_masked": _dex_case, "covid_both_mandates": _covid_case}
+
+
+def _assert_close(got, want, rtol):
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(np.asarray(got) - want)) <= rtol * scale
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batched_loss_and_gradients_match_per_unit_reference(case):
+    model, units = CASES[case]()
+    got = de.value_and_grad(lambda t: _dataset_loss(model, t, units), model.params)
+    want = de.value_and_grad(lambda t: _reference_loss(model, t, units), model.params)
+    _assert_close(got.loss, want.loss, BATCH_RTOL)
+    for name in model.params.names():
+        _assert_close(got.gradient[name], want.gradient[name], BATCH_RTOL)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_predict_matches_per_unit_reference(case):
+    model, units = CASES[case]()
+    params = dict(model.params.items())
+    for unit in units:
+        traj = unit.factual
+        y, x = predict_unit(model, traj, unit.treatment_factual)
+        ys, xs = _reference_rollout(model, params, traj, unit.treatment_factual)
+        _assert_close(y, np.array([float(v) for v in ys]), BATCH_RTOL)
+        _assert_close(x, np.stack(xs), BATCH_RTOL)
+
+
+@pytest.mark.parametrize("field", ["y", "x"])
+def test_unobserved_points_do_not_reach_the_loss(field):
+    model, units = _dex_case()
+    unit_index, k = next(
+        (i, k)
+        for i, u in enumerate(units)
+        for k in range(1, u.factual.horizon)
+        if not u.factual.observed[k]
+    )
+    before = de.value_and_grad(lambda t: _dataset_loss(model, t, units), model.params)
+    arr = getattr(units[unit_index].factual, field)
+    arr[k] = arr[k] + 123.0
+    after = de.value_and_grad(lambda t: _dataset_loss(model, t, units), model.params)
+    assert after.loss == before.loss
+    for name in model.params.names():
+        np.testing.assert_array_equal(after.gradient[name], before.gradient[name])
+
+
+def test_final_loss_equals_value_and_grad_loss_bitwise():
+    data = gen_dex_dataset(n_patients=3, seed=6, sigma=0.1, n_days=4, drop_measurements=True)
+    model = make_hybrid_model("PKPD", PkpdParams(), d_x=1, config=TINY, seed=0)
+    trained, losses = train_hybrid(model, data)
+    record = de.value_and_grad(lambda t: _dataset_loss(trained, t, data.units), trained.params)
+    assert losses[-1] == record.loss
+
+
+def test_units_on_different_grids_rejected():
+    model, units = _dex_case()
+    units[1].factual.times = units[1].factual.times + 0.5
+    with pytest.raises(ValueError, match="grid"):
+        _dataset_loss(model, dict(model.params.items()), units)
+
+
+def test_both_trainers_raise_one_training_error_on_divergence():
+    from odeguide import diffusion, hybrid_cp
+    from odeguide.diffusion import make_denoiser, make_schedule, train_diffusion
+
+    assert hybrid_cp.TrainingError is diffusion.TrainingError is de.TrainingError
+    data = gen_dex_dataset(n_patients=2, seed=0, sigma=0.0, n_days=3, drop_measurements=False)
+    model = make_hybrid_model("PKPD", PkpdParams(), d_x=1, config=TINY, seed=0)
+    model.params = de.ParamSet({k: np.full_like(v, np.nan) for k, v in model.params.items()})
+    with pytest.raises(de.TrainingError, match="diverged"), np.errstate(invalid="ignore"):
+        train_hybrid(model, data)
+
+    denoiser = make_denoiser(horizon=3, d_x=1, hidden=(4,), seed=0)
+    denoiser.params = de.ParamSet(
+        {k: np.full_like(v, np.nan) for k, v in denoiser.params.items()}
+    )
+    rows = np.ones((2, 3))
+    cond = np.ones((2, denoiser.cond_dim))
+    with pytest.raises(de.TrainingError, match="diverged"):
+        train_diffusion(denoiser, rows, cond, rows, np.ones(2), make_schedule(t_d=4))
