@@ -25,6 +25,7 @@ __all__ = [
     "concat",
     "init_mlp_params",
     "mlp_apply",
+    "mlp_apply_rows",
     "value_and_grad",
     "adam_step",
     "grad_check",
@@ -53,7 +54,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Array node on the autodiff tape."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
     # numpy operators defer to the reflected Tensor operator, so that
     # ``array * tensor`` records a tape node instead of an object array
     __array_ufunc__ = None
@@ -246,6 +247,8 @@ class Tensor:
     # -- backward pass --------------------------------------------------
 
     def backward(self):
+        """Accumulate d(self)/d(node) into ``grad`` of every node on the tape.
+        The tape is consumed: a second call finds no backward steps left."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -265,8 +268,11 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            # each closure refers to its own node, a reference cycle; dropping
+            # it once run lets refcounting free the tape without the cyclic GC
+            back, node._backward = node._backward, None
+            if back is not None and node.grad is not None:
+                back()
 
     def __repr__(self):
         return f"Tensor({self.data!r})"
@@ -452,6 +458,23 @@ def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
             h = _as_tensor(h) @ _as_tensor(W) + _as_tensor(b)
         else:
             h = h @ W + b
+        h = _ACTIVATIONS[act](h)
+    return h
+
+
+def mlp_apply_rows(spec: MlpSpec, params, x: np.ndarray, prefix: str = "") -> np.ndarray:
+    """Plain-array forward pass on (R, n_in) rows through ``np.einsum``.
+
+    BLAS products are not batch-size invariant: a row's result can differ
+    in the last bits between R = 1 (gemv) and R > 1 (gemm), and between
+    gemm sizes. The einsum loop computes each row the same way for every
+    R, so a row's output here depends only on that row.
+    """
+    h = np.asarray(x, float)
+    if h.ndim != 2 or h.shape[1] != spec.n_in:
+        raise ValueError(f"input must be (R, {spec.n_in}), got {h.shape}")
+    for i, act in enumerate(spec.activations):
+        h = np.einsum("ij,jk->ik", h, params[f"{prefix}W{i}"]) + params[f"{prefix}b{i}"]
         h = _ACTIVATIONS[act](h)
     return h
 

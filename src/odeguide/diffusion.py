@@ -141,17 +141,20 @@ def make_denoiser(
     return model
 
 
-def _denoiser_input(model, y_tau, tau, t_d, cond_vec):
-    embed = de.timestep_embedding(tau, t_d, model.n_freq)
-    return np.concatenate([np.asarray(y_tau, float), embed, cond_vec])
-
-
 def _predict_y0(model, params, y_tau, tau, t_d, cond_vec):
     """Clean-signal estimate with a skip connection: the network learns the
     correction to the noisy sample, which keeps the low-noise regime
-    near-identity without training effort."""
-    inp = _denoiser_input(model, y_tau, tau, t_d, cond_vec)
-    return np.asarray(y_tau, float) + de.mlp_apply(model.spec, params, inp, prefix="den_")
+    near-identity without training effort.
+
+    ``y_tau`` is (..., T); the network sees it as (R, T) rows through the
+    batch-size invariant ``mlp_apply_rows``, so a member's estimate does not
+    depend on how many members share the pass.
+    """
+    y_tau = np.asarray(y_tau, float)
+    rows = y_tau.reshape(-1, model.horizon)
+    fixed = np.concatenate([de.timestep_embedding(tau, t_d, model.n_freq), cond_vec])
+    inp = np.concatenate([rows, np.broadcast_to(fixed, (len(rows), fixed.size))], axis=1)
+    return y_tau + de.mlp_apply_rows(model.spec, params, inp, prefix="den_").reshape(y_tau.shape)
 
 
 def denoise_predict(
@@ -347,30 +350,49 @@ def sample(
     guide_fn=None,
     predict_fn=None,
 ) -> SampleEnsemble:
-    """Draw an ensemble by running the reverse process per sample.
+    """Draw an ensemble by running the reverse process on all members at
+    once, as an (n_samples, T) array.
 
-    ``guide_fn(y0_hat, tau) -> y0_tilde`` optionally adjusts the clean-signal
-    estimate before each reverse step; ``predict_fn(y_tau, tau) -> y0_hat``
-    replaces the trained denoiser entirely (oracle injection). Each ensemble
-    member uses its own sub-seed, so prefixes of the ensemble are stable in
-    ``n_samples``.
+    ``predict_fn(y_tau, tau) -> y0_hat`` replaces the trained denoiser
+    entirely (oracle injection); it receives the (n_samples, T) state and
+    may return (n_samples, T) or a (T,) row that broadcasts.
+    ``guide_fn(y0_hat, tau) -> y0_tilde`` optionally adjusts the
+    clean-signal estimate before each reverse step. A guide whose output
+    broadcasts to (K, n_samples, T), such as one built with a (K, 1, 1)
+    strength column, runs K guided ensembles that share every noise draw
+    in one stacked pass; ``samples`` is then (K, n_samples, T), and member
+    s of copy k equals member s of a separate call with that guide.
+
+    Member s draws its initial state and its step noise from its own
+    sub-seed, so prefixes of the ensemble are stable in ``n_samples``.
+    Raises FloatingPointError when the ensemble is not finite.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     T = model.horizon
     cond_vec = cond.vector()
-    out = np.empty((n_samples, T))
-    for s in range(n_samples):
-        rng = np.random.default_rng([seed, 17, s])
-        y = rng.standard_normal(T)
-        for tau in range(schedule.t_d, 0, -1):
-            if predict_fn is not None:
-                y0_hat = predict_fn(y, tau)
-            else:
-                y0_hat = _predict_y0(model, model.params, y, tau, schedule.t_d, cond_vec)
-            if guide_fn is not None:
-                y0_hat = guide_fn(y0_hat, tau)
-            noise = rng.standard_normal(T) if tau > 1 else None
-            y = reverse_step(y, tau, y0_hat, schedule, noise)
-        out[s] = y
-    return SampleEnsemble(samples=out, cond=cond, seed=seed)
+    # (t_d, n_samples, T): row 0 is the initial state, row i the noise of
+    # the step from tau = t_d - i + 1
+    draws = np.stack(
+        [
+            np.random.default_rng([seed, 17, s]).standard_normal((schedule.t_d, T))
+            for s in range(n_samples)
+        ],
+        axis=1,
+    )
+    y = draws[0]
+    for tau in range(schedule.t_d, 0, -1):
+        if predict_fn is not None:
+            y0_hat = np.broadcast_to(predict_fn(y, tau), y.shape)
+        else:
+            y0_hat = _predict_y0(model, model.params, y, tau, schedule.t_d, cond_vec)
+        if guide_fn is not None:
+            y0_hat = guide_fn(y0_hat, tau)
+        noise = draws[schedule.t_d - tau + 1] if tau > 1 else None
+        y = reverse_step(y, tau, y0_hat, schedule, noise)
+    bad = int(np.count_nonzero(~np.isfinite(y)))
+    if bad:
+        raise FloatingPointError(
+            f"sample: reverse diffusion gave {bad} non-finite of {y.size} values (seed {seed})"
+        )
+    return SampleEnsemble(samples=np.array(y, float), cond=cond, seed=seed)

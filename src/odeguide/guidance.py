@@ -108,14 +108,15 @@ def loss_cf(y0_hat, y0_factual, signals: ExpertGuidanceSignals, config: Guidance
 
 
 def _finite_diff(rel):
-    """Forward differences with a backward difference at the last index."""
+    """Forward differences with a backward difference at the last index,
+    over the last axis."""
     if isinstance(rel, Tensor):
         n = len(rel.data)
         head = rel[list(range(1, n))] - rel[list(range(0, n - 1))]
         last = rel[[n - 1]] - rel[[n - 2]]
         return concat([head, last])
-    head = np.diff(rel)
-    return np.concatenate([head, [rel[-1] - rel[-2]]])
+    head = np.diff(rel, axis=-1)
+    return np.concatenate([head, rel[..., -1:] - rel[..., -2:-1]], axis=-1)
 
 
 def loss_f(y0_hat, y0_factual, window: FactualWindow):
@@ -132,20 +133,48 @@ def loss_f(y0_hat, y0_factual, window: FactualWindow):
     return (diff * diff).sum()
 
 
+def _finite_diff_adjoint(v: np.ndarray) -> np.ndarray:
+    """Transpose of ``_finite_diff`` over the last axis: D^T v."""
+    out = np.zeros_like(v)
+    out[..., :-1] -= v[..., :-1]
+    out[..., 1:] += v[..., :-1]
+    out[..., -2] -= v[..., -1]
+    out[..., -1] += v[..., -1]
+    return out
+
+
 def grad_loss_cf(y0_hat: np.ndarray, y0_factual, signals, config) -> np.ndarray:
-    t = Tensor(np.asarray(y0_hat, float))
-    loss = loss_cf(t, y0_factual, signals, config)
-    loss.backward()
-    return t.grad if t.grad is not None else np.zeros_like(y0_hat)
+    """Closed-form gradient of ``loss_cf`` over the last axis of y0_hat:
+    2 (P_v + D^T D P_d) u with u = y0_hat - y_f - (f_cf - f_f), where D is
+    the finite-difference operator and P_v, P_d switch the value and
+    direction terms on."""
+    y0_hat = np.asarray(y0_hat, float)
+    n = y0_hat.shape[-1]
+    if not (len(y0_factual) == len(signals.f_cf) == len(signals.f_f) == n):
+        raise ValueError("trajectories must share the data grid")
+    exp_rel = np.asarray(signals.f_cf, float) - np.asarray(signals.f_f, float)
+    u = y0_hat - np.asarray(y0_factual, float) - exp_rel
+    grad = np.zeros_like(u)
+    if config.use_value:
+        grad = grad + u
+    if config.use_direction:
+        grad = grad + _finite_diff_adjoint(_finite_diff(u))
+    return 2.0 * grad
 
 
 def grad_loss_f(y0_hat: np.ndarray, y0_factual, window: FactualWindow) -> np.ndarray:
-    t = Tensor(np.asarray(y0_hat, float))
-    loss = loss_f(t, y0_factual, window)
-    if isinstance(loss, Tensor):
-        loss.backward()
-        return t.grad if t.grad is not None else np.zeros_like(np.asarray(y0_hat, float))
-    return np.zeros_like(np.asarray(y0_hat, float))
+    """Closed-form gradient of ``loss_f`` over the last axis of y0_hat:
+    2 P_w (y0_hat - y_f), zero outside the window."""
+    y0_hat = np.asarray(y0_hat, float)
+    grad = np.zeros_like(y0_hat)
+    if not window.indices:
+        return grad
+    idx, counts = np.unique(window.indices, return_counts=True)
+    if idx[-1] >= y0_hat.shape[-1] or idx[0] < 0:
+        raise ValueError("window indices out of range")
+    target = np.asarray(y0_factual, float)[idx]
+    grad[..., idx] = 2.0 * counts * (y0_hat[..., idx] - target)
+    return grad
 
 
 def guided_update(
@@ -167,11 +196,16 @@ def make_guide_fn(
     signals: ExpertGuidanceSignals,
     window: FactualWindow,
     config: GuidanceConfig,
-    eta: float | None = None,
-    nu: float | None = None,
+    eta: float | np.ndarray | None = None,
+    nu: float | np.ndarray | None = None,
 ):
     """Bind the guidance corrections into a ``guide_fn(y0_hat, tau)`` for
-    the sampler."""
+    the sampler.
+
+    ``eta`` and ``nu`` may be scalars or arrays that broadcast against the
+    sampler's rows: an (R, 1) column gives each of R rows its own strength,
+    and a (K, 1, 1) column against (S, T) rows stacks K strengths over one
+    ensemble."""
     eta = config.eta if eta is None else eta
     nu = config.nu if nu is None else nu
 

@@ -254,6 +254,9 @@ def evaluate_ensembles(
     counterfactual arms."""
     if len(ensembles) != len(units) or not units:
         raise ValueError("need one ensemble per evaluated unit")
+    for ens, unit in zip(ensembles, units):
+        if not np.all(np.isfinite(ens)):
+            raise ValueError(f"evaluate: ensemble of unit {unit.unit_id!r} is not finite")
     truths = []
     effects_est, effects_true = [], []
     means = []
@@ -483,27 +486,41 @@ def _guidance_config(config) -> GuidanceConfig:
     return GuidanceConfig(**kwargs)
 
 
+def _cf_condition(state, unit: UnitRecord) -> ConditioningContext:
+    """Counterfactual conditioning of a unit, built once per run."""
+    cache = state.setdefault("cf_condition", {})
+    if unit.unit_id not in cache:
+        cache[unit.unit_id] = _scaled_condition(state, unit, "counterfactual")
+    return cache[unit.unit_id]
+
+
 def _unit_guidance(state, unit: UnitRecord):
     """Aligned mechanistic signals, pre-divergence window, and the scaled
-    factual outcome for one unit."""
-    family, params, init, dt = state["expert"]
-    times = state["times"]
-    f_sim = _expert_outcome(family, params, init, unit.treatment_factual, times, dt)
-    cf_sim = _expert_outcome(family, params, init, unit.treatment_counterfactual, times, dt)
-    _, aligned_f, aligned_cf = align_factual(f_sim, unit.factual.y, cf_sim)
-    y_s = state["y_scaler"]
-    signals = ExpertGuidanceSignals(
-        f_cf=y_s.transform(aligned_cf), f_f=y_s.transform(aligned_f)
-    )
-    window = FactualWindow.before_divergence(unit.factual.a, unit.counterfactual.a)
-    return signals, window, y_s.transform(unit.factual.y)
+    factual outcome for one unit, built once per run."""
+    cache = state.setdefault("unit_guidance", {})
+    if unit.unit_id not in cache:
+        family, params, init, dt = state["expert"]
+        times = state["times"]
+        f_sim = _expert_outcome(family, params, init, unit.treatment_factual, times, dt)
+        cf_sim = _expert_outcome(family, params, init, unit.treatment_counterfactual, times, dt)
+        _, aligned_f, aligned_cf = align_factual(f_sim, unit.factual.y, cf_sim)
+        y_s = state["y_scaler"]
+        signals = ExpertGuidanceSignals(
+            f_cf=y_s.transform(aligned_cf), f_f=y_s.transform(aligned_f)
+        )
+        window = FactualWindow.before_divergence(unit.factual.a, unit.counterfactual.a)
+        cache[unit.unit_id] = (signals, window, y_s.transform(unit.factual.y))
+    return cache[unit.unit_id]
 
 
-def _guided_sampler(state, gcfg, unit, eta, nu, n_samples, seed):
+def _guided_samples(state, unit: UnitRecord, eta, n_samples, seed) -> np.ndarray:
+    """Guided ensemble of one unit; a (K, 1, 1) ``eta`` column gives K
+    ensembles, (K, n_samples, T), that share the seed's noise."""
+    gcfg = state["gcfg"]
     signals, window, y0_f = _unit_guidance(state, unit)
-    guide = make_guide_fn(y0_f, signals, window, gcfg, eta=eta, nu=nu)
-    cond = _scaled_condition(state, unit, "counterfactual")
-    return sample(state["denoiser"], cond, state["schedule"], n_samples, seed, guide)
+    guide = make_guide_fn(y0_f, signals, window, gcfg, eta=eta, nu=gcfg.nu)
+    cond = _cf_condition(state, unit)
+    return sample(state["denoiser"], cond, state["schedule"], n_samples, seed, guide).samples
 
 
 def _stage_select_eta(config, state, out, meta):
@@ -532,15 +549,19 @@ def _stage_select_eta(config, state, out, meta):
             for u in val_units
         ]
     )
+    # one stacked reverse pass per validation unit covers every candidate
+    etas = sorted(gcfg.eta_candidates)
+    column = np.asarray(etas, float)[:, None, None]
+    passes: dict[int, list[np.ndarray]] = {}
 
     def sampler(eta, seed):
-        chunks = [
-            _guided_sampler(
-                state, gcfg, u, eta, gcfg.nu, n_val_samples, _unit_seed(seed, 41, i)
-            ).samples
-            for i, u in enumerate(val_units)
-        ]
-        return np.concatenate(chunks, axis=1)
+        if seed not in passes:
+            passes[seed] = [
+                _guided_samples(state, u, column, n_val_samples, _unit_seed(seed, 41, i))
+                for i, u in enumerate(val_units)
+            ]
+        k = etas.index(eta)
+        return np.concatenate([p[k] for p in passes[seed]], axis=1)
 
     eta, entries = select_eta(gcfg, sampler, target, config.seed)
     with open(sweep_path, "a", newline="") as fh:
@@ -559,14 +580,12 @@ def _stage_sample(config, state, out, meta):
     unit_ids = [u.unit_id for u in state["test_units"]]
     for i, unit in enumerate(state["test_units"]):
         seed_u = _unit_seed(config.seed, 29, i)
-        cond = _scaled_condition(state, unit, "counterfactual")
+        cond = _cf_condition(state, unit)
         base = sample(state["denoiser"], cond, state["schedule"], n_samples, seed_u)
         unguided.append(y_s.inverse(base.samples))
         if config.guidance is not None:
-            ens = _guided_sampler(
-                state, state["gcfg"], unit, state["eta"], state["gcfg"].nu, n_samples, seed_u
-            )
-            guided.append(y_s.inverse(ens.samples))
+            ens = _guided_samples(state, unit, state["eta"], n_samples, seed_u)
+            guided.append(y_s.inverse(ens))
     state["unguided"] = unguided
     if config.guidance is not None:
         state["guided"] = guided

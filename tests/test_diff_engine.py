@@ -246,3 +246,67 @@ def test_value_and_grad_reports_input_gradient():
     rec = value_and_grad(lambda t, xin: (t["w"] * xin).square().sum(), ps, x, wrt_input=x)
     assert rec.loss == pytest.approx(36.0)
     assert rec.input_gradient[0] == pytest.approx(24.0)
+
+
+def _backward_keeping_tape(root):
+    """``Tensor.backward`` as it was before the tape was consumed: the same
+    traversal and accumulation order, every closure left in place."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward()
+
+
+def test_backward_frees_the_tape_without_the_cyclic_gc():
+    import gc
+    import weakref
+
+    spec = MlpSpec.make(3, 2, (5, 4))
+    params = ParamSet(init_mlp_params(spec, np.random.default_rng(0)))
+    x = np.random.default_rng(1).standard_normal((6, 3))
+    interior = []
+
+    def f(tensors, x):
+        h = mlp_apply(spec, tensors, x)
+        interior.append(weakref.ref(h))
+        return (h * h).sum()
+
+    tensors = params.as_tensors()
+    _backward_keeping_tape(f(tensors, x))
+    want = {k: t.grad for k, t in tensors.items()}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        interior.clear()
+        record = value_and_grad(f, params, x)
+        assert interior[0]() is None, "tape node outlived value_and_grad"
+    finally:
+        if enabled:
+            gc.enable()
+    for k in want:
+        np.testing.assert_array_equal(record.gradient[k], want[k])
+
+
+def test_mlp_apply_rows_is_row_invariant_and_matches_mlp_apply():
+    spec = MlpSpec.make(7, 3, (16, 16), act="relu")
+    params = ParamSet(init_mlp_params(spec, np.random.default_rng(2)))
+    x = np.random.default_rng(3).standard_normal((9, 7))
+    rows = de.mlp_apply_rows(spec, params, x)
+    np.testing.assert_allclose(rows, mlp_apply(spec, params, x), rtol=1e-12, atol=1e-15)
+    for r in range(1, 9):
+        np.testing.assert_array_equal(de.mlp_apply_rows(spec, params, x[:r]), rows[:r])
+    with pytest.raises(ValueError, match="input must be"):
+        de.mlp_apply_rows(spec, params, x[0])

@@ -313,3 +313,70 @@ def test_loss_cf_gradient_through_tensor_inputs():
     val = loss_cf(y0_hat, np.zeros(3), _signals(np.zeros(3), np.zeros(3)), GuidanceConfig())
     val.backward()
     assert y0_hat.grad is not None and y0_hat.grad.shape == (3,)
+
+
+def _tape_grad(loss_fn, y0_hat):
+    t = Tensor(np.asarray(y0_hat, float))
+    loss_fn(t).backward()
+    return t.grad
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    scale = np.max(np.abs(want))
+    if scale == 0.0:
+        np.testing.assert_array_equal(got, want)
+    else:
+        err = np.max(np.abs(got - want)) / scale
+        assert err <= rel, f"relative error {err:.2e} > {rel:.0e}"
+
+
+@pytest.mark.parametrize("T", [15, 52])
+@pytest.mark.parametrize("flags", [(True, True), (True, False), (False, True), (False, False)])
+def test_closed_form_grad_loss_cf_matches_tape(T, flags):
+    rng = np.random.default_rng(T)
+    y0_f = rng.standard_normal(T)
+    signals = _signals(rng.standard_normal(T), rng.standard_normal(T))
+    config = GuidanceConfig(use_value=flags[0], use_direction=flags[1])
+    rows = rng.standard_normal((4, T))
+    batched = grad_loss_cf(rows, y0_f, signals, config)
+    assert batched.shape == rows.shape
+    for row, got in zip(rows, batched):
+        want = _tape_grad(lambda t: loss_cf(t, y0_f, signals, config), row)
+        _assert_rel_close(grad_loss_cf(row, y0_f, signals, config), want)
+        _assert_rel_close(got, want)
+
+
+@pytest.mark.parametrize("T", [15, 52])
+@pytest.mark.parametrize("indices", [(), (0,), (0, 1, 2, 3, 4), (2, 5, 7)])
+def test_closed_form_grad_loss_f_matches_tape(T, indices):
+    rng = np.random.default_rng(T + len(indices))
+    y0_f = rng.standard_normal(T)
+    window = FactualWindow(indices=indices)
+    rows = rng.standard_normal((3, T))
+    batched = grad_loss_f(rows, y0_f, window)
+    assert batched.shape == rows.shape
+    for row, got in zip(rows, batched):
+        want = _tape_grad(lambda t: loss_f(t, y0_f, window), row)
+        _assert_rel_close(grad_loss_f(row, y0_f, window), want)
+        _assert_rel_close(got, want)
+
+
+def test_grad_loss_f_ignores_nonfinite_factual_values_outside_the_window():
+    y0_f = np.array([1.0, 2.0, np.nan, np.inf])
+    got = grad_loss_f(np.zeros(4), y0_f, FactualWindow(indices=(0, 1)))
+    np.testing.assert_array_equal(got, [-2.0, -4.0, 0.0, 0.0])
+
+
+def test_make_guide_fn_strength_column_guides_rows_separately():
+    rng = np.random.default_rng(5)
+    y0_f = rng.standard_normal(6)
+    signals = _signals(rng.standard_normal(6), rng.standard_normal(6))
+    window = FactualWindow(indices=(0, 1))
+    config = GuidanceConfig()
+    etas = np.array([0.0, 0.01, 0.1])
+    rows = rng.standard_normal((3, 6))
+    column = make_guide_fn(y0_f, signals, window, config, eta=etas[:, None], nu=0.01)
+    stacked = column(rows, 4)
+    for k, eta in enumerate(etas):
+        single = make_guide_fn(y0_f, signals, window, config, eta=eta, nu=0.01)
+        np.testing.assert_array_equal(stacked[k], single(rows[k], 4))

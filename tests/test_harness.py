@@ -87,6 +87,55 @@ def test_evaluate_ensembles_requires_matching_lengths():
         evaluate_ensembles([], [])
 
 
+def test_evaluate_ensembles_refuses_nonfinite_input():
+    from odeguide.datagen import gen_dex_dataset
+
+    units = gen_dex_dataset(n_patients=2, seed=0, n_days=4).units
+    ensembles = [np.zeros((3, u.counterfactual.y.size)) for u in units]
+    ensembles[1][2, 1] = np.nan
+    with pytest.raises(ValueError, match="evaluate: .*not finite"):
+        evaluate_ensembles(ensembles, units)
+
+
+def test_divergent_guidance_fails_in_the_sample_stage(tmp_path):
+    config = _tiny_config(tmp_path, guidance={"eta": 1e300, "nu": 0.0, "select": False})
+    with np.errstate(all="ignore"), pytest.raises(StageError, match="non-finite") as info:
+        run_experiment(config)
+    assert info.value.stage == "sample"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_guidance_inputs_are_built_once_per_unit(tmp_path, monkeypatch):
+    from odeguide import harness
+
+    calls = {"simulate_expert": 0, "predict": 0}
+    for name in calls:
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    config = _tiny_config(
+        tmp_path,
+        guidance={
+            "eta_candidates": [0.0, 0.01, 0.02],
+            "nu": 0.01,
+            "select": True,
+            "n_val_units": 2,
+            "n_val_samples": 2,
+        },
+    )
+    run_experiment(config)
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    n_train, n_test = meta["n_train"], meta["n_test"]
+    # two arms per validation and test unit; one factual conditioning per
+    # training unit plus one counterfactual per validation and test unit
+    assert calls["simulate_expert"] == 2 * (2 + n_test)
+    assert calls["predict"] == n_train + 2 + n_test
+
+
 def test_run_experiment_unknown_stage_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown stage"):
         run_experiment(_tiny_config(tmp_path), stop_after="deploy")
