@@ -51,7 +51,8 @@ from .metrics import (
     MetricReport,
     calibration_score,
     cate_rmse,
-    dtw,
+    dtw,  # unused here; benchmarks/spans.py wraps harness.dtw
+    dtw_cost,
     pearson,
     pi_coverage,
     wasserstein1,
@@ -635,6 +636,12 @@ class CaseStudyConfig:
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
+        if self.train_weeks < 1:
+            raise ValueError("train_weeks must be >= 1")
+        if isinstance(self.test_regions, str):
+            head, _, count = self.test_regions.partition(":")
+            if head != "random" or not count.isdecimal() or int(count) < 1:
+                raise ValueError("test_regions must be a list or 'random:n' with n >= 1")
 
     @classmethod
     def from_file(cls, path) -> "CaseStudyConfig":
@@ -683,14 +690,13 @@ def load_regions(path) -> list[RegionSeries]:
     out = []
     for region, recs in rows.items():
         recs.sort()
-        out.append(
-            RegionSeries(
-                region=region,
-                deaths=np.array([r[1] for r in recs]),
-                hospitalizations=np.array([r[2] for r in recs]),
-                policy=np.array([r[3] for r in recs]),
-            )
-        )
+        deaths = np.array([r[1] for r in recs])
+        hospitalizations = np.array([r[2] for r in recs])
+        finite = np.isfinite(deaths) & np.isfinite(hospitalizations)
+        if not finite.all():
+            week = recs[int(np.argmin(finite))][0]
+            raise ValueError(f"region {region!r} has a non-finite value in week {week}")
+        out.append(RegionSeries(region, deaths, hospitalizations, np.array([r[3] for r in recs])))
     return out
 
 
@@ -722,9 +728,7 @@ def case_study(
         raise ValueError("train_weeks must be smaller than the series length")
     by_name = {r.region: r for r in regions}
     if isinstance(config.test_regions, str):
-        if not config.test_regions.startswith("random:"):
-            raise ValueError("test_regions must be a list or 'random:n'")
-        n = int(config.test_regions.split(":", 1)[1])
+        n = int(config.test_regions.partition(":")[2])
         rng = np.random.default_rng([config.seed, 31])
         names = sorted(by_name)
         picks = rng.permutation(len(names))[: min(n, len(names))]
@@ -735,16 +739,11 @@ def case_study(
         if missing:
             raise ValueError(f"unknown test regions: {missing}")
     w = config.train_weeks
+    pre = np.stack([r.deaths[:w] for r in regions])
     results = []
     for name in test_names:
-        target = by_name[name]
-        dists = []
-        for other in regions:
-            if other.region == name:
-                continue
-            cost, _ = dtw(target.deaths[:w], other.deaths[:w])
-            dists.append((cost, other.region))
-        dists.sort()
+        costs = dtw_cost(by_name[name].deaths[:w], pre).tolist()
+        dists = sorted((c, r.region) for c, r in zip(costs, regions) if r.region != name)
         neighbors = [by_name[r] for _, r in dists[: config.k_neighbors]]
         strong = [n for n in neighbors if _dominant_policy(n, w) == 1]
         weak = [n for n in neighbors if _dominant_policy(n, w) == 0]

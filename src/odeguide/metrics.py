@@ -103,15 +103,6 @@ def calibration_score(samples: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(gaps))
 
 
-def cate_estimate(ensemble_treated: np.ndarray, ensemble_control: np.ndarray) -> np.ndarray:
-    """Per-time difference of ensemble means."""
-    treated = np.asarray(ensemble_treated, dtype=float)
-    control = np.asarray(ensemble_control, dtype=float)
-    if treated.shape[1] != control.shape[1]:
-        raise ValueError("ensembles must share a time grid")
-    return treated.mean(axis=0) - control.mean(axis=0)
-
-
 def cate_rmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
@@ -120,25 +111,42 @@ def cate_rmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean((estimate - truth) ** 2)))
 
 
-def basic_stats(pred, truth) -> tuple[float, float]:
-    """(RMSE, Pearson correlation) of two equal-length sequences."""
-    pred = np.asarray(pred, dtype=float).ravel()
-    truth = np.asarray(truth, dtype=float).ravel()
-    if pred.size != truth.size or pred.size < 2:
-        raise ValueError("sequences must have equal length >= 2")
-    rmse = float(np.sqrt(np.mean((pred - truth) ** 2)))
-    if np.ptp(pred) == 0 or np.ptp(truth) == 0:
-        raise ValueError("correlation undefined for constant sequences")
-    corr = float(np.corrcoef(pred, truth)[0, 1])
-    return rmse, corr
-
-
 def pearson(a, b) -> float:
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         raise ValueError("correlation undefined for constant sequences")
     return float(np.corrcoef(a, b)[0, 1])
+
+
+def _dtw_wavefront(a: np.ndarray, B: np.ndarray, table=None) -> np.ndarray:
+    """DTW costs of ``a`` (n,) against each row of ``B`` (R, m), filled one
+    anti-diagonal i + j = d at a time for all rows: a cell depends only on
+    the two diagonals before it. Diagonals are stored by i = 0..n, inf off
+    the table; a given (n+1, m+1) ``table`` (R = 1) receives each one."""
+    n, (R, m) = a.size, B.shape
+    if n == 0 or m == 0:
+        raise ValueError("dtw requires nonempty sequences")
+    prev2 = np.full((R, n + 1), np.inf)
+    prev2[:, 0] = 0.0
+    prev1 = np.full((R, n + 1), np.inf)
+    for d in range(2, n + m + 1):
+        lo, hi = max(1, d - m), min(n, d - 1)
+        step = np.minimum(prev2[:, lo - 1 : hi], prev1[:, lo - 1 : hi])
+        np.minimum(step, prev1[:, lo : hi + 1], out=step)
+        cur = np.full((R, n + 1), np.inf)
+        # cells (i, d - i) for i = lo..hi meet B columns d-lo-1 down to d-hi-1
+        cur[:, lo : hi + 1] = np.abs(a[lo - 1 : hi] - B[:, d - hi - 1 : d - lo][:, ::-1]) + step
+        if table is not None:  # cell (i, d - i) is flat index i * m + d
+            table.flat[lo * m + d : hi * m + d + 1 : m] = cur[0, lo : hi + 1]
+        prev2, prev1 = prev1, cur
+    return prev1[:, n]
+
+
+def dtw_cost(a, B) -> np.ndarray:
+    """Optimal DTW cost of ``a`` (n,) against each row of ``B`` (R, m): (R,)
+    costs equal to ``dtw(a, B[r])[0]``, without paths, in O(R·n) memory."""
+    return _dtw_wavefront(np.asarray(a, dtype=float).ravel(), np.asarray(B, dtype=float))
 
 
 def dtw(a, b) -> tuple[float, list[tuple[int, int]]]:
@@ -150,16 +158,9 @@ def dtw(a, b) -> tuple[float, list[tuple[int, int]]]:
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     n, m = a.size, b.size
-    if n == 0 or m == 0:
-        raise ValueError("dtw requires nonempty sequences")
-    cost = np.abs(a[:, None] - b[None, :])
     acc = np.full((n + 1, m + 1), np.inf)
     acc[0, 0] = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            acc[i, j] = cost[i - 1, j - 1] + min(
-                acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
-            )
+    _dtw_wavefront(a, b[None, :], acc)
     path = [(n - 1, m - 1)]
     i, j = n, m
     while (i, j) != (1, 1):

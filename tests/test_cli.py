@@ -145,3 +145,12 @@ def test_case_study_command(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["region"] == "weak_0"
     assert rows[0]["skipped"] == ""
+
+
+def test_case_study_bad_config_fails_before_reading_regions(tmp_path, capsys):
+    config = tmp_path / "cs.json"
+    config.write_text(json.dumps({"region_csv": str(tmp_path / "absent.csv"), "test_regions": "random:0"}))
+    out = tmp_path / "cs_out"
+    assert main(["case-study", "--config", str(config), "--out", str(out)]) == 1
+    assert "test_regions" in capsys.readouterr().err
+    assert not out.exists()

@@ -16,6 +16,7 @@ from odeguide.harness import (
     run_experiment,
     write_case_study_csv,
 )
+from odeguide.metrics import dtw, wasserstein1
 
 
 def _tiny_config(out_dir, **overrides):
@@ -323,6 +324,68 @@ def test_case_study_validation(tmp_path):
         case_study(CaseStudyConfig(region_csv=str(path), train_weeks=4, test_regions=["zz"]))
     with pytest.raises(ValueError, match="train_weeks"):
         case_study(CaseStudyConfig(region_csv=str(path), train_weeks=8, test_regions=["weak_0"]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("train_weeks", 0),
+        ("test_regions", "random:-2"),
+        ("test_regions", "random:0"),
+        ("test_regions", "random:abc"),
+        ("test_regions", "first:3"),
+    ],
+)
+def test_case_study_config_rejects_bad_fields_when_loaded(tmp_path, field, value):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"region_csv": str(tmp_path / "absent.csv"), field: value}))
+    with pytest.raises(ValueError, match=field):
+        CaseStudyConfig.from_file(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_regions_rejects_non_finite_values(tmp_path, bad):
+    pre = np.linspace(0.0, 1.0, 4)
+    series = {f"r{i}": (np.concatenate([pre, pre]), [0] * 4 + [i % 2] * 4) for i in range(4)}
+    series["r1"][0][1] = bad
+    path = tmp_path / "regions.csv"
+    _write_regions(path, series)
+    with pytest.raises(ValueError, match="region 'r1' has a non-finite value in week 1"):
+        load_regions(path)
+    config = CaseStudyConfig(region_csv=str(path), train_weeks=4, k_neighbors=2, test_regions=["r0"])
+    with pytest.raises(ValueError, match="'r1'"):
+        case_study(config)
+
+
+def test_case_study_matches_per_pair_dtw_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    w, k = 5, 4
+    series = {f"r{i}": (rng.normal(size=2 * w), [0] * w + [i % 2] * w) for i in range(9)}
+    path = tmp_path / "regions.csv"
+    _write_regions(path, series)
+    config = CaseStudyConfig(
+        region_csv=str(path), train_weeks=w, k_neighbors=k, test_regions="random:3", seed=2
+    )
+    rows = case_study(config)
+    assert len(rows) == 3
+    for row in rows:
+        deaths, _ = series[row.region]
+        dists = sorted(
+            (dtw(deaths[:w], other[:w])[0], name)
+            for name, (other, _) in series.items()
+            if name != row.region
+        )
+        neighbors = [name for _, name in dists[:k]]
+        assert row.neighbors == neighbors
+        post = {1: [], 0: []}
+        for name in neighbors:
+            post[series[name][1][-1]].append(series[name][0][w:])
+        if post[1] and post[0]:
+            mean = {p: np.mean(curves, axis=0) for p, curves in post.items()}
+            assert row.proxy_wd == wasserstein1(mean[1], mean[0])
+        else:
+            assert row.proxy_wd is None
+    assert any(row.proxy_wd is not None for row in rows)
 
 
 def test_case_study_csv_output(tmp_path):

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from odeguide.metrics import (
     MetricReport,
     REPORT_COLUMNS,
-    basic_stats,
     calibration_score,
-    cate_estimate,
     cate_rmse,
     dtw,
+    dtw_cost,
     pearson,
     pi_coverage,
     wasserstein1,
@@ -101,30 +100,21 @@ def test_calibration_score_bounds():
     assert 0.0 <= score <= 1.0
 
 
-def test_cate_estimate_and_rmse():
-    treated = np.array([[2.0, 4.0], [4.0, 6.0]])
-    control = np.array([[1.0, 1.0], [1.0, 1.0]])
-    est = cate_estimate(treated, control)
-    np.testing.assert_allclose(est, [2.0, 4.0])
+def test_cate_rmse():
+    est = np.array([2.0, 4.0])
     assert cate_rmse(est, np.array([2.0, 4.0])) == 0.0
     assert cate_rmse(est, np.array([2.0, 1.0])) == pytest.approx(3.0 / np.sqrt(2))
-    with pytest.raises(ValueError, match="grid"):
-        cate_estimate(treated, np.ones((2, 3)))
     with pytest.raises(ValueError, match="grid"):
         cate_rmse(est, np.ones(3))
 
 
-def test_basic_stats_and_pearson():
+def test_pearson():
     pred = np.array([1.0, 2.0, 3.0])
     truth = np.array([2.0, 4.0, 6.0])
-    rmse, corr = basic_stats(pred, truth)
-    assert rmse == pytest.approx(np.sqrt((1 + 4 + 9) / 3))
-    assert corr == pytest.approx(1.0)
+    assert pearson(pred, truth) == pytest.approx(1.0)
     assert pearson(pred, -truth) == pytest.approx(-1.0)
     with pytest.raises(ValueError, match="constant"):
-        basic_stats(np.ones(3), truth)
-    with pytest.raises(ValueError, match="length"):
-        basic_stats(pred, truth[:2])
+        pearson(np.ones(3), truth)
 
 
 def _dtw_cost_oracle(a, b):
@@ -178,6 +168,68 @@ def test_dtw_matches_recursive_oracle_on_random_sequences():
 def test_dtw_empty_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         dtw([], [1.0])
+
+
+def _dtw_scalar_reference(a, b):
+    """The cell-by-cell DTW fill and backtrack that the wavefront replaced."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    n, m = a.size, b.size
+    cost = np.abs(a[:, None] - b[None, :])
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            acc[i, j] = cost[i - 1, j - 1] + min(
+                acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
+            )
+    path = [(n - 1, m - 1)]
+    i, j = n, m
+    while (i, j) != (1, 1):
+        candidates = [
+            (acc[i - 1, j - 1], (i - 1, j - 1)),
+            (acc[i - 1, j], (i - 1, j)),
+            (acc[i, j - 1], (i, j - 1)),
+        ]
+        best = min(candidates, key=lambda c: c[0])
+        i, j = best[1]
+        path.append((i - 1, j - 1))
+    path.reverse()
+    return float(acc[n, m]), path
+
+
+def _dtw_cases(seed):
+    """(a, B) pairs covering n != m, n = 1, m = 1 and R = 1. Every other pair
+    draws small integers, so equal costs and tied predecessors occur."""
+    rng = np.random.default_rng(seed)
+    fixed = [(1, 1, 1), (1, 7, 3), (7, 1, 3), (5, 9, 1), (9, 5, 4), (6, 6, 2)]
+    shapes = fixed + [tuple(rng.integers(1, 13, size=3)) for _ in range(40)]
+    for k, (n, m, R) in enumerate(shapes):
+        if k % 2:
+            a, B = rng.integers(0, 3, size=n), rng.integers(0, 3, size=(R, m))
+            yield a.astype(float), B.astype(float)
+        else:
+            yield rng.normal(size=n), rng.normal(size=(R, m))
+
+
+def test_dtw_cost_equals_dtw_bitwise():
+    for a, B in _dtw_cases(11):
+        costs = dtw_cost(a, B)
+        assert costs.shape == (B.shape[0],)
+        assert costs.tolist() == [dtw(a, b)[0] for b in B]
+
+
+def test_dtw_cost_empty_rejected():
+    with pytest.raises(ValueError, match="dtw requires nonempty sequences"):
+        dtw_cost([], np.ones((2, 3)))
+    with pytest.raises(ValueError, match="dtw requires nonempty sequences"):
+        dtw_cost([1.0], np.ones((2, 0)))
+
+
+def test_dtw_matches_scalar_fill_cost_and_path():
+    for a, B in _dtw_cases(12):
+        for b in B:
+            assert dtw(a, b) == _dtw_scalar_reference(a, b)
 
 
 def test_metric_report_serialization_round_trip():
