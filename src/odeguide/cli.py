@@ -25,7 +25,6 @@ from .expert_models import (
 from .harness import (
     CaseStudyConfig,
     ExperimentConfig,
-    StageError,
     _load_or_generate,
     case_study,
     run_experiment,
@@ -78,12 +77,7 @@ def _cmd_simulate(args) -> None:
     if family not in _PARAM_CLASSES:
         raise ValueError(f"unknown family {family!r}")
     params = _PARAM_CLASSES[family].from_dict(spec.get("params", {}))
-    treatment = TreatmentSchedule(
-        kind=spec["treatment"]["kind"],
-        mandate_start=spec["treatment"].get("mandate_start"),
-        doses=tuple(tuple(d) for d in spec["treatment"].get("doses", [])),
-        k_d=spec["treatment"].get("k_d", 5.0),
-    )
+    treatment = TreatmentSchedule.from_dict(spec["treatment"])
     grid = TimeGrid(
         t0=spec.get("t0", 0.0), dt=spec["dt"], n_steps=spec["n_steps"]
     )
@@ -151,9 +145,6 @@ def main(argv=None) -> int:
             _cmd_case_study(args)
         else:
             _cmd_pipeline(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

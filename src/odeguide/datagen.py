@@ -135,17 +135,6 @@ def synthetic_census(n_cities: int = 121, seed: int = 0) -> list[tuple[str, floa
     return [(f"city_{i:03d}", float(round(p))) for i, p in enumerate(pops)]
 
 
-def load_census_csv(path) -> list[tuple[str, float]]:
-    """Read (city, population) rows from a headered CSV."""
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append((row["city"], float(row["population"])))
-    if not out:
-        raise ValueError("census file contains no rows")
-    return out
-
-
 def seirhd_initial_state(population: float) -> np.ndarray:
     comps = [population * f for f in SEIRHD_INIT_FRACTIONS]
     susceptible = population - sum(comps)
@@ -369,32 +358,14 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
             u.unit_id: {
                 "group": u.group,
                 "meta": u.meta,
-                "treatment_factual": _schedule_to_dict(u.treatment_factual),
-                "treatment_counterfactual": _schedule_to_dict(u.treatment_counterfactual),
+                "treatment_factual": u.treatment_factual.to_dict(),
+                "treatment_counterfactual": u.treatment_counterfactual.to_dict(),
             }
             for u in dataset.units
         },
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
-
-
-def _schedule_to_dict(s: TreatmentSchedule) -> dict:
-    return {
-        "kind": s.kind,
-        "mandate_start": s.mandate_start,
-        "doses": [[t, d] for t, d in s.doses],
-        "k_d": s.k_d,
-    }
-
-
-def _schedule_from_dict(d: dict) -> TreatmentSchedule:
-    return TreatmentSchedule(
-        kind=d["kind"],
-        mandate_start=d["mandate_start"],
-        doses=tuple((float(t), float(v)) for t, v in d["doses"]),
-        k_d=d["k_d"],
-    )
 
 
 def _read_arm_csv(path: Path) -> dict[str, Trajectory]:
@@ -437,8 +408,10 @@ def read_dataset(in_dir) -> Dataset:
                 meta=info["meta"],
                 factual=factual[unit_id],
                 counterfactual=counterfactual[unit_id],
-                treatment_factual=_schedule_from_dict(info["treatment_factual"]),
-                treatment_counterfactual=_schedule_from_dict(info["treatment_counterfactual"]),
+                treatment_factual=TreatmentSchedule.from_dict(info["treatment_factual"]),
+                treatment_counterfactual=TreatmentSchedule.from_dict(
+                    info["treatment_counterfactual"]
+                ),
                 group=info["group"],
             )
         )

@@ -347,21 +347,11 @@ class ParamSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
     def names(self) -> list[str]:
         return list(self._arrays)
 
     def items(self):
         return self._arrays.items()
-
-    @property
-    def n_params(self) -> int:
-        return sum(a.size for a in self._arrays.values())
-
-    def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self._arrays.items()})
 
     def replace(self, updates: dict[str, np.ndarray]) -> "ParamSet":
         merged = dict(self._arrays)
@@ -486,15 +476,10 @@ def mlp_apply_rows(spec: MlpSpec, params, x: np.ndarray, prefix: str = "") -> np
 class GradRecord:
     loss: float
     gradient: dict[str, np.ndarray]
-    input_gradient: np.ndarray | None = None
 
 
-def value_and_grad(f, params: ParamSet, *inputs, wrt_input=None) -> GradRecord:
-    """Evaluate ``f(tensor_params, *inputs)`` and backpropagate.
-
-    ``wrt_input``: optional Tensor among the inputs whose gradient should be
-    reported alongside the parameter gradient.
-    """
+def value_and_grad(f, params: ParamSet, *inputs) -> GradRecord:
+    """Evaluate ``f(tensor_params, *inputs)`` and backpropagate."""
     tensors = params.as_tensors()
     loss = f(tensors, *inputs)
     if not isinstance(loss, Tensor):
@@ -504,12 +489,7 @@ def value_and_grad(f, params: ParamSet, *inputs, wrt_input=None) -> GradRecord:
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for k, t in tensors.items()
     }
-    input_grad = None
-    if wrt_input is not None:
-        input_grad = (
-            wrt_input.grad if wrt_input.grad is not None else np.zeros_like(wrt_input.data)
-        )
-    return GradRecord(loss=float(loss.data), gradient=grads, input_gradient=input_grad)
+    return GradRecord(loss=float(loss.data), gradient=grads)
 
 
 @dataclass

@@ -3,7 +3,7 @@ prediction, inverse-propensity-reweighted training, and ensemble sampling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,16 +50,6 @@ def make_schedule(
         loss_weights=loss_weights,
         lambda_const=lambda_const,
     )
-
-
-def forward_sample(
-    y0: np.ndarray, tau: int, schedule: DiffusionSchedule, noise: np.ndarray
-) -> np.ndarray:
-    """Noised sample sqrt(abar_tau) y0 + sqrt(1 - abar_tau) eps."""
-    if not 1 <= tau <= schedule.t_d:
-        raise ValueError(f"tau={tau} out of range [1, {schedule.t_d}]")
-    abar = schedule.alpha_bar_at(tau)
-    return np.sqrt(abar) * y0 + np.sqrt(1.0 - abar) * noise
 
 
 def reverse_step(
@@ -155,20 +145,6 @@ def _predict_y0(model, params, y_tau, tau, t_d, cond_vec):
     fixed = np.concatenate([de.timestep_embedding(tau, t_d, model.n_freq), cond_vec])
     inp = np.concatenate([rows, np.broadcast_to(fixed, (len(rows), fixed.size))], axis=1)
     return y_tau + de.mlp_apply_rows(model.spec, params, inp, prefix="den_").reshape(y_tau.shape)
-
-
-def denoise_predict(
-    model: DenoiserModel,
-    y_tau: np.ndarray,
-    tau: int,
-    cond: ConditioningContext,
-    schedule: DiffusionSchedule,
-    params=None,
-) -> np.ndarray:
-    """Deterministic clean-signal estimate from a noisy sample."""
-    if params is None:
-        params = model.params
-    return _predict_y0(model, params, y_tau, tau, schedule.t_d, cond.vector())
 
 
 # -- propensity model ---------------------------------------------------
@@ -334,11 +310,6 @@ def diffusion_batch_loss(
 @dataclass
 class SampleEnsemble:
     samples: np.ndarray  # (n_samples, T)
-    cond: ConditioningContext
-    seed: int
-
-    def mean(self) -> np.ndarray:
-        return self.samples.mean(axis=0)
 
 
 def sample(
@@ -395,4 +366,4 @@ def sample(
         raise FloatingPointError(
             f"sample: reverse diffusion gave {bad} non-finite of {y.size} values (seed {seed})"
         )
-    return SampleEnsemble(samples=np.array(y, float), cond=cond, seed=seed)
+    return SampleEnsemble(samples=np.array(y, float))

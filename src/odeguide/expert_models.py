@@ -22,9 +22,6 @@ from .ode_core import OdeTrajectory, TimeGrid, integrate
 SEIRM_DIM = 5
 SEIRHD_DIM = 10
 
-# SEIR-HD compartment order
-SEIRHD_NAMES = ("S", "E", "I_A", "I_P", "I_M", "I_S", "H_R", "H_D", "R", "D")
-
 
 def _from_flat_dict(cls, data: dict):
     known = {f.name for f in fields(cls)}
@@ -124,25 +121,31 @@ class TreatmentSchedule:
 
     kind: str  # "binary_policy" | "dosing"
     mandate_start: float | None = None
-    values: tuple[int, ...] | None = None  # per grid step, binary_policy only
     doses: tuple[tuple[float, float], ...] = ()  # (t_i, d_i), dosing only
     k_d: float = 5.0
 
     def __post_init__(self):
         if self.kind not in ("binary_policy", "dosing"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "binary_policy" and self.values is not None:
-            if any(v not in (0, 1) for v in self.values):
-                raise ValueError("binary policy values must be 0/1")
         for _, d in self.doses:
             if not 0.0 <= d <= 1.0:
                 raise ValueError("dose levels must lie in [0, 1]")
 
-    def indicator(self, t: float) -> float:
-        """Binary policy value at time t (1 from mandate_start onward)."""
-        if self.mandate_start is None:
-            return 0.0
-        return 1.0 if t >= self.mandate_start else 0.0
+    def to_dict(self) -> dict:
+        """The JSON form used by dataset manifests and simulation configs."""
+        return {
+            "kind": self.kind,
+            "mandate_start": self.mandate_start,
+            "doses": [[t, d] for t, d in self.doses],
+            "k_d": self.k_d,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TreatmentSchedule":
+        """Inverse of ``to_dict``; omitted keys take the field defaults."""
+        data = dict(data)
+        data["doses"] = tuple((float(t), float(d)) for t, d in data.get("doses", ()))
+        return _from_flat_dict(cls, data)
 
 
 @dataclass(frozen=True)

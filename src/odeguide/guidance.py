@@ -5,7 +5,7 @@ and correlation-based selection of the guidance strength."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +24,10 @@ class GuidanceConfig:
     eta_candidates: tuple[float, ...] = (0.0, 10.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0)
     use_value: bool = True
     use_direction: bool = True
-    selection_target: str = "counterfactual"  # or "difference"
 
     def __post_init__(self):
         if self.eta < 0 or self.nu < 0:
             raise ValueError("guidance strengths must be nonnegative")
-
-
-# Strengths matching the published presets for the two synthetic settings.
-COVID_GUIDANCE = GuidanceConfig(eta=2000.0, nu=100.0)
-DEX_GUIDANCE = GuidanceConfig(eta=1000.0, nu=100.0)
 
 
 @dataclass
@@ -49,7 +43,6 @@ class ExpertGuidanceSignals:
 
     f_cf: np.ndarray
     f_f: np.ndarray
-    transform: AlignmentTransform | None = None
 
 
 @dataclass(frozen=True)
@@ -64,21 +57,6 @@ class FactualWindow:
         if diverging.size == 0:
             return cls(indices=tuple(range(len(a_factual))))
         return cls(indices=tuple(range(int(diverging[0]))))
-
-
-def relation_value(y1, y2, t: int):
-    """Pointwise difference of two trajectories at index t."""
-    return y1[t] - y2[t]
-
-
-def relation_direction(y1, y2, t: int):
-    """Forward finite difference of (y1 - y2) over one grid step; backward
-    at the last point."""
-    n = len(y1.data) if isinstance(y1, Tensor) else len(y1)
-    diff_t = y1[t] - y2[t]
-    if t + 1 < n:
-        return (y1[t + 1] - y2[t + 1]) - diff_t
-    return diff_t - (y1[t - 1] - y2[t - 1])
 
 
 def loss_cf(y0_hat, y0_factual, signals: ExpertGuidanceSignals, config: GuidanceConfig):
@@ -278,15 +256,12 @@ def select_eta(
     sampler,
     target_cf: np.ndarray,
     seed: int,
-    reference: np.ndarray | None = None,
 ) -> tuple[float, list[EtaSweepEntry]]:
     """Pick the candidate guidance strength whose guided ensemble mean
     correlates best with the aligned mechanistic counterfactual.
 
-    ``sampler(eta, seed) -> (n_samples, T) array``. With selection target
-    "difference", the correlation compares difference curves (ensemble mean
-    minus ``reference``) against (target minus ``reference``) instead.
-    Candidates are scanned in ascending order; ties keep the smallest.
+    ``sampler(eta, seed) -> (n_samples, T) array``. Candidates are scanned
+    in ascending order; ties keep the smallest.
     """
     if not config.eta_candidates:
         raise SelectionError("eta_candidates must be nonempty")
@@ -295,17 +270,9 @@ def select_eta(
     best_r = -np.inf
     target = np.asarray(target_cf, float)
     for eta in sorted(config.eta_candidates):
-        samples = np.asarray(sampler(eta, seed), float)
-        mean = samples.mean(axis=0)
-        if config.selection_target == "difference":
-            if reference is None:
-                raise SelectionError("difference target requires a reference trajectory")
-            lhs = mean - np.asarray(reference, float)
-            rhs = target - np.asarray(reference, float)
-        else:
-            lhs, rhs = mean, target
+        mean = np.asarray(sampler(eta, seed), float).mean(axis=0)
         try:
-            r = pearson(lhs, rhs)
+            r = pearson(mean, target)
         except ValueError:
             entries.append(EtaSweepEntry(eta=eta, correlation=float("nan")))
             continue

@@ -673,7 +673,8 @@ class CaseStudyRow:
 
 def load_regions(path) -> list[RegionSeries]:
     """Parse the (region, week, deaths_per_capita, hospitalizations, policy)
-    CSV into per-region series ordered by week."""
+    CSV into per-region series ordered by week. Every region must list each
+    week once, and the same weeks as the first region."""
     rows: dict[str, list] = {}
     with open(path, newline="") as fh:
         for rec in csv.DictReader(fh):
@@ -688,8 +689,16 @@ def load_regions(path) -> list[RegionSeries]:
     if not rows:
         raise ValueError("region file contains no rows")
     out = []
+    grid = None
     for region, recs in rows.items():
         recs.sort()
+        weeks = [r[0] for r in recs]
+        if weeks != grid:
+            if len(set(weeks)) < len(weeks):
+                raise ValueError(f"region {region!r} lists a week more than once")
+            if grid is not None:
+                raise ValueError(f"region {region!r} does not have the weeks of region {first!r}")
+            grid, first = weeks, region
         deaths = np.array([r[1] for r in recs])
         hospitalizations = np.array([r[2] for r in recs])
         finite = np.isfinite(deaths) & np.isfinite(hospitalizations)
@@ -721,10 +730,7 @@ def case_study(
     are skipped with a reason.
     """
     regions = load_regions(config.region_csv)
-    length = regions[0].deaths.size
-    if any(r.deaths.size != length for r in regions):
-        raise ValueError("all regions must share one weekly grid")
-    if not config.train_weeks < length:
+    if not config.train_weeks < regions[0].deaths.size:
         raise ValueError("train_weeks must be smaller than the series length")
     by_name = {r.region: r for r in regions}
     if isinstance(config.test_regions, str):

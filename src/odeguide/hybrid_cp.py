@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diff_engine as de
-from .datagen import Dataset, Trajectory, UnitRecord
+from .datagen import Dataset, UnitRecord
 from .diff_engine import MlpSpec, ParamSet, Tensor, TrainingError
 from .expert_models import (
     PkpdParams,
@@ -141,11 +141,6 @@ def expert_rhs(model: HybridCpModel, ze, drive):
     return _cat(terms)
 
 
-def expert_derivative(model: HybridCpModel, ze, t: float, treatment: TreatmentSchedule):
-    """Mechanistic derivative of one unit's expert state at time t."""
-    return expert_rhs(model, ze, treatment_drive(model, treatment, t))
-
-
 def hybrid_rhs(model: HybridCpModel, params, state, zy_lag, a_t, drive):
     """Coupled derivative of the state (z_y, z_x, z_e); the covariate channel
     sees the outcome latent through a one-grid-step delay buffer."""
@@ -248,12 +243,6 @@ def predict(
         [treatment],
     )
     return y[0], x[0]
-
-
-def predict_unit(model: HybridCpModel, traj: Trajectory, treatment: TreatmentSchedule):
-    return predict(
-        model, traj.x[0], float(traj.a[0]), float(traj.y[0]), traj.a, traj.times, treatment
-    )
 
 
 def _dataset_loss(model: HybridCpModel, tensors, units: list[UnitRecord]):

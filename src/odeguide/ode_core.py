@@ -1,4 +1,4 @@
-"""Deterministic fixed-step RK4 integration and trajectory interpolation."""
+"""Deterministic fixed-step RK4 integration."""
 
 from __future__ import annotations
 
@@ -30,10 +30,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * self.n_steps
-
 
 @dataclass(frozen=True)
 class OdeTrajectory:
@@ -43,10 +39,6 @@ class OdeTrajectory:
     def __post_init__(self):
         if self.states.shape[0] != self.grid.n_steps + 1:
             raise ValueError("states length must be n_steps + 1")
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
 
 
 def rk4_step(rhs: Callable, state: StateVector, t: float, dt: float) -> StateVector:
@@ -80,19 +72,3 @@ def integrate(rhs: Callable, init: StateVector, grid: TimeGrid) -> OdeTrajectory
             raise IntegrationError(f"step {step}: {err}") from err
         t = grid.t0 + (step + 1) * grid.dt
     return OdeTrajectory(grid=grid, states=states)
-
-
-def interpolate(traj: OdeTrajectory, t: float) -> StateVector:
-    """Piecewise-linear interpolation; exact at grid points."""
-    grid = traj.grid
-    rel = (t - grid.t0) / grid.dt
-    if rel < -1e-12 or rel > grid.n_steps + 1e-12:
-        raise ValueError(f"t={t} outside grid span [{grid.t0}, {grid.t_end}]")
-    rel = min(max(rel, 0.0), float(grid.n_steps))
-    lo = int(np.floor(rel))
-    if lo == grid.n_steps:
-        return traj.states[lo].copy()
-    frac = rel - lo
-    if frac == 0.0:
-        return traj.states[lo].copy()
-    return (1.0 - frac) * traj.states[lo] + frac * traj.states[lo + 1]

@@ -114,6 +114,21 @@ def test_simulate_unknown_family_fails(tmp_path, capsys):
     assert "unknown family" in capsys.readouterr().err
 
 
+def test_simulate_misspelt_treatment_key_fails(tmp_path, capsys):
+    spec = {
+        "family": "SEIRM",
+        "params": {"beta": 0.5, "alpha": 0.3, "gamma": 0.25, "mu": 0.02, "N": 1000.0},
+        "init": [990.0, 5.0, 5.0, 0.0, 0.0],
+        "treatment": {"kind": "binary_policy", "mandate_strat": 5},
+        "dt": 0.1,
+        "n_steps": 10,
+    }
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(spec))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 1
+    assert "mandate_strat" in capsys.readouterr().err
+
+
 def test_case_study_command(tmp_path):
     regions = tmp_path / "regions.csv"
     pre = np.linspace(0.0, 1.0, 4)

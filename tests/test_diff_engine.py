@@ -240,14 +240,6 @@ def test_timestep_embedding_distinguishes_steps():
             assert not np.allclose(embs[i], embs[j])
 
 
-def test_value_and_grad_reports_input_gradient():
-    ps = ParamSet({"w": np.array([2.0])})
-    x = Tensor(np.array([3.0]))
-    rec = value_and_grad(lambda t, xin: (t["w"] * xin).square().sum(), ps, x, wrt_input=x)
-    assert rec.loss == pytest.approx(36.0)
-    assert rec.input_gradient[0] == pytest.approx(24.0)
-
-
 def _backward_keeping_tape(root):
     """``Tensor.backward`` as it was before the tape was consumed: the same
     traversal and accumulation order, every closure left in place."""

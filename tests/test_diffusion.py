@@ -9,7 +9,6 @@ from odeguide.diffusion import (
     PropensityModel,
     diffusion_batch_loss,
     fit_propensity,
-    forward_sample,
     make_denoiser,
     make_schedule,
     propensity_weight,
@@ -52,27 +51,6 @@ def test_schedule_alpha_bar_strictly_decreasing():
 def test_schedule_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         make_schedule(**kwargs)
-
-
-def test_forward_sample_zero_noise_scales_clean_signal():
-    s = make_schedule(t_d=2, beta_start=0.1, beta_end=0.2)
-    y0 = np.array([1.0, -2.0, 3.0])
-    out = forward_sample(y0, 2, s, np.zeros(3))
-    np.testing.assert_allclose(out, np.sqrt(0.72) * y0)
-
-
-def test_forward_sample_zero_signal_scales_noise():
-    s = make_schedule(t_d=2, beta_start=0.1, beta_end=0.2)
-    eps = np.array([1.0, 1.0])
-    out = forward_sample(np.zeros(2), 1, s, eps)
-    np.testing.assert_allclose(out, np.sqrt(0.1) * eps)
-
-
-def test_forward_sample_rejects_tau_out_of_range():
-    s = make_schedule(t_d=2)
-    for tau in (0, 3):
-        with pytest.raises(ValueError, match="out of range"):
-            forward_sample(np.zeros(2), tau, s, np.zeros(2))
 
 
 def test_reverse_step_final_step_returns_clean_estimate_exactly():
@@ -124,13 +102,13 @@ def _cond(T, d_x, fill=0.0):
 
 
 def test_zeroed_denoiser_predicts_the_noisy_input():
-    from odeguide.diffusion import denoise_predict
+    from odeguide.diffusion import _predict_y0
 
     model = make_denoiser(horizon=4, d_x=1, hidden=(8,))
     model.params = de.ParamSet({k: np.zeros_like(v) for k, v in model.params.items()})
     s = make_schedule(t_d=3)
     y_tau = np.array([0.5, -1.0, 2.0, 0.0])
-    out = denoise_predict(model, y_tau, 2, _cond(4, 1), s)
+    out = _predict_y0(model, model.params, y_tau, 2, s.t_d, _cond(4, 1).vector())
     np.testing.assert_array_equal(out, y_tau)
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,9 +199,24 @@ def test_treatment_schedule_validation():
         TreatmentSchedule(kind="unknown")
     with pytest.raises(ValueError):
         TreatmentSchedule(kind="dosing", doses=((1.0, 2.0),))  # dose level > 1
-    sched = TreatmentSchedule(kind="binary_policy", mandate_start=5.0)
-    assert sched.indicator(4.9) == 0.0
-    assert sched.indicator(5.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        TreatmentSchedule(kind="binary_policy", mandate_start=15.0),
+        TreatmentSchedule(kind="dosing", doses=((3.0, 1.0), (5.0, 0.5)), k_d=2.0),
+    ],
+)
+def test_treatment_schedule_dict_round_trip(sched):
+    assert TreatmentSchedule.from_dict(sched.to_dict()) == sched
+    assert TreatmentSchedule.from_dict(json.loads(json.dumps(sched.to_dict()))) == sched
+
+
+def test_treatment_schedule_from_dict_defaults_and_unknown_keys():
+    assert TreatmentSchedule.from_dict({"kind": "dosing"}) == TreatmentSchedule(kind="dosing")
+    with pytest.raises(ValueError, match="mandate_strat"):
+        TreatmentSchedule.from_dict({"kind": "binary_policy", "mandate_strat": 5})
 
 
 def test_spec_dimension_validation():

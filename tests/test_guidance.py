@@ -15,8 +15,6 @@ from odeguide.guidance import (
     loss_cf,
     loss_f,
     make_guide_fn,
-    relation_direction,
-    relation_value,
     select_eta,
 )
 
@@ -38,22 +36,6 @@ def _numpy_loss_cf(y0_hat, y0_f, f_cf, f_f, use_value=True, use_direction=True):
     if use_direction:
         total += np.sum((fd(gen) - fd(exp)) ** 2)
     return total
-
-
-def test_relation_value_is_pointwise_difference():
-    y1 = np.array([3.0, 5.0, 7.0])
-    y2 = np.array([1.0, 1.0, 1.0])
-    assert relation_value(y1, y2, 0) == 2.0
-    assert relation_value(y1, y2, 2) == 6.0
-
-
-def test_relation_direction_forward_and_backward():
-    y1 = np.array([3.0, 5.0, 7.0])
-    y2 = np.array([1.0, 1.0, 2.0])
-    # interior: (y1-y2)[t+1] - (y1-y2)[t]
-    assert relation_direction(y1, y2, 0) == 2.0
-    # last index falls back to a backward difference
-    assert relation_direction(y1, y2, 2) == 1.0
 
 
 @pytest.mark.parametrize("flags", [(True, True), (True, False), (False, True)])
@@ -286,26 +268,6 @@ def test_select_eta_empty_candidates_raises():
     config = GuidanceConfig(eta_candidates=())
     with pytest.raises(SelectionError, match="nonempty"):
         select_eta(config, lambda e, s: np.zeros((2, 3)), np.arange(3.0), seed=0)
-
-
-def test_select_eta_difference_target_requires_reference():
-    config = GuidanceConfig(eta_candidates=(1.0,), selection_target="difference")
-    with pytest.raises(SelectionError, match="reference"):
-        select_eta(config, lambda e, s: np.ones((2, 3)), np.arange(3.0), seed=0)
-
-
-def test_select_eta_difference_target_uses_difference_curves():
-    ref = np.array([0.0, 0.0, 0.0])
-    target = np.array([1.0, 2.0, 3.0])
-
-    def sampler(eta, seed):
-        if eta == 2.0:
-            return np.tile(target, (2, 1))
-        return np.tile(-target, (2, 1))
-
-    config = GuidanceConfig(eta_candidates=(0.0, 2.0), selection_target="difference")
-    eta, _ = select_eta(config, sampler, target, seed=0, reference=ref)
-    assert eta == 2.0
 
 
 def test_loss_cf_gradient_through_tensor_inputs():

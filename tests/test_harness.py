@@ -357,6 +357,34 @@ def test_load_regions_rejects_non_finite_values(tmp_path, bad):
         case_study(config)
 
 
+def _write_weeks(path, weeks_by_region):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["region", "week", "deaths_per_capita", "hospitalizations", "policy"])
+        for region, weeks in weeks_by_region.items():
+            for week in weeks:
+                writer.writerow([region, week, "1.0", "0.0", 0])
+
+
+def test_load_regions_rejects_a_region_on_other_weeks(tmp_path):
+    path = tmp_path / "regions.csv"
+    _write_weeks(path, {"a": range(8), "gap": [0, 1, 2, 3, 4, 5, 6, 9], "b": range(8)})
+    with pytest.raises(ValueError, match="region 'gap' does not have the weeks of region 'a'"):
+        load_regions(path)
+    config = CaseStudyConfig(region_csv=str(path), train_weeks=4, k_neighbors=1, test_regions=["a"])
+    with pytest.raises(ValueError, match="'gap'"):
+        case_study(config)
+
+
+@pytest.mark.parametrize("dup_first", [False, True])
+def test_load_regions_rejects_a_repeated_week(tmp_path, dup_first):
+    regions = [("a", range(8)), ("dup", [0, 1, 2, 3, 3, 4, 5, 6, 7])]
+    path = tmp_path / "regions.csv"
+    _write_weeks(path, dict(regions[::-1] if dup_first else regions))
+    with pytest.raises(ValueError, match="region 'dup' lists a week more than once"):
+        load_regions(path)
+
+
 def test_case_study_matches_per_pair_dtw_reference(tmp_path):
     rng = np.random.default_rng(5)
     w, k = 5, 4

@@ -7,11 +7,12 @@ from odeguide.expert_models import PkpdParams, SeirmParams, TreatmentSchedule, s
 from odeguide.hybrid_cp import (
     HybridCpConfig,
     _dataset_loss,
-    expert_derivative,
+    expert_rhs,
     make_hybrid_model,
     normalize_expert_state,
-    predict_unit,
+    predict,
     train_hybrid,
+    treatment_drive,
 )
 
 TINY = HybridCpConfig(m_y=2, m_x=2, hidden=(4,), epochs=4, lr=0.01)
@@ -54,7 +55,7 @@ def test_expert_derivative_matches_mechanistic_terms():
     model = make_hybrid_model("SEIRM", params, d_x=3, config=TINY)
     ze = np.array([800.0, 100.0, 60.0, 30.0, 10.0])
     sched = TreatmentSchedule(kind="binary_policy", mandate_start=1e9)
-    got = expert_derivative(model, ze, t=0.0, treatment=sched)
+    got = expert_rhs(model, ze, treatment_drive(model, sched, 0.0))
     want = np.array(seirm_terms(*ze, params, params.beta))
     np.testing.assert_allclose(np.asarray(got, float), want)
 
@@ -72,8 +73,6 @@ def test_zeroed_readouts_predict_zero_everywhere():
 
 
 def predict_unit_like(model, times, a_seq, sched):
-    from odeguide.hybrid_cp import predict
-
     return predict(model, np.zeros(model.d_x), float(a_seq[0]), 0.0, a_seq, times, sched)
 
 
@@ -142,7 +141,8 @@ def test_training_halves_loss_on_noiseless_data():
     trained, losses = train_hybrid(model, data)
     assert losses[-1] < 0.5 * losses[0]
     unit = data.units[0]
-    y, x = predict_unit(trained, unit.factual, unit.treatment_factual)
+    f = unit.factual
+    y, x = predict(trained, f.x[0], float(f.a[0]), float(f.y[0]), f.a, f.times, unit.treatment_factual)
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(x))
 
 
@@ -171,7 +171,7 @@ def _reference_rollout(model, params, traj, treatment):
     def rhs(zy, zx, ze, zy_lag, a_t, t):
         dzy = mlp("fy", cat([zy, ze, zx, a_t]))
         dzx = mlp("fx", cat([zx, zy_lag, a_t]))
-        return dzy, dzx, expert_derivative(model, ze, t, treatment)
+        return dzy, dzx, expert_rhs(model, ze, treatment_drive(model, treatment, t))
 
     def read(zy, zx, ze, a_t):
         return mlp("gy", cat([ze, zy, zx, a_t]))[0], mlp("gx", cat([zx, a_t]))
@@ -262,7 +262,9 @@ def test_predict_matches_per_unit_reference(case):
     params = dict(model.params.items())
     for unit in units:
         traj = unit.factual
-        y, x = predict_unit(model, traj, unit.treatment_factual)
+        y, x = predict(
+            model, traj.x[0], float(traj.a[0]), float(traj.y[0]), traj.a, traj.times, unit.treatment_factual
+        )
         ys, xs = _reference_rollout(model, params, traj, unit.treatment_factual)
         _assert_close(y, np.array([float(v) for v in ys]), BATCH_RTOL)
         _assert_close(x, np.stack(xs), BATCH_RTOL)

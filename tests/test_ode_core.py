@@ -8,7 +8,6 @@ from odeguide.ode_core import (
     OdeTrajectory,
     TimeGrid,
     integrate,
-    interpolate,
     rk4_step,
 )
 
@@ -75,7 +74,6 @@ def test_fourth_order_convergence():
 def test_grid_times_and_span():
     grid = TimeGrid(1.0, 0.5, 4)
     assert np.allclose(grid.times, [1.0, 1.5, 2.0, 2.5, 3.0])
-    assert grid.t_end == 3.0
 
 
 def test_grid_validation():
@@ -88,31 +86,6 @@ def test_grid_validation():
 def test_trajectory_shape_validation():
     with pytest.raises(ValueError):
         OdeTrajectory(grid=TimeGrid(0.0, 0.1, 2), states=np.zeros((2, 1)))
-
-
-def test_interpolate_exact_at_grid_points():
-    grid = TimeGrid(0.0, 0.25, 4)
-    traj = OdeTrajectory(grid=grid, states=np.arange(5.0)[:, None] ** 2)
-    for k, t in enumerate(grid.times):
-        assert interpolate(traj, t)[0] == traj.states[k, 0]
-
-
-def test_interpolate_midpoint():
-    grid = TimeGrid(0.0, 1.0, 1)
-    traj = OdeTrajectory(grid=grid, states=np.array([[0.0], [2.0]]))
-    assert interpolate(traj, 0.5)[0] == 1.0
-
-
-def test_interpolate_quarter_point():
-    grid = TimeGrid(0.0, 1.0, 1)
-    traj = OdeTrajectory(grid=grid, states=np.array([[0.0], [4.0]]))
-    assert interpolate(traj, 0.25)[0] == 1.0
-
-
-def test_interpolate_rejects_out_of_span():
-    traj = OdeTrajectory(grid=TimeGrid(0.0, 1.0, 1), states=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        interpolate(traj, 1.5)
 
 
 @settings(max_examples=30, deadline=None)
