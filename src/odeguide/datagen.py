@@ -16,8 +16,8 @@ from .expert_models import (
     PkpdParams,
     SeirhdParams,
     TreatmentSchedule,
-    dex_plasma,
     hospital_inflow_rate,
+    make_drive,
     simulate_expert,
 )
 from .ode_core import TimeGrid
@@ -142,27 +142,17 @@ def seirhd_initial_state(population: float) -> np.ndarray:
 
 
 def _covid_arm(
-    population: float,
-    params: SeirhdParams,
-    mandate_week: float,
-    n_weeks: int = COVID_WEEKS,
+    states: np.ndarray, population: float, params: SeirhdParams, mandate_week: float
 ) -> Trajectory:
-    grid = TimeGrid(t0=0.0, dt=COVID_SOLVER_DT, n_steps=round((n_weeks - 1) / COVID_SOLVER_DT))
-    schedule = TreatmentSchedule(kind="binary_policy", mandate_start=mandate_week)
-    spec = ExpertOdeSpec(
-        family="SEIRHD",
-        params=params,
-        init=seirhd_initial_state(population),
-        treatment=schedule,
-    )
-    traj = simulate_expert(spec, grid)
+    """Weekly outcome and covariates of one arm from its (n_steps + 1, 10)
+    trajectory on the solver grid."""
     steps_per_week = round(1.0 / COVID_SOLVER_DT)
-    weekly = traj.states[::steps_per_week]
-    times = np.arange(n_weeks, dtype=float)
+    weekly = states[::steps_per_week]
+    times = np.arange(len(weekly), dtype=float)
     # outcome: cumulative deaths per 1000 people
     y = weekly[:, 9] / population * 1000.0
     # covariate 1: hospital admissions during the preceding week (per 1000)
-    inflow = np.array([hospital_inflow_rate(s, params) for s in traj.states])
+    inflow = hospital_inflow_rate(states, params)
     cum_inflow = np.concatenate(
         [[0.0], np.cumsum((inflow[1:] + inflow[:-1]) / 2 * COVID_SOLVER_DT)]
     )
@@ -172,7 +162,7 @@ def _covid_arm(
     symptomatic = (weekly[:, 4] + weekly[:, 5]) / population * 1000.0
     x = np.column_stack([new_hosp, symptomatic])
     a = (times >= mandate_week).astype(int)
-    observed = np.ones(n_weeks, dtype=bool)
+    observed = np.ones(times.size, dtype=bool)
     return Trajectory(times=times, y=y, x=x, a=a, observed=observed, y_clean=y.copy())
 
 
@@ -183,7 +173,8 @@ def gen_covid_dataset(
     initial_beta: float = 0.5,
 ) -> Dataset:
     """Simulate strict/relaxed mask-policy cities with the 10-state epidemic
-    model; the counterfactual arm flips the mandate timing."""
+    model; the counterfactual arm flips the mandate timing. Both arms of
+    every city are integrated in one batched call."""
     if populations is None:
         populations = synthetic_census(seed=seed)
     if not populations:
@@ -196,30 +187,41 @@ def gen_covid_dataset(
     n_strict = (n + 1) // 2
     order = master.permutation(n)
     strict_ids = set(order[:n_strict])
-    units = []
-    for idx, (city, pop) in enumerate(populations):
-        strict = idx in strict_ids
-        if strict:
+    cities = []  # (params, factual mandate, counterfactual mandate)
+    for idx, (_, pop) in enumerate(populations):
+        if idx in strict_ids:
             params = SeirhdParams(beta=initial_beta, alpha=0.3, delta=0.15, N=pop)
-            mandate_f, mandate_cf = STRICT_MANDATE_WEEK, RELAXED_MANDATE_WEEK
+            cities.append((params, STRICT_MANDATE_WEEK, RELAXED_MANDATE_WEEK))
         else:
             params = SeirhdParams(beta=initial_beta, alpha=0.5, delta=0.1, N=pop)
-            mandate_f, mandate_cf = RELAXED_MANDATE_WEEK, STRICT_MANDATE_WEEK
-        factual = _covid_arm(pop, params, mandate_f, n_weeks)
-        counterfactual = _covid_arm(pop, params, mandate_cf, n_weeks)
+            cities.append((params, RELAXED_MANDATE_WEEK, STRICT_MANDATE_WEEK))
+    # rows: city 0 factual, city 0 counterfactual, city 1 factual, ...
+    schedules = tuple(
+        TreatmentSchedule(kind="binary_policy", mandate_start=mandate)
+        for _, mandate_f, mandate_cf in cities
+        for mandate in (mandate_f, mandate_cf)
+    )
+    grid = TimeGrid(t0=0.0, dt=COVID_SOLVER_DT, n_steps=round((n_weeks - 1) / COVID_SOLVER_DT))
+    spec = ExpertOdeSpec(
+        family="SEIRHD",
+        params=tuple(params for params, _, _ in cities for _ in range(2)),
+        init=np.repeat([seirhd_initial_state(pop) for _, pop in populations], 2, axis=0),
+        treatment=schedules,
+    )
+    states = simulate_expert(spec, grid).states
+    units = []
+    for idx, ((city, pop), (params, mandate_f, mandate_cf)) in enumerate(zip(populations, cities)):
+        factual = _covid_arm(states[:, 2 * idx], pop, params, mandate_f)
+        counterfactual = _covid_arm(states[:, 2 * idx + 1], pop, params, mandate_cf)
         units.append(
             UnitRecord(
                 unit_id=city,
                 meta={"population": pop, "alpha": params.alpha, "delta": params.delta},
                 factual=factual,
                 counterfactual=counterfactual,
-                treatment_factual=TreatmentSchedule(
-                    kind="binary_policy", mandate_start=mandate_f
-                ),
-                treatment_counterfactual=TreatmentSchedule(
-                    kind="binary_policy", mandate_start=mandate_cf
-                ),
-                group="strict" if strict else "relaxed",
+                treatment_factual=schedules[2 * idx],
+                treatment_counterfactual=schedules[2 * idx + 1],
+                group="strict" if idx in strict_ids else "relaxed",
             )
         )
     config = {
@@ -231,26 +233,26 @@ def gen_covid_dataset(
     return Dataset(units=units, schema_version=SCHEMA_VERSION, seed=seed, config=config)
 
 
+def _dex_schedule(treated: bool) -> TreatmentSchedule:
+    """A single unit dose at day 3 for a treated arm, none otherwise."""
+    return TreatmentSchedule(kind="dosing", doses=((3.0, 1.0),) if treated else (), k_d=5.0)
+
+
 def _dex_arm(
-    init: np.ndarray,
+    daily: np.ndarray,
+    plasma: np.ndarray,
     treated: bool,
     mixer: CovariateMixer,
     rng: np.random.Generator,
     sigma: float,
-    n_days: int,
     drop_measurements: bool,
-) -> tuple[Trajectory, TreatmentSchedule]:
-    params = PkpdParams(full_model=True)
-    doses = ((3.0, 1.0),) if treated else ()
-    schedule = TreatmentSchedule(kind="dosing", doses=doses, k_d=5.0)
-    grid = TimeGrid(t0=0.0, dt=DEX_SOLVER_DT, n_steps=round(n_days / DEX_SOLVER_DT))
-    spec = ExpertOdeSpec(family="PKPD", params=params, init=init, treatment=schedule)
-    traj = simulate_expert(spec, grid)
-    steps_per_day = round(1.0 / DEX_SOLVER_DT)
-    daily = traj.states[::steps_per_day].copy()
-    times = np.arange(n_days + 1, dtype=float)
+) -> Trajectory:
+    """Observed outcome, covariates and mask of one arm from its daily
+    states (n_days + 1, 5) and its dose plasma level on the same days."""
+    daily = daily.copy()
+    times = np.arange(len(daily), dtype=float)
     # observed plasma level includes the dosing impulse contribution
-    daily[:, 2] += np.array([dex_plasma(t, schedule, params.k_3) for t in times])
+    daily[:, 2] += plasma
     a = np.array([1 if (treated and t >= 3.0) else 0 for t in times])
     y_clean = daily[:, 0].copy()
     y = y_clean + sigma * rng.standard_normal(times.size)
@@ -259,10 +261,7 @@ def _dex_arm(
         observed = irregular_mask(times.size, 0.5, rng)
     else:
         observed = np.ones(times.size, dtype=bool)
-    return (
-        Trajectory(times=times, y=y, x=x, a=a, observed=observed, y_clean=y_clean),
-        schedule,
-    )
+    return Trajectory(times=times, y=y, x=x, a=a, observed=observed, y_clean=y_clean)
 
 
 def gen_dex_dataset(
@@ -275,7 +274,10 @@ def gen_dex_dataset(
     """Simulate dexamethasone patients with the full 5-variable immune model.
 
     Treated patients receive a single unit dose at day 3; the counterfactual
-    arm flips treatment assignment.
+    arm flips treatment assignment. Both arms of every patient are
+    integrated in one batched call; each patient draws its initial state,
+    then its factual and its counterfactual noise and mask, from its own
+    generator.
     """
     if n_patients < 1:
         raise ValueError("n_patients must be >= 1")
@@ -283,10 +285,9 @@ def gen_dex_dataset(
     mixer = CovariateMixer.sample(d_x=1, n_latent=5, rng=master)
     treated_flags = np.zeros(n_patients, dtype=bool)
     treated_flags[master.permutation(n_patients)[: n_patients // 2]] = True
-    units = []
-    for i in range(n_patients):
-        rng = unit_rng(seed, i)
-        init = np.array(
+    rngs = [unit_rng(seed, i) for i in range(n_patients)]
+    inits = np.array(
+        [
             [
                 rng.exponential(1 / 0.1),  # innate immune response
                 rng.exponential(1 / 100.0),  # lung tissue drug level
@@ -294,20 +295,39 @@ def gen_dex_dataset(
                 rng.exponential(1 / 0.1),  # viral load
                 rng.exponential(1 / 0.1),  # adaptive immunity
             ]
-        )
+            for rng in rngs
+        ]
+    )
+    # rows: patient 0 factual, patient 0 counterfactual, patient 1 factual, ...
+    schedules = tuple(
+        _dex_schedule(arm_treated)
+        for treated in treated_flags
+        for arm_treated in (bool(treated), not treated)
+    )
+    params = PkpdParams(full_model=True)
+    grid = TimeGrid(t0=0.0, dt=DEX_SOLVER_DT, n_steps=round(n_days / DEX_SOLVER_DT))
+    spec = ExpertOdeSpec(
+        family="PKPD", params=params, init=np.repeat(inits, 2, axis=0), treatment=schedules
+    )
+    daily = simulate_expert(spec, grid).states[:: round(1.0 / DEX_SOLVER_DT)]
+    drive = make_drive("PKPD", params, schedules)
+    plasma = np.hstack([drive(t) for t in np.arange(n_days + 1, dtype=float)])
+    units = []
+    for i, rng in enumerate(rngs):
         treated = bool(treated_flags[i])
-        factual, sched_f = _dex_arm(init, treated, mixer, rng, sigma, n_days, drop_measurements)
-        counterfactual, sched_cf = _dex_arm(
-            init, not treated, mixer, rng, sigma, n_days, drop_measurements
-        )
+        # the factual arm draws its noise and mask first
+        factual, counterfactual = [
+            _dex_arm(daily[:, r], plasma[r], arm_treated, mixer, rng, sigma, drop_measurements)
+            for r, arm_treated in ((2 * i, treated), (2 * i + 1, not treated))
+        ]
         units.append(
             UnitRecord(
                 unit_id=f"patient_{i:03d}",
-                meta={"init": [float(v) for v in init], "treated": treated},
+                meta={"init": [float(v) for v in inits[i]], "treated": treated},
                 factual=factual,
                 counterfactual=counterfactual,
-                treatment_factual=sched_f,
-                treatment_counterfactual=sched_cf,
+                treatment_factual=schedules[2 * i],
+                treatment_counterfactual=schedules[2 * i + 1],
                 group="treated" if treated else "control",
             )
         )

@@ -5,12 +5,24 @@ data generation, the 4- and 5-variable immune-response/drug (PKPD) models,
 exponential decay of the contact rate under a policy mandate, and the
 closed-form plasma concentration produced by dosing events.
 
+Simulations run on a batch. An ``ExpertOdeSpec`` may hold B initial states
+as a (B, dim) array, with one parameter set and one treatment schedule per
+row, and ``simulate_expert`` integrates every row in one RK4 call. Each RK4
+stage evaluates the family's right-hand side on (B,) state columns:
+parameters that differ between rows enter as (B,) vectors, and
+``make_drive`` gives the treatment drive at the stage time as a (B, 1)
+column (the dose plasma level for PKPD, the contact rate beta_t for the
+epidemic models). Every row equals its own one-row simulation bitwise.
+
 The per-compartment derivative expressions are written with plain arithmetic
-so they evaluate both on numpy floats and on autodiff tensors.
+so they evaluate on numpy floats, on arrays of rows and on autodiff tensors.
 """
 
 from __future__ import annotations
 
+import copy
+import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -130,6 +142,10 @@ class TreatmentSchedule:
         for _, d in self.doses:
             if not 0.0 <= d <= 1.0:
                 raise ValueError("dose levels must lie in [0, 1]")
+        if self.kind == "binary_policy" and self.doses:
+            raise ValueError("a binary_policy schedule takes no doses")
+        if self.kind == "dosing" and self.mandate_start is not None:
+            raise ValueError("a dosing schedule takes no mandate_start")
 
     def to_dict(self) -> dict:
         """The JSON form used by dataset manifests and simulation configs."""
@@ -150,24 +166,70 @@ class TreatmentSchedule:
 
 @dataclass(frozen=True)
 class ExpertOdeSpec:
+    """One simulation, or a batch of them: ``init`` is (dim,) or (B, dim),
+    and with a batch ``params`` and ``treatment`` may each be a length-B
+    tuple with one entry per row instead of one value for all rows."""
+
     family: str  # "SEIRM" | "SEIRHD" | "PKPD"
-    params: SeirmParams | SeirhdParams | PkpdParams
+    params: SeirmParams | SeirhdParams | PkpdParams | tuple
     init: np.ndarray
-    treatment: TreatmentSchedule
+    treatment: TreatmentSchedule | tuple
 
     def __post_init__(self):
+        init = np.asarray(self.init)
+        if init.ndim not in (1, 2):
+            raise ValueError("initial state must be (dim,) or a (B, dim) batch")
+        for name in ("params", "treatment"):
+            value = getattr(self, name)
+            if isinstance(value, tuple) and (init.ndim != 2 or len(value) != len(init)):
+                raise ValueError(f"per-row {name} need one entry per row of a (B, dim) init")
         expected = {"SEIRM": SEIRM_DIM, "SEIRHD": SEIRHD_DIM}.get(self.family)
         if self.family == "PKPD":
-            expected = self.params.dim
+            rows = self.params if isinstance(self.params, tuple) else (self.params,)
+            dims = {p.dim for p in rows}
+            if len(dims) > 1:
+                raise ValueError("PKPD rows must share one model dimension")
+            (expected,) = dims
         if expected is None:
             raise ValueError(f"unknown family {self.family!r}")
-        if np.asarray(self.init).size != expected:
+        if init.shape[-1] != expected:
             raise ValueError(
                 f"{self.family} initial state must have dimension {expected}"
             )
 
 
+def _row_params(params):
+    """One parameter object for a batch: each field that differs between the
+    entries of a per-row tuple becomes a (B,) vector; the others keep their
+    scalar value. Every entry was validated when it was built."""
+    if not isinstance(params, tuple):
+        return params
+    first = params[0]
+    batch = copy.copy(first)
+    for f in fields(first):
+        values = [getattr(p, f.name) for p in params]
+        if any(v != values[0] for v in values):
+            object.__setattr__(batch, f.name, np.array(values, float))
+    return batch
+
+
 # -- right-hand sides ---------------------------------------------------
+
+
+def _columns(state) -> list:
+    """One compartment per entry (last axis): (B,) vectors for a batch."""
+    return [state[..., k] for k in range(state.shape[-1])]
+
+
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _libm_power(base, exponent) -> np.ndarray:
+    """Elementwise C ``pow``. numpy's array power differs from it in the
+    last bit (about 1 base in 1,000 for squares, 1 in 20 for other
+    exponents); simulations use it so that their trajectories stay those of
+    the one-state scalar integrator earlier datasets were generated with."""
+    return np.asarray(_pow(base, exponent), dtype=float)
 
 
 def seirm_terms(s, e, i, r, m, params: SeirmParams, beta_t):
@@ -181,11 +243,12 @@ def seirm_terms(s, e, i, r, m, params: SeirmParams, beta_t):
     return ds, de, di, dr, dm
 
 
-def seirm_rhs(state: np.ndarray, t: float, params: SeirmParams, beta_t: float) -> np.ndarray:
-    if beta_t < 0:
+def seirm_rhs(state: np.ndarray, t: float, params: SeirmParams, beta_t) -> np.ndarray:
+    """Derivative over the last axis of a state (5,) or a batch (B, 5);
+    ``beta_t`` and the parameters are scalars or (B,) vectors."""
+    if np.any(np.asarray(beta_t) < 0):
         raise ValueError("beta_t must be nonnegative")
-    s, e, i, r, m = state
-    return np.array(seirm_terms(s, e, i, r, m, params, beta_t))
+    return np.array(seirm_terms(*_columns(state), params, beta_t)).T
 
 
 def seirhd_terms(state: Sequence, params: SeirhdParams, beta_t):
@@ -208,26 +271,32 @@ def seirhd_terms(state: Sequence, params: SeirhdParams, beta_t):
     return ds, de, dia, dip, dim, dis, dhr, dhd, dr, dd
 
 
-def seirhd_rhs(state: np.ndarray, t: float, params: SeirhdParams, beta_t: float) -> np.ndarray:
-    if beta_t < 0:
+def seirhd_rhs(state: np.ndarray, t: float, params: SeirhdParams, beta_t) -> np.ndarray:
+    """Derivative over the last axis of a state (10,) or a batch (B, 10);
+    ``beta_t`` and the parameters are scalars or (B,) vectors."""
+    if np.any(np.asarray(beta_t) < 0):
         raise ValueError("beta_t must be nonnegative")
-    return np.array(seirhd_terms(state, params, beta_t))
+    return np.array(seirhd_terms(_columns(state), params, beta_t)).T
 
 
-def hospital_inflow_rate(state: np.ndarray, params: SeirhdParams) -> float:
-    """Instantaneous admission rate into H_R + H_D (severe-case exits)."""
-    return params.rate_severe_exit * state[5]
+def hospital_inflow_rate(states: np.ndarray, params: SeirhdParams) -> np.ndarray:
+    """Instantaneous admission rate into H_R + H_D (severe-case exits), for
+    any array of states (compartments on the last axis)."""
+    return params.rate_severe_exit * states[..., 5]
 
 
-def pkpd_terms(state: Sequence, params: PkpdParams, z3_t):
+def pkpd_terms(state: Sequence, params: PkpdParams, z3_t, power=operator.pow):
     """Immune/drug derivative expressions; ``z3_t`` is the dosing signal
-    added to the plasma state when it feeds lung-tissue uptake."""
+    added to the plasma state when it feeds lung-tissue uptake, and
+    ``power`` evaluates the two Hill powers."""
     if params.full_model:
         z1, z2, z3, z4, z5 = state
     else:
         z1, z2, z3, z4 = state
     z1c = relu(z1)  # negative immune response is unphysical
-    hill = params.E_max * z1c**params.h_P / (params.EC_50**params.h_P + z1c**params.h_P)
+    hill = params.E_max * power(z1c, params.h_P) / (
+        params.EC_50**params.h_P + power(z1c, params.h_P)
+    )
     dz1 = (
         params.k_IR * z4
         + params.k_PF * z4 * z1
@@ -239,79 +308,104 @@ def pkpd_terms(state: Sequence, params: PkpdParams, z3_t):
     dz3 = -params.k_3 * z3
     if params.full_model:
         z5c = relu(z5)
-        dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4 * z5c**params.h_C
+        dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4 * power(z5c, params.h_C)
         dz5 = params.k_1 * z1
         return dz1, dz2, dz3, dz4, dz5
     dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4
     return dz1, dz2, dz3, dz4
 
 
-def pkpd_rhs(state: np.ndarray, t: float, params: PkpdParams, z3_t: float) -> np.ndarray:
-    if len(state) != params.dim:
-        raise ValueError(f"state dimension {len(state)} does not match model ({params.dim})")
-    return np.array(pkpd_terms(state, params, z3_t))
+def pkpd_rhs(state: np.ndarray, t: float, params: PkpdParams, z3_t) -> np.ndarray:
+    """Derivative over the last axis of a state (dim,) or a batch (B, dim);
+    ``z3_t`` and the parameters are scalars or (B,) vectors."""
+    if state.shape[-1] != params.dim:
+        raise ValueError(
+            f"state dimension {state.shape[-1]} does not match model ({params.dim})"
+        )
+    return np.array(pkpd_terms(_columns(state), params, z3_t, _libm_power)).T
 
 
 # -- treatment coupling -------------------------------------------------
 
 
-def dex_plasma(t: float, schedule: TreatmentSchedule, k3: float) -> float:
-    """Plasma concentration produced by past dose events: each dose of level
-    ``d`` at time ``t_i`` contributes ``k_d * d * exp(k3 * (t_i - t))`` once
-    ``t > t_i``."""
-    if schedule.kind != "dosing":
-        raise ValueError("dex_plasma requires a dosing schedule")
-    total = 0.0
-    for t_i, d_i in schedule.doses:
-        if t > t_i:
-            total += schedule.k_d * d_i * np.exp(k3 * (t_i - t))
-    return total
+def make_drive(family: str, params, treatments, decay_lambda: float = 0.005):
+    """The treatment's input to the expert as ``drive(t) -> (B, 1)``, one row
+    per schedule in ``treatments``; ``params`` is one parameter set or one
+    per row.
 
+    PKPD: the plasma level of past doses; a dose of level ``d`` at ``t_i``
+    adds ``k_d * d * exp(k_3 * (t_i - t))`` once ``t > t_i``. Rows with fewer
+    doses get empty slots that never start. SEIRM and SEIRHD: the contact
+    rate, ``beta`` before the row's mandate start (or with no mandate) and
+    ``beta * exp(-decay_lambda * (t - start))`` from it on.
+    """
+    p = _row_params(params)
+    rows = len(treatments)
+    if family == "PKPD":
+        if any(tr.kind != "dosing" for tr in treatments):
+            raise ValueError("a PKPD drive requires dosing schedules")
+        n = max(len(tr.doses) for tr in treatments)
+        dose_t = np.zeros((n, rows, 1))
+        starts = np.full_like(dose_t, np.inf)
+        amount = np.zeros_like(dose_t)  # k_d * d
+        for row, tr in enumerate(treatments):
+            for j, (t_i, d_i) in enumerate(tr.doses):
+                dose_t[j, row], starts[j, row], amount[j, row] = t_i, t_i, tr.k_d * d_i
+        k3 = np.reshape(p.k_3, (-1, 1))
 
-def beta_schedule(
-    t: float, initial_beta: float, lam: float, mandate_start: float | None
-) -> float:
-    """Constant contact rate before the mandate, exponential decay after."""
-    if initial_beta < 0 or lam < 0:
+        def plasma(t):
+            total = np.zeros((rows, 1))
+            for j in range(n):
+                level = amount[j] * np.exp(k3 * (dose_t[j] - t))
+                total = total + np.where(t > starts[j], level, 0.0)
+            return total
+
+        return plasma
+    if family not in ("SEIRM", "SEIRHD"):
+        raise ValueError(f"unknown family {family!r}")
+    if decay_lambda < 0 or np.any(np.asarray(p.beta) < 0):
         raise ValueError("initial_beta and lambda must be nonnegative")
-    if mandate_start is None or t < mandate_start:
-        return initial_beta
-    return initial_beta * np.exp(-lam * (t - mandate_start))
+    start = np.array(
+        [[np.inf if tr.mandate_start is None else tr.mandate_start] for tr in treatments]
+    )
+    beta = np.reshape(p.beta, (-1, 1))
+
+    def contact_rate(t):
+        elapsed = np.maximum(t - start, 0.0)  # exact where the mandate is on
+        return np.where(t < start, beta, beta * np.exp(-decay_lambda * elapsed))
+
+    return contact_rate
 
 
 # -- full simulation ----------------------------------------------------
 
+_FAMILY_RHS = {"SEIRM": seirm_rhs, "SEIRHD": seirhd_rhs, "PKPD": pkpd_rhs}
+
 
 def make_rhs(spec: ExpertOdeSpec, decay_lambda: float = 0.005):
-    """Bind the treatment schedule into a plain ``rhs(state, t)``."""
-    if spec.family == "SEIRM":
-        params = spec.params
+    """Bind the treatment schedules into a plain ``rhs(state, t)`` over the
+    spec's (B, dim) batch of states."""
+    params = _row_params(spec.params)
+    treatments = spec.treatment
+    if not isinstance(treatments, tuple):
+        treatments = (treatments,) * len(np.atleast_2d(spec.init))
+    drive = make_drive(spec.family, spec.params, treatments, decay_lambda)
+    family_rhs = _FAMILY_RHS[spec.family]
 
-        def rhs(state, t):
-            bt = beta_schedule(t, params.beta, decay_lambda, spec.treatment.mandate_start)
-            return seirm_rhs(state, t, params, bt)
+    def rhs(state, t):
+        return family_rhs(state, t, params, drive(t)[:, 0])
 
-    elif spec.family == "SEIRHD":
-        params = spec.params
-
-        def rhs(state, t):
-            bt = beta_schedule(t, params.beta, decay_lambda, spec.treatment.mandate_start)
-            return seirhd_rhs(state, t, params, bt)
-
-    elif spec.family == "PKPD":
-        params = spec.params
-
-        def rhs(state, t):
-            z3_t = dex_plasma(t, spec.treatment, params.k_3)
-            return pkpd_rhs(state, t, params, z3_t)
-
-    else:
-        raise ValueError(f"unknown family {spec.family!r}")
     return rhs
 
 
 def simulate_expert(
     spec: ExpertOdeSpec, grid: TimeGrid, decay_lambda: float = 0.005
 ) -> OdeTrajectory:
-    """Integrate the mechanistic system with its treatment coupling."""
-    return integrate(make_rhs(spec, decay_lambda), np.asarray(spec.init, float), grid)
+    """Integrate the mechanistic system with its treatment coupling. A
+    (dim,) ``init`` gives states (n_steps + 1, dim); a (B, dim) batch is
+    integrated in one RK4 call and gives (n_steps + 1, B, dim)."""
+    init = np.asarray(spec.init, float)
+    traj = integrate(make_rhs(spec, decay_lambda), np.atleast_2d(init), grid)
+    if init.ndim == 1:
+        return OdeTrajectory(grid=grid, states=traj.states[:, 0])
+    return traj

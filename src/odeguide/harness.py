@@ -211,26 +211,32 @@ def _expert_setup(kind: str, overrides: dict):
     return "SEIRM", params, init, COVID_SOLVER_DT
 
 
-def _expert_outcome(
+def _expert_outcomes(
     family: str,
     params,
     init: np.ndarray,
-    treatment: TreatmentSchedule,
+    treatments: list[TreatmentSchedule],
     times: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """Mechanistic outcome curve on the data grid (fine integration,
-    subsampled at observation times)."""
+    """Mechanistic outcome curves on the data grid, one row per treatment
+    schedule: one batched fine integration from the shared initial state,
+    subsampled at observation times."""
     t0 = float(times[0])
     n_fine = round((float(times[-1]) - t0) / dt)
     grid = TimeGrid(t0=t0, dt=dt, n_steps=n_fine)
-    spec = ExpertOdeSpec(family=family, params=params, init=init, treatment=treatment)
+    spec = ExpertOdeSpec(
+        family=family,
+        params=params,
+        init=np.tile(init, (len(treatments), 1)),
+        treatment=tuple(treatments),
+    )
     traj = simulate_expert(spec, grid)
     idx = [round((float(t) - t0) / dt) for t in times]
-    states = traj.states[idx]
+    states = traj.states[idx]  # (T, rows, dim)
     if family == "PKPD":
-        return states[:, 0]
-    return states[:, 4] / params.N * 1000.0
+        return states[:, :, 0].T
+    return (states[:, :, 4] / params.N * 1000.0).T
 
 
 def _unit_seed(seed: int, *key: int) -> int:
@@ -495,31 +501,33 @@ def _cf_condition(state, unit: UnitRecord) -> ConditioningContext:
     return cache[unit.unit_id]
 
 
-def _unit_guidance(state, unit: UnitRecord):
+def _unit_guidance(state, units: list[UnitRecord]) -> list[tuple]:
     """Aligned mechanistic signals, pre-divergence window, and the scaled
-    factual outcome for one unit, built once per run."""
+    factual outcome of each unit, built once per run. The factual and
+    counterfactual simulations of every unit not yet built run as one
+    batched call."""
     cache = state.setdefault("unit_guidance", {})
-    if unit.unit_id not in cache:
+    new = [u for u in units if u.unit_id not in cache]
+    if new:
         family, params, init, dt = state["expert"]
-        times = state["times"]
-        f_sim = _expert_outcome(family, params, init, unit.treatment_factual, times, dt)
-        cf_sim = _expert_outcome(family, params, init, unit.treatment_counterfactual, times, dt)
-        _, aligned_f, aligned_cf = align_factual(f_sim, unit.factual.y, cf_sim)
+        arms = [tr for u in new for tr in (u.treatment_factual, u.treatment_counterfactual)]
+        sims = _expert_outcomes(family, params, init, arms, state["times"], dt)
         y_s = state["y_scaler"]
-        signals = ExpertGuidanceSignals(
-            f_cf=y_s.transform(aligned_cf), f_f=y_s.transform(aligned_f)
-        )
-        window = FactualWindow.before_divergence(unit.factual.a, unit.counterfactual.a)
-        cache[unit.unit_id] = (signals, window, y_s.transform(unit.factual.y))
-    return cache[unit.unit_id]
+        for unit, f_sim, cf_sim in zip(new, sims[0::2], sims[1::2]):
+            _, aligned_f, aligned_cf = align_factual(f_sim, unit.factual.y, cf_sim)
+            signals = ExpertGuidanceSignals(
+                f_cf=y_s.transform(aligned_cf), f_f=y_s.transform(aligned_f)
+            )
+            window = FactualWindow.before_divergence(unit.factual.a, unit.counterfactual.a)
+            cache[unit.unit_id] = (signals, window, y_s.transform(unit.factual.y))
+    return [cache[u.unit_id] for u in units]
 
 
-def _guided_samples(state, unit: UnitRecord, eta, n_samples, seed) -> np.ndarray:
-    """Guided ensemble of one unit; a (K, 1, 1) ``eta`` column gives K
-    ensembles, (K, n_samples, T), that share the seed's noise."""
-    gcfg = state["gcfg"]
-    signals, window, y0_f = _unit_guidance(state, unit)
-    guide = make_guide_fn(y0_f, signals, window, gcfg, eta=eta, nu=gcfg.nu)
+def _guided_samples(state, unit: UnitRecord, eta, nu, n_samples, seed) -> np.ndarray:
+    """Guided ensemble of one unit; (K, 1, 1) ``eta`` and ``nu`` columns
+    give K ensembles, (K, n_samples, T), that share the seed's noise."""
+    signals, window, y0_f = _unit_guidance(state, [unit])[0]
+    guide = make_guide_fn(y0_f, signals, window, state["gcfg"], eta=eta, nu=nu)
     cond = _cf_condition(state, unit)
     return sample(state["denoiser"], cond, state["schedule"], n_samples, seed, guide).samples
 
@@ -554,11 +562,14 @@ def _stage_select_eta(config, state, out, meta):
     etas = sorted(gcfg.eta_candidates)
     column = np.asarray(etas, float)[:, None, None]
     passes: dict[int, list[np.ndarray]] = {}
+    _unit_guidance(state, val_units)
 
     def sampler(eta, seed):
         if seed not in passes:
             passes[seed] = [
-                _guided_samples(state, u, column, n_val_samples, _unit_seed(seed, 41, i))
+                _guided_samples(
+                    state, u, column, gcfg.nu, n_val_samples, _unit_seed(seed, 41, i)
+                )
                 for i, u in enumerate(val_units)
             ]
         k = etas.index(eta)
@@ -579,14 +590,22 @@ def _stage_sample(config, state, out, meta):
     y_s = state["y_scaler"]
     guided, unguided = [], []
     unit_ids = [u.unit_id for u in state["test_units"]]
+    if config.guidance is not None:
+        _unit_guidance(state, state["test_units"])
+        # one stacked pass per unit: row 0 has zero strengths and is
+        # bitwise the unguided ensemble, row 1 is the guided one
+        eta = np.array([0.0, state["eta"]])[:, None, None]
+        nu = np.array([0.0, state["gcfg"].nu])[:, None, None]
     for i, unit in enumerate(state["test_units"]):
         seed_u = _unit_seed(config.seed, 29, i)
-        cond = _cf_condition(state, unit)
-        base = sample(state["denoiser"], cond, state["schedule"], n_samples, seed_u)
-        unguided.append(y_s.inverse(base.samples))
-        if config.guidance is not None:
-            ens = _guided_samples(state, unit, state["eta"], n_samples, seed_u)
-            guided.append(y_s.inverse(ens))
+        if config.guidance is None:
+            cond = _cf_condition(state, unit)
+            base = sample(state["denoiser"], cond, state["schedule"], n_samples, seed_u)
+            unguided.append(y_s.inverse(base.samples))
+        else:
+            ens = _guided_samples(state, unit, eta, nu, n_samples, seed_u)
+            unguided.append(y_s.inverse(ens[0]))
+            guided.append(y_s.inverse(ens[1]))
     state["unguided"] = unguided
     if config.guidance is not None:
         state["guided"] = guided

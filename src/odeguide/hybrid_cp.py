@@ -5,9 +5,10 @@ initial-state encoders, and learned readouts.
 The rollout integrates U units at once on their shared time grid: the
 latent states are (U, m_y), (U, m_x) and (U, e) arrays with one row per
 unit, so every RK4 stage is one batched MLP evaluation. Each unit's
-treatment reaches the expert as a (U, 1) drive computed off the tape at each
-stage time: the dose plasma level for PKPD, the contact rate beta_t (from
-the unit's own mandate start) for SEIRM. Training backpropagates through one
+treatment reaches the expert as the (U, 1) drive of
+``expert_models.make_drive``, computed off the tape at each stage time: the
+dose plasma level for PKPD, the contact rate beta_t (from the unit's own
+mandate start) for SEIRM. Training backpropagates through one
 rollout of the whole training set; inference runs the same code on plain
 numpy arrays, with U = 1 for a single prediction.
 """
@@ -25,8 +26,7 @@ from .expert_models import (
     PkpdParams,
     SeirmParams,
     TreatmentSchedule,
-    beta_schedule,
-    dex_plasma,
+    make_drive,
     pkpd_terms,
     seirm_terms,
 )
@@ -120,15 +120,6 @@ def encode_init(model: HybridCpModel, params, x0, a0, y0):
     return zx0, zy0, ze0
 
 
-def treatment_drive(model: HybridCpModel, treatment: TreatmentSchedule, t: float) -> float:
-    """The treatment's input to the expert at time t: the dose plasma level
-    for PKPD, the contact rate beta_t for SEIRM."""
-    p = model.expert_params
-    if model.family == "SEIRM":
-        return beta_schedule(t, p.beta, model.config.decay_lambda, treatment.mandate_start)
-    return dex_plasma(t, treatment, p.k_3)
-
-
 def expert_rhs(model: HybridCpModel, ze, drive):
     """Mechanistic derivative of the expert state (last axis) under the
     treatment drive; never learned. ``drive`` broadcasts against one state
@@ -200,9 +191,7 @@ def rollout(
     if a_seq.shape[1] != len(times):
         raise ValueError("treatment sequence must cover the grid")
 
-    def drive(t):
-        return np.array([[treatment_drive(model, tr, t)] for tr in treatments])
-
+    drive = make_drive(model.family, model.expert_params, treatments, model.config.decay_lambda)
     zx, zy, ze = encode_init(model, params, x0, a0, y0)
     y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, :1])
     ys, xs = [y_out], [x_out]

@@ -1,13 +1,15 @@
-"""Deterministic fixed-step RK4 integration."""
+"""Deterministic fixed-step RK4 integration of one state or of a batch of
+states, one row per trajectory."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-StateVector = np.ndarray  # 1-D float64 array; dimension owned by the system
+StateVector = np.ndarray  # (dim,) or a batch (B, dim); dim owned by the system
 
 
 class IntegrationError(RuntimeError):
@@ -21,8 +23,15 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.dt)):
+            raise ValueError("t0 and dt must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        n = self.n_steps
+        integral = isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())
+        if isinstance(n, bool) or not integral:
+            raise ValueError(f"n_steps must be an integer, got {n!r}")
+        object.__setattr__(self, "n_steps", int(n))
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
 
@@ -34,15 +43,24 @@ class TimeGrid:
 @dataclass(frozen=True)
 class OdeTrajectory:
     grid: TimeGrid
-    states: np.ndarray  # (n_steps + 1, dim)
+    states: np.ndarray  # (n_steps + 1, dim) or (n_steps + 1, B, dim)
 
     def __post_init__(self):
         if self.states.shape[0] != self.grid.n_steps + 1:
             raise ValueError("states length must be n_steps + 1")
 
 
+def _first_bad_row(values: np.ndarray) -> str:
+    """' in row r' for the first non-finite row of a batch, '' for one state."""
+    if values.ndim < 2:
+        return ""
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    return f" in row {int(np.argmin(finite))}"
+
+
 def rk4_step(rhs: Callable, state: StateVector, t: float, dt: float) -> StateVector:
-    """One classic 4-stage Runge-Kutta update."""
+    """One classic 4-stage Runge-Kutta update of a state or a batch of
+    states; ``rhs(state, t)`` returns derivatives of the same shape."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     state = np.asarray(state, dtype=np.float64)
@@ -54,15 +72,16 @@ def rk4_step(rhs: Callable, state: StateVector, t: float, dt: float) -> StateVec
         if k.shape != state.shape:
             raise IntegrationError(f"rhs returned shape {k.shape}, expected {state.shape}")
         if not np.all(np.isfinite(k)):
-            raise IntegrationError(f"non-finite derivative at t={t}")
+            raise IntegrationError(f"non-finite derivative{_first_bad_row(k)} at t={t}")
     return state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def integrate(rhs: Callable, init: StateVector, grid: TimeGrid) -> OdeTrajectory:
+    """Step ``init`` across the grid; ``states`` is (n_steps + 1, *init.shape)."""
     init = np.asarray(init, dtype=np.float64)
     if not np.all(np.isfinite(init)):
-        raise IntegrationError("initial state must be finite")
-    states = np.empty((grid.n_steps + 1, init.size))
+        raise IntegrationError(f"initial state{_first_bad_row(init)} must be finite")
+    states = np.empty((grid.n_steps + 1, *init.shape))
     states[0] = init
     t = grid.t0
     for step in range(grid.n_steps):

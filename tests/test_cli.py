@@ -129,6 +129,51 @@ def test_simulate_misspelt_treatment_key_fails(tmp_path, capsys):
     assert "mandate_strat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "treatment, message",
+    [
+        ({"kind": "binary_policy", "mandate_start": 5.0, "doses": [[1.0, 0.5]]}, "no doses"),
+        ({"kind": "dosing", "doses": [[1.0, 0.5]], "mandate_start": 5.0}, "no mandate_start"),
+    ],
+)
+def test_simulate_schedule_of_the_wrong_kind_fails(tmp_path, capsys, treatment, message):
+    spec = {
+        "family": "PKPD",
+        "params": {},
+        "init": [10.0, 0.01, 0.01, 10.0],
+        "treatment": treatment,
+        "dt": 0.1,
+        "n_steps": 10,
+    }
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(spec))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"dt": 0.1, "n_steps": 2.5}, "n_steps must be an integer"),
+        ({"dt": float("nan"), "n_steps": 3}, "t0 and dt must be finite"),
+    ],
+)
+def test_simulate_bad_grid_fails_when_the_config_loads(tmp_path, capsys, grid, message):
+    spec = {
+        "family": "PKPD",
+        "params": {},
+        "init": [10.0, 0.01, 0.01, 10.0],
+        "treatment": {"kind": "dosing"},
+        **grid,
+    }
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(spec))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_case_study_command(tmp_path):
     regions = tmp_path / "regions.csv"
     pre = np.linspace(0.0, 1.0, 4)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from odeguide.datagen import (
+    COVID_SOLVER_DT,
+    DEX_SOLVER_DT,
     SEIRHD_INIT_FRACTIONS,
     CovariateMixer,
     gen_covariates,
@@ -13,6 +15,8 @@ from odeguide.datagen import (
     synthetic_census,
     write_dataset,
 )
+from odeguide.expert_models import ExpertOdeSpec, PkpdParams, SeirhdParams, simulate_expert
+from odeguide.ode_core import TimeGrid
 
 
 def test_initial_state_exposed_fraction():
@@ -140,6 +144,41 @@ def test_covid_outcome_monotone_cumulative():
     ds = gen_covid_dataset(populations=census, seed=0)
     y = ds.units[0].factual.y
     assert np.all(np.diff(y) >= -1e-12)  # cumulative deaths never decrease
+
+
+def _arms(unit):
+    return (
+        (unit.factual, unit.treatment_factual),
+        (unit.counterfactual, unit.treatment_counterfactual),
+    )
+
+
+def test_dex_arms_equal_their_own_single_row_simulation():
+    ds = gen_dex_dataset(n_patients=3, seed=4, n_days=6)
+    grid = TimeGrid(0.0, DEX_SOLVER_DT, round(6 / DEX_SOLVER_DT))
+    per_day = round(1.0 / DEX_SOLVER_DT)
+    params = PkpdParams(full_model=True)
+    for unit in ds.units:
+        for traj, sched in _arms(unit):
+            init = np.array([unit.meta["init"]])
+            spec = ExpertOdeSpec(family="PKPD", params=params, init=init, treatment=sched)
+            states = simulate_expert(spec, grid).states[::per_day, 0]
+            assert np.array_equal(traj.y_clean, states[:, 0])
+
+
+def test_covid_arms_equal_their_own_single_row_simulation():
+    populations = [("a", 2.5e5), ("b", 4e6), ("c", 1.2e5)]
+    ds = gen_covid_dataset(populations=populations, seed=2, n_weeks=20)
+    grid = TimeGrid(0.0, COVID_SOLVER_DT, round(19 / COVID_SOLVER_DT))
+    per_week = round(1.0 / COVID_SOLVER_DT)
+    for unit in ds.units:
+        pop = unit.meta["population"]
+        params = SeirhdParams(beta=0.5, alpha=unit.meta["alpha"], delta=unit.meta["delta"], N=pop)
+        for traj, sched in _arms(unit):
+            init = seirhd_initial_state(pop)[None, :]
+            spec = ExpertOdeSpec(family="SEIRHD", params=params, init=init, treatment=sched)
+            states = simulate_expert(spec, grid).states[::per_week, 0]
+            assert np.array_equal(traj.y_clean, states[:, 9] / pop * 1000.0)
 
 
 def test_covid_rejects_bad_populations():

@@ -11,14 +11,28 @@ from odeguide.expert_models import (
     SeirhdParams,
     SeirmParams,
     TreatmentSchedule,
-    beta_schedule,
-    dex_plasma,
+    make_drive,
     pkpd_rhs,
+    pkpd_terms,
     seirhd_rhs,
+    seirhd_terms,
     seirm_rhs,
+    seirm_terms,
     simulate_expert,
 )
-from odeguide.ode_core import TimeGrid, integrate
+from odeguide.ode_core import IntegrationError, TimeGrid
+
+
+def dex_plasma(t, schedule, k3):
+    """The PKPD drive of one schedule at one time."""
+    return make_drive("PKPD", PkpdParams(k_3=k3), (schedule,))(t)[0, 0]
+
+
+def beta_schedule(t, initial_beta, lam, mandate_start):
+    """The epidemic drive of one mandate start at one time."""
+    params = SeirmParams(beta=initial_beta, alpha=0.0, gamma=0.0, mu=0.0, N=1.0)
+    sched = TreatmentSchedule(kind="binary_policy", mandate_start=mandate_start)
+    return make_drive("SEIRM", params, (sched,), lam)(t)[0, 0]
 
 
 def test_seirm_no_infection_pressure():
@@ -228,3 +242,196 @@ def test_spec_dimension_validation():
             init=np.zeros(4),
             treatment=TreatmentSchedule(kind="binary_policy"),
         )
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"kind": "binary_policy", "doses": [[1.0, 0.5]]}, "binary_policy schedule takes no doses"),
+        ({"kind": "dosing", "mandate_start": 5.0}, "dosing schedule takes no mandate_start"),
+    ],
+)
+def test_treatment_schedule_rejects_fields_of_the_other_kind(data, message):
+    with pytest.raises(ValueError, match=message):
+        TreatmentSchedule.from_dict(data)
+
+
+def test_treatment_schedule_keeps_k_d_on_both_kinds():
+    for kind in ("binary_policy", "dosing"):
+        sched = TreatmentSchedule(kind=kind, k_d=2.0)
+        assert TreatmentSchedule.from_dict(sched.to_dict()) == sched
+
+
+def test_batched_spec_validation():
+    p = SeirmParams(beta=0.5, alpha=0.2, gamma=0.1, mu=0.05, N=1000)
+    sched = TreatmentSchedule(kind="binary_policy")
+    with pytest.raises(ValueError, match="one entry per row"):
+        ExpertOdeSpec(family="SEIRM", params=p, init=np.ones((3, 5)), treatment=(sched, sched))
+    with pytest.raises(ValueError, match="one entry per row"):
+        ExpertOdeSpec(family="SEIRM", params=(p,), init=np.ones(5), treatment=sched)
+    with pytest.raises(ValueError, match="one model dimension"):
+        ExpertOdeSpec(
+            family="PKPD",
+            params=(PkpdParams(), PkpdParams(full_model=True)),
+            init=np.ones((2, 4)),
+            treatment=TreatmentSchedule(kind="dosing"),
+        )
+    with pytest.raises(ValueError, match="dimension 5"):
+        ExpertOdeSpec(family="SEIRM", params=p, init=np.ones((2, 4)), treatment=sched)
+
+
+# -- batched simulation against the one-state reference ----------------------
+#
+# Before simulations were batched, each ran the loop below on one 1-D state,
+# evaluating the derivative terms on numpy scalars and the treatment drive
+# with the scalar functions below. Every row of a batched simulation must
+# equal that loop bitwise.
+
+
+def _reference_dex_plasma(t, schedule, k3):
+    total = 0.0
+    for t_i, d_i in schedule.doses:
+        if t > t_i:
+            total += schedule.k_d * d_i * np.exp(k3 * (t_i - t))
+    return total
+
+
+def _reference_beta(t, initial_beta, lam, mandate_start):
+    if mandate_start is None or t < mandate_start:
+        return initial_beta
+    return initial_beta * np.exp(-lam * (t - mandate_start))
+
+
+def _reference_rhs(family, params, schedule, decay_lambda=0.005):
+    def rhs(state, t):
+        if family == "PKPD":
+            z3_t = _reference_dex_plasma(t, schedule, params.k_3)
+            return np.array(pkpd_terms(state, params, z3_t))
+        bt = _reference_beta(t, params.beta, decay_lambda, schedule.mandate_start)
+        if family == "SEIRM":
+            return np.array(seirm_terms(*state, params, bt))
+        return np.array(seirhd_terms(state, params, bt))
+
+    return rhs
+
+
+def _reference_simulation(family, params, init, schedule, grid):
+    rhs = _reference_rhs(family, params, schedule)
+    dt = grid.dt
+    states = np.empty((grid.n_steps + 1, init.size))
+    states[0] = init
+    t = grid.t0
+    for step in range(grid.n_steps):
+        y = states[step]
+        k1 = np.asarray(rhs(y, t), dtype=np.float64)
+        k2 = np.asarray(rhs(y + 0.5 * dt * k1, t + 0.5 * dt), dtype=np.float64)
+        k3 = np.asarray(rhs(y + 0.5 * dt * k2, t + 0.5 * dt), dtype=np.float64)
+        k4 = np.asarray(rhs(y + dt * k3, t + dt), dtype=np.float64)
+        states[step + 1] = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = grid.t0 + (step + 1) * grid.dt
+    return states
+
+
+def _assert_rows_match_reference(spec, grid):
+    states = simulate_expert(spec, grid).states
+    rows = len(spec.init)
+    assert states.shape == (grid.n_steps + 1, rows, spec.init.shape[1])
+    params = spec.params if isinstance(spec.params, tuple) else (spec.params,) * rows
+    treatments = spec.treatment if isinstance(spec.treatment, tuple) else (spec.treatment,) * rows
+    for r in range(rows):
+        want = _reference_simulation(spec.family, params[r], spec.init[r], treatments[r], grid)
+        assert np.array_equal(states[:, r], want), f"row {r}"
+
+
+DOSED = TreatmentSchedule(kind="dosing", doses=((1.0, 1.0), (2.5, 0.4)), k_d=5.0)
+ONE_DOSE = TreatmentSchedule(kind="dosing", doses=((3.0, 1.0),), k_d=5.0)
+UNDOSED = TreatmentSchedule(kind="dosing")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        PkpdParams(),
+        PkpdParams(full_model=True),
+        # exponents off numpy's exact-square fast path
+        PkpdParams(full_model=True, h_P=1.7, h_C=2.3),
+    ],
+    ids=["4-dim", "5-dim", "5-dim-hill"],
+)
+def test_batched_pkpd_rows_equal_reference(params):
+    rng = np.random.default_rng(3)
+    init = rng.exponential(10.0, size=(4, params.dim))
+    spec = ExpertOdeSpec(
+        family="PKPD", params=params, init=init, treatment=(DOSED, UNDOSED, ONE_DOSE, UNDOSED)
+    )
+    _assert_rows_match_reference(spec, TimeGrid(0.0, 0.05, 100))
+
+
+def test_batched_seirm_mixed_mandates_equal_reference():
+    p = SeirmParams(beta=0.5, alpha=0.3, gamma=0.25, mu=0.02, N=1000.0)
+    init = np.tile([990.0, 5.0, 5.0, 0.0, 0.0], (4, 1))
+    # no mandate, one from the start, one on a grid time, one at a midpoint stage
+    starts = (None, 0.0, 2.0, 3.05)
+    treatment = tuple(TreatmentSchedule(kind="binary_policy", mandate_start=m) for m in starts)
+    spec = ExpertOdeSpec(family="SEIRM", params=p, init=init, treatment=treatment)
+    _assert_rows_match_reference(spec, TimeGrid(0.0, 0.1, 60))
+
+
+def test_batched_seirhd_per_row_params_equal_reference():
+    params = (
+        SeirhdParams(beta=0.5, alpha=0.3, delta=0.15, N=1e5),
+        SeirhdParams(beta=0.4, alpha=0.5, delta=0.1, N=2e6),
+        SeirhdParams(beta=0.5, alpha=0.3, delta=0.15, N=7e5, gamma=0.3),
+    )
+    fractions = (0.0015, 0.001, 0.0007, 0.0005, 0.0002, 1e-5, 5e-6, 5e-7, 1e-7)
+    init = np.array([[p.N * (1 - sum(fractions)), *(p.N * f for f in fractions)] for p in params])
+    starts = (1.5, None, 4.0)
+    treatment = tuple(TreatmentSchedule(kind="binary_policy", mandate_start=m) for m in starts)
+    spec = ExpertOdeSpec(family="SEIRHD", params=params, init=init, treatment=treatment)
+    _assert_rows_match_reference(spec, TimeGrid(0.0, 0.1, 80))
+
+
+def test_single_row_batch_equals_reference_and_unbatched():
+    p = PkpdParams(full_model=True)
+    init = np.array([8.0, 0.02, 0.01, 12.0, 9.0])
+    grid = TimeGrid(0.0, 0.05, 120)
+    batch = ExpertOdeSpec(family="PKPD", params=p, init=init[None, :], treatment=ONE_DOSE)
+    _assert_rows_match_reference(batch, grid)
+    single = ExpertOdeSpec(family="PKPD", params=p, init=init, treatment=ONE_DOSE)
+    batched = simulate_expert(batch, grid).states[:, 0]
+    assert np.array_equal(simulate_expert(single, grid).states, batched)
+
+
+def test_drive_equals_scalar_reference_at_dose_and_mandate_times():
+    times = [0.0, 1.0, 2.5, 3.0, 3.0 + 1e-12, 7.3, 15.0, 15.0 - 1e-9, 25.0, 60.0]
+    k3 = 0.5
+    schedules = (DOSED, UNDOSED, ONE_DOSE)
+    plasma = make_drive("PKPD", PkpdParams(k_3=k3), schedules)
+    p = SeirmParams(beta=0.5, alpha=0.3, gamma=0.25, mu=0.02, N=1000.0)
+    starts = (None, 0.0, 15.0, 3.0)
+    mandates = tuple(TreatmentSchedule(kind="binary_policy", mandate_start=m) for m in starts)
+    beta = make_drive("SEIRM", p, mandates, 0.05)
+    for t in times:
+        got = plasma(t)
+        assert got.shape == (3, 1)
+        want = [_reference_dex_plasma(t, s, k3) for s in schedules]
+        assert np.array_equal(got[:, 0], want), t
+        want = [_reference_beta(t, p.beta, 0.05, m) for m in starts]
+        assert np.array_equal(beta(t)[:, 0], want), t
+
+
+def test_drive_rejects_mismatched_schedules_and_negative_decay():
+    with pytest.raises(ValueError, match="dosing"):
+        make_drive("PKPD", PkpdParams(), (TreatmentSchedule(kind="binary_policy"),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        make_drive("SEIRM", SeirmParams(0.5, 0.3, 0.25, 0.02, 1000.0), (UNDOSED,), -1.0)
+
+
+def test_batched_nonfinite_row_names_step_and_row():
+    p = SeirmParams(beta=0.5, alpha=0.3, gamma=0.25, mu=0.02, N=1000.0)
+    init = np.array([[990.0, 5.0, 5.0, 0.0, 0.0], [1e308, 0.0, 1e308, 0.0, 0.0]])
+    spec = ExpertOdeSpec(
+        family="SEIRM", params=p, init=init, treatment=TreatmentSchedule(kind="binary_policy")
+    )
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="step 0: .* row 1"):
+        simulate_expert(spec, TimeGrid(0.0, 0.1, 5))

@@ -109,12 +109,15 @@ def test_divergent_guidance_fails_in_the_sample_stage(tmp_path):
 def test_guidance_inputs_are_built_once_per_unit(tmp_path, monkeypatch):
     from odeguide import harness
 
-    calls = {"simulate_expert": 0, "predict": 0}
+    calls = {"simulate_expert": 0, "predict": 0, "sample": 0}
+    simulated_rows = []
     for name in calls:
         original = getattr(harness, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
+            if _name == "simulate_expert":
+                simulated_rows.append(len(args[0].init))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, counted)
@@ -131,10 +134,15 @@ def test_guidance_inputs_are_built_once_per_unit(tmp_path, monkeypatch):
     run_experiment(config)
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     n_train, n_test = meta["n_train"], meta["n_test"]
-    # two arms per validation and test unit; one factual conditioning per
+    # one batched simulation per stage (select-eta, then sample) with two
+    # arms per validation and test unit; one factual conditioning per
     # training unit plus one counterfactual per validation and test unit
-    assert calls["simulate_expert"] == 2 * (2 + n_test)
+    assert calls["simulate_expert"] == 2
+    assert simulated_rows == [2 * 2, 2 * n_test]
     assert calls["predict"] == n_train + 2 + n_test
+    # one stacked reverse pass per validation unit (all candidates) and per
+    # test unit (unguided and guided ensembles together)
+    assert calls["sample"] == 2 + n_test
 
 
 def test_run_experiment_unknown_stage_rejected(tmp_path):

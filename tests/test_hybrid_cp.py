@@ -3,7 +3,13 @@ import pytest
 
 from odeguide import diff_engine as de
 from odeguide.datagen import gen_covid_dataset, gen_dex_dataset
-from odeguide.expert_models import PkpdParams, SeirmParams, TreatmentSchedule, seirm_terms
+from odeguide.expert_models import (
+    PkpdParams,
+    SeirmParams,
+    TreatmentSchedule,
+    make_drive,
+    seirm_terms,
+)
 from odeguide.hybrid_cp import (
     HybridCpConfig,
     _dataset_loss,
@@ -12,7 +18,6 @@ from odeguide.hybrid_cp import (
     normalize_expert_state,
     predict,
     train_hybrid,
-    treatment_drive,
 )
 
 TINY = HybridCpConfig(m_y=2, m_x=2, hidden=(4,), epochs=4, lr=0.01)
@@ -20,6 +25,12 @@ TINY = HybridCpConfig(m_y=2, m_x=2, hidden=(4,), epochs=4, lr=0.01)
 
 def _tiny_model(seed=0):
     return make_hybrid_model("PKPD", PkpdParams(), d_x=3, config=TINY, seed=seed)
+
+
+def treatment_drive(model, treatment, t):
+    """The expert drive of one unit at one time, as a scalar."""
+    drive = make_drive(model.family, model.expert_params, (treatment,), model.config.decay_lambda)
+    return drive(t)[0, 0]
 
 
 def test_unknown_family_rejected():

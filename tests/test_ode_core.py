@@ -83,6 +83,50 @@ def test_grid_validation():
         TimeGrid(0.0, 0.1, -1)
 
 
+@pytest.mark.parametrize(
+    "t0, dt, n_steps",
+    [(0.0, np.nan, 3), (np.inf, 0.1, 3), (np.nan, 0.1, 3), (0.0, np.inf, 3)],
+)
+def test_grid_rejects_nonfinite_start_and_step(t0, dt, n_steps):
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(t0, dt, n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, float("nan"), float("inf"), "3", True])
+def test_grid_rejects_nonintegral_step_count(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        TimeGrid(0.0, 0.1, n_steps)
+
+
+def test_grid_accepts_integral_float_step_count():
+    grid = TimeGrid(0.0, 0.1, 3.0)
+    assert grid.n_steps == 3 and isinstance(grid.n_steps, int)
+    assert integrate(lambda y, t: -y, np.array([1.0]), grid).states.shape == (4, 1)
+
+
+def test_integrate_batch_keeps_rows_apart():
+    grid = TimeGrid(0.0, 0.05, 20)
+    init = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 4.0]])
+    batch = integrate(lambda y, t: -y * np.array([[1.0], [2.0], [0.5]]), init, grid)
+    assert batch.states.shape == (21, 3, 2)
+    for r, rate in enumerate((1.0, 2.0, 0.5)):
+        alone = integrate(lambda y, t: -rate * y, init[r], grid)
+        assert np.array_equal(batch.states[:, r], alone.states)
+
+
+def test_integrate_batch_error_names_step_and_row():
+    def rhs(y, t):
+        out = -y
+        if t > 0.45:
+            out[2, 1] = np.nan
+        return out
+
+    with pytest.raises(IntegrationError, match=r"step 4: non-finite derivative in row 2"):
+        integrate(rhs, np.ones((4, 2)), TimeGrid(0.0, 0.1, 10))
+    with pytest.raises(IntegrationError, match="row 1 must be finite"):
+        integrate(lambda y, t: -y, np.array([[1.0], [np.inf]]), TimeGrid(0.0, 0.1, 2))
+
+
 def test_trajectory_shape_validation():
     with pytest.raises(ValueError):
         OdeTrajectory(grid=TimeGrid(0.0, 0.1, 2), states=np.zeros((2, 1)))
