@@ -25,7 +25,6 @@ __all__ = [
     "concat",
     "init_mlp_params",
     "mlp_apply",
-    "mlp_apply_rows",
     "value_and_grad",
     "adam_step",
     "grad_check",
@@ -436,36 +435,29 @@ def init_mlp_params(spec: MlpSpec, rng: np.random.Generator, prefix: str = "") -
 
 
 def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
-    """Forward pass. Works on plain arrays, Tensors, and batched (B, n_in) input."""
-    h = x
-    in_width = h.shape[-1] if getattr(h, "shape", ()) else 1
+    """Forward pass on (..., n_in) input.
+
+    With a Tensor input or Tensor parameters it records the tape. On plain
+    arrays it computes each row through ``np.einsum``: BLAS products are not
+    batch-size invariant (a row can differ in the last bits between gemv and
+    gemm, and between gemm sizes), while the einsum loop computes every row
+    the same way, so a row's output depends only on that row.
+    """
+    in_width = x.shape[-1] if getattr(x, "shape", ()) else 1
     if in_width != spec.n_in:
         raise ValueError(f"input width {in_width} does not match layer 0 width {spec.n_in}")
+    if not (isinstance(x, Tensor) or isinstance(params[f"{prefix}W0"], Tensor)):
+        h = np.asarray(x, float)
+        lead = h.shape[:-1]
+        h = h.reshape(-1, spec.n_in)
+        for i, act in enumerate(spec.activations):
+            h = np.einsum("ij,jk->ik", h, params[f"{prefix}W{i}"]) + params[f"{prefix}b{i}"]
+            h = _ACTIVATIONS[act](h)
+        return h.reshape(*lead, spec.n_out)
+    h = x
     for i, act in enumerate(spec.activations):
-        W = params[f"{prefix}W{i}"]
-        b = params[f"{prefix}b{i}"]
-        if isinstance(h, Tensor) or isinstance(W, Tensor):
-            h = _as_tensor(h) @ _as_tensor(W) + _as_tensor(b)
-        else:
-            h = h @ W + b
-        h = _ACTIVATIONS[act](h)
-    return h
-
-
-def mlp_apply_rows(spec: MlpSpec, params, x: np.ndarray, prefix: str = "") -> np.ndarray:
-    """Plain-array forward pass on (R, n_in) rows through ``np.einsum``.
-
-    BLAS products are not batch-size invariant: a row's result can differ
-    in the last bits between R = 1 (gemv) and R > 1 (gemm), and between
-    gemm sizes. The einsum loop computes each row the same way for every
-    R, so a row's output here depends only on that row.
-    """
-    h = np.asarray(x, float)
-    if h.ndim != 2 or h.shape[1] != spec.n_in:
-        raise ValueError(f"input must be (R, {spec.n_in}), got {h.shape}")
-    for i, act in enumerate(spec.activations):
-        h = np.einsum("ij,jk->ik", h, params[f"{prefix}W{i}"]) + params[f"{prefix}b{i}"]
-        h = _ACTIVATIONS[act](h)
+        W, b = params[f"{prefix}W{i}"], params[f"{prefix}b{i}"]
+        h = _ACTIVATIONS[act](_as_tensor(h) @ _as_tensor(W) + _as_tensor(b))
     return h
 
 

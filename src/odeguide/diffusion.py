@@ -136,15 +136,15 @@ def _predict_y0(model, params, y_tau, tau, t_d, cond_vec):
     correction to the noisy sample, which keeps the low-noise regime
     near-identity without training effort.
 
-    ``y_tau`` is (..., T); the network sees it as (R, T) rows through the
-    batch-size invariant ``mlp_apply_rows``, so a member's estimate does not
-    depend on how many members share the pass.
+    ``y_tau`` is (..., T); the network sees it as (R, T) rows through
+    ``mlp_apply``, whose plain-array forward is batch-size invariant, so a
+    member's estimate does not depend on how many members share the pass.
     """
     y_tau = np.asarray(y_tau, float)
     rows = y_tau.reshape(-1, model.horizon)
     fixed = np.concatenate([de.timestep_embedding(tau, t_d, model.n_freq), cond_vec])
     inp = np.concatenate([rows, np.broadcast_to(fixed, (len(rows), fixed.size))], axis=1)
-    return y_tau + de.mlp_apply_rows(model.spec, params, inp, prefix="den_").reshape(y_tau.shape)
+    return y_tau + de.mlp_apply(model.spec, params, inp, prefix="den_").reshape(y_tau.shape)
 
 
 # -- propensity model ---------------------------------------------------

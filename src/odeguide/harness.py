@@ -142,6 +142,10 @@ class ExperimentConfig:
             unknown = set(section) - allowed
             if unknown:
                 raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+        for key in ("n_val_units", "n_val_samples"):
+            value = (self.guidance or {}).get(key, 1)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"guidance.{key} must be an integer >= 1, got {value!r}")
         if "path" in self.dataset:
             path = Path(self.dataset["path"])
             if not path.exists():
@@ -369,17 +373,18 @@ def run_experiment(
 def _stage_data(config, state, out, meta):
     dataset = _load_or_generate(config)
     units = dataset.units
+    n = len(units)
+    if n < 2:
+        raise ValueError(f"need at least 2 units to hold out a test unit, got {n}")
     # the hybrid predictor integrates all units together on one grid
     if any(not np.array_equal(u.factual.times, units[0].factual.times) for u in units):
         raise ValueError("all units must share one time grid")
     ev = config.evaluation
     rng = np.random.default_rng([config.seed, 23])
-    n = len(units)
-    n_test = max(1, round(ev.get("test_fraction", 0.2) * n))
-    n_test = min(n_test, n - 1) if n > 1 else 1
+    n_test = min(max(1, round(ev.get("test_fraction", 0.2) * n)), n - 1)
     perm = rng.permutation(n)
     state["test_units"] = [units[i] for i in perm[:n_test]]
-    state["train_units"] = [units[i] for i in perm[n_test:]] or state["test_units"]
+    state["train_units"] = [units[i] for i in perm[n_test:]]
     state["dataset"] = dataset
     state["times"] = units[0].factual.times
     state["d_x"] = units[0].factual.d_x
@@ -415,25 +420,48 @@ def _stage_propensity(config, state, out, meta):
     meta["mean_iptw_weight"] = float(state["weights"].mean())
 
 
-def _predict_arm(state, unit: UnitRecord, arm: str):
-    """Hybrid point prediction for an arm, started from the factual initial
-    observation (all that is available at deployment)."""
-    model = state["hybrid"]
-    traj = getattr(unit, arm)
-    treatment = unit.treatment_factual if arm == "factual" else unit.treatment_counterfactual
-    f = unit.factual
-    return predict(
-        model, f.x[0], float(traj.a[0]), float(f.y[0]), traj.a, f.times, treatment
+def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False):
+    """Per-unit inputs of one sampling stage, each kind built by one batched
+    call.
+
+    Conditioning: the scaled hybrid prediction of every unit's ``arm`` from
+    one ``predict`` rollout, started from the factual initial observation
+    (all that is available at deployment). Guidance, when ``guided``: the
+    aligned mechanistic signals, pre-divergence window and scaled factual
+    outcome of every unit, from one simulation of all factual and
+    counterfactual arms. Returns the conditioning list and the guidance
+    list, or None for the latter when not ``guided``.
+    """
+    trajs = [getattr(u, arm) for u in units]
+    y_p, x_p = predict(
+        state["hybrid"],
+        np.stack([u.factual.x[0] for u in units]),
+        [float(tr.a[0]) for tr in trajs],
+        [float(u.factual.y[0]) for u in units],
+        np.stack([tr.a for tr in trajs]),
+        state["times"],
+        [getattr(u, f"treatment_{arm}") for u in units],
     )
-
-
-def _scaled_condition(state, unit: UnitRecord, arm: str) -> ConditioningContext:
-    yp, xp = _predict_arm(state, unit, arm)
     y_s, x_s = state["y_scaler"], state["x_scalers"]
-    x_scaled = np.column_stack([x_s[j].transform(xp[:, j]) for j in range(xp.shape[1])])
-    return ConditioningContext(
-        y_prime=y_s.transform(yp), x=x_scaled, a=np.asarray(getattr(unit, arm).a, float)
-    )
+    x_scaled = np.stack([x_s[j].transform(x_p[..., j]) for j in range(x_p.shape[-1])], axis=-1)
+    conds = [
+        ConditioningContext(y_prime=y_s.transform(y), x=x, a=np.asarray(tr.a, float))
+        for y, x, tr in zip(y_p, x_scaled, trajs)
+    ]
+    if not guided:
+        return conds, None
+    family, params, init, dt = state["expert"]
+    arms = [tr for u in units for tr in (u.treatment_factual, u.treatment_counterfactual)]
+    sims = _expert_outcomes(family, params, init, arms, state["times"], dt)
+    guidance = []
+    for unit, f_sim, cf_sim in zip(units, sims[0::2], sims[1::2]):
+        _, aligned_f, aligned_cf = align_factual(f_sim, unit.factual.y, cf_sim)
+        signals = ExpertGuidanceSignals(
+            f_cf=y_s.transform(aligned_cf), f_f=y_s.transform(aligned_f)
+        )
+        window = FactualWindow.before_divergence(unit.factual.a, unit.counterfactual.a)
+        guidance.append((signals, window, y_s.transform(unit.factual.y)))
+    return conds, guidance
 
 
 def _stage_diffusion(config, state, out, meta):
@@ -459,9 +487,8 @@ def _stage_diffusion(config, state, out, meta):
         n_freq=diff.get("n_freq", 8),
     )
     y0_rows = np.stack([state["y_scaler"].transform(u.factual.y) for u in train_units])
-    cond_rows = np.stack(
-        [_scaled_condition(state, u, "factual").vector() for u in train_units]
-    )
+    conds, _ = _unit_inputs(state, train_units, "factual")
+    cond_rows = np.stack([c.vector() for c in conds])
     mask_rows = np.stack([u.factual.observed.astype(float) for u in train_units])
     train_cfg = DiffusionTrainConfig(
         epochs=diff.get("epochs", 200),
@@ -493,42 +520,12 @@ def _guidance_config(config) -> GuidanceConfig:
     return GuidanceConfig(**kwargs)
 
 
-def _cf_condition(state, unit: UnitRecord) -> ConditioningContext:
-    """Counterfactual conditioning of a unit, built once per run."""
-    cache = state.setdefault("cf_condition", {})
-    if unit.unit_id not in cache:
-        cache[unit.unit_id] = _scaled_condition(state, unit, "counterfactual")
-    return cache[unit.unit_id]
-
-
-def _unit_guidance(state, units: list[UnitRecord]) -> list[tuple]:
-    """Aligned mechanistic signals, pre-divergence window, and the scaled
-    factual outcome of each unit, built once per run. The factual and
-    counterfactual simulations of every unit not yet built run as one
-    batched call."""
-    cache = state.setdefault("unit_guidance", {})
-    new = [u for u in units if u.unit_id not in cache]
-    if new:
-        family, params, init, dt = state["expert"]
-        arms = [tr for u in new for tr in (u.treatment_factual, u.treatment_counterfactual)]
-        sims = _expert_outcomes(family, params, init, arms, state["times"], dt)
-        y_s = state["y_scaler"]
-        for unit, f_sim, cf_sim in zip(new, sims[0::2], sims[1::2]):
-            _, aligned_f, aligned_cf = align_factual(f_sim, unit.factual.y, cf_sim)
-            signals = ExpertGuidanceSignals(
-                f_cf=y_s.transform(aligned_cf), f_f=y_s.transform(aligned_f)
-            )
-            window = FactualWindow.before_divergence(unit.factual.a, unit.counterfactual.a)
-            cache[unit.unit_id] = (signals, window, y_s.transform(unit.factual.y))
-    return [cache[u.unit_id] for u in units]
-
-
-def _guided_samples(state, unit: UnitRecord, eta, nu, n_samples, seed) -> np.ndarray:
-    """Guided ensemble of one unit; (K, 1, 1) ``eta`` and ``nu`` columns
-    give K ensembles, (K, n_samples, T), that share the seed's noise."""
-    signals, window, y0_f = _unit_guidance(state, [unit])[0]
+def _guided_samples(state, cond, guidance, eta, nu, n_samples, seed) -> np.ndarray:
+    """Guided ensemble of one unit from its ``_unit_inputs``; (K, 1, 1)
+    ``eta`` and ``nu`` columns give K ensembles, (K, n_samples, T), that
+    share the seed's noise."""
+    signals, window, y0_f = guidance
     guide = make_guide_fn(y0_f, signals, window, state["gcfg"], eta=eta, nu=nu)
-    cond = _cf_condition(state, unit)
     return sample(state["denoiser"], cond, state["schedule"], n_samples, seed, guide).samples
 
 
@@ -561,19 +558,16 @@ def _stage_select_eta(config, state, out, meta):
     # one stacked reverse pass per validation unit covers every candidate
     etas = sorted(gcfg.eta_candidates)
     column = np.asarray(etas, float)[:, None, None]
-    passes: dict[int, list[np.ndarray]] = {}
-    _unit_guidance(state, val_units)
+    conds, guidance = _unit_inputs(state, val_units, "counterfactual", guided=True)
+    passes = [
+        _guided_samples(state, c, g, column, gcfg.nu, n_val_samples, _unit_seed(config.seed, 41, i))
+        for i, (c, g) in enumerate(zip(conds, guidance))
+    ]
 
-    def sampler(eta, seed):
-        if seed not in passes:
-            passes[seed] = [
-                _guided_samples(
-                    state, u, column, gcfg.nu, n_val_samples, _unit_seed(seed, 41, i)
-                )
-                for i, u in enumerate(val_units)
-            ]
+    def sampler(eta, _seed):
+        # select_eta hands back config.seed, which the passes above used
         k = etas.index(eta)
-        return np.concatenate([p[k] for p in passes[seed]], axis=1)
+        return np.concatenate([p[k] for p in passes], axis=1)
 
     eta, entries = select_eta(gcfg, sampler, target, config.seed)
     with open(sweep_path, "a", newline="") as fh:
@@ -590,20 +584,21 @@ def _stage_sample(config, state, out, meta):
     y_s = state["y_scaler"]
     guided, unguided = [], []
     unit_ids = [u.unit_id for u in state["test_units"]]
+    conds, guidance = _unit_inputs(
+        state, state["test_units"], "counterfactual", guided=config.guidance is not None
+    )
     if config.guidance is not None:
-        _unit_guidance(state, state["test_units"])
         # one stacked pass per unit: row 0 has zero strengths and is
         # bitwise the unguided ensemble, row 1 is the guided one
         eta = np.array([0.0, state["eta"]])[:, None, None]
         nu = np.array([0.0, state["gcfg"].nu])[:, None, None]
-    for i, unit in enumerate(state["test_units"]):
+    for i, cond in enumerate(conds):
         seed_u = _unit_seed(config.seed, 29, i)
         if config.guidance is None:
-            cond = _cf_condition(state, unit)
             base = sample(state["denoiser"], cond, state["schedule"], n_samples, seed_u)
             unguided.append(y_s.inverse(base.samples))
         else:
-            ens = _guided_samples(state, unit, eta, nu, n_samples, seed_u)
+            ens = _guided_samples(state, cond, guidance[i], eta, nu, n_samples, seed_u)
             unguided.append(y_s.inverse(ens[0]))
             guided.append(y_s.inverse(ens[1]))
     state["unguided"] = unguided
@@ -697,13 +692,14 @@ def load_regions(path) -> list[RegionSeries]:
     rows: dict[str, list] = {}
     with open(path, newline="") as fh:
         for rec in csv.DictReader(fh):
-            rows.setdefault(rec["region"], []).append(
-                (
-                    int(rec["week"]),
-                    float(rec["deaths_per_capita"]),
-                    float(rec["hospitalizations"]),
-                    int(rec["policy"]),
+            week, policy = int(rec["week"]), int(rec["policy"])
+            if policy not in (0, 1):
+                raise ValueError(
+                    f"region {rec['region']!r} has policy {policy} in week {week}; "
+                    "policy must be 0 or 1"
                 )
+            rows.setdefault(rec["region"], []).append(
+                (week, float(rec["deaths_per_capita"]), float(rec["hospitalizations"]), policy)
             )
     if not rows:
         raise ValueError("region file contains no rows")

@@ -9,8 +9,10 @@ treatment reaches the expert as the (U, 1) drive of
 ``expert_models.make_drive``, computed off the tape at each stage time: the
 dose plasma level for PKPD, the contact rate beta_t (from the unit's own
 mandate start) for SEIRM. Training backpropagates through one
-rollout of the whole training set; inference runs the same code on plain
-numpy arrays, with U = 1 for a single prediction.
+rollout of the whole training set. Inference (``predict``) runs the same
+rollout on plain numpy arrays for any number of units; the plain-array MLP
+forward is row-invariant, so a unit's prediction is the same bits whichever
+units share the call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .diff_engine import MlpSpec, ParamSet, Tensor, TrainingError
 from .expert_models import (
     PkpdParams,
     SeirmParams,
-    TreatmentSchedule,
     make_drive,
     pkpd_terms,
     seirm_terms,
@@ -211,27 +212,12 @@ def rollout(
     return _cat(ys), _cat(xs).reshape(len(treatments), len(times), model.d_x)
 
 
-def predict(
-    model: HybridCpModel,
-    x0,
-    a0: float,
-    y0: float,
-    a_seq: np.ndarray,
-    times: np.ndarray,
-    treatment: TreatmentSchedule,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic point prediction (y, x) over the grid for one unit."""
-    y, x = rollout(
-        model,
-        dict(model.params.items()),
-        np.asarray(x0, float)[None, :],
-        [a0],
-        [y0],
-        np.asarray(a_seq, float)[None, :],
-        np.asarray(times, float),
-        [treatment],
-    )
-    return y[0], x[0]
+def predict(model: HybridCpModel, x0, a0, y0, a_seq, times, treatment):
+    """Deterministic point predictions of U units on the model's own
+    parameters: ``rollout``'s arguments, with ``treatment`` one schedule per
+    unit. Returns the outcome (U, T) and covariates (U, T, d_x) arrays."""
+    params = dict(model.params.items())
+    return rollout(model, params, x0, a0, y0, a_seq, np.asarray(times, float), treatment)
 
 
 def _dataset_loss(model: HybridCpModel, tensors, units: list[UnitRecord]):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odeguide import diff_engine as de
 from odeguide.diff_engine import (
     AdamState,
     MlpSpec,
@@ -292,13 +291,17 @@ def test_backward_frees_the_tape_without_the_cyclic_gc():
         np.testing.assert_array_equal(record.gradient[k], want[k])
 
 
-def test_mlp_apply_rows_is_row_invariant_and_matches_mlp_apply():
+def test_mlp_apply_on_arrays_is_row_invariant_and_matches_the_tensor_forward():
     spec = MlpSpec.make(7, 3, (16, 16), act="relu")
     params = ParamSet(init_mlp_params(spec, np.random.default_rng(2)))
     x = np.random.default_rng(3).standard_normal((9, 7))
-    rows = de.mlp_apply_rows(spec, params, x)
-    np.testing.assert_allclose(rows, mlp_apply(spec, params, x), rtol=1e-12, atol=1e-15)
+    rows = mlp_apply(spec, params, x)
+    tape = mlp_apply(spec, params.as_tensors(), x)
+    assert isinstance(tape, Tensor)
+    np.testing.assert_allclose(rows, tape.data, rtol=1e-12, atol=1e-15)
     for r in range(1, 9):
-        np.testing.assert_array_equal(de.mlp_apply_rows(spec, params, x[:r]), rows[:r])
-    with pytest.raises(ValueError, match="input must be"):
-        de.mlp_apply_rows(spec, params, x[0])
+        np.testing.assert_array_equal(mlp_apply(spec, params, x[:r]), rows[:r])
+    np.testing.assert_array_equal(mlp_apply(spec, params, x[4]), rows[4])
+    np.testing.assert_array_equal(mlp_apply(spec, params, x.reshape(3, 3, 7)), rows.reshape(3, 3, 3))
+    with pytest.raises(ValueError, match="input width"):
+        mlp_apply(spec, params, x[:, :6])

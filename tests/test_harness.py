@@ -135,14 +135,69 @@ def test_guidance_inputs_are_built_once_per_unit(tmp_path, monkeypatch):
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     n_train, n_test = meta["n_train"], meta["n_test"]
     # one batched simulation per stage (select-eta, then sample) with two
-    # arms per validation and test unit; one factual conditioning per
-    # training unit plus one counterfactual per validation and test unit
+    # arms per validation and test unit; one batched rollout per stage
+    # (diffusion, select-eta, sample) conditions all of that stage's units
     assert calls["simulate_expert"] == 2
     assert simulated_rows == [2 * 2, 2 * n_test]
-    assert calls["predict"] == n_train + 2 + n_test
+    assert calls["predict"] == 3
+    assert n_train > 2
     # one stacked reverse pass per validation unit (all candidates) and per
     # test unit (unguided and guided ensembles together)
     assert calls["sample"] == 2 + n_test
+
+
+def test_traced_run_binds_every_traced_name(tmp_path):
+    """The benchmark tracer patches harness attributes and binds their
+    arguments by name; a rename or signature change in the package fails
+    here."""
+    import importlib.util
+
+    from odeguide import harness
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original_predict = harness.predict
+    tracer = spans.Tracer()
+    saved = spans.install(tracer)
+    try:
+        run = tracer.timed(spans.ROOT_SPAN, run_experiment)
+        run(
+            _tiny_config(
+                tmp_path,
+                guidance={
+                    "eta_candidates": [0.0, 0.01],
+                    "nu": 0.01,
+                    "select": True,
+                    "n_val_units": 2,
+                    "n_val_samples": 2,
+                },
+            )
+        )
+    finally:
+        spans.uninstall(saved)
+    assert harness.predict is original_predict
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["hybrid_cp.predict.calls"] == 3
+    assert metrics["hybrid_cp.predict.distinct_ratio"] == 1.0
+    assert metrics["expert_models.simulate_expert.calls"] > 0
+    assert metrics["diffusion.sample.members"] > 0
+    assert metrics["guidance.select_eta.busy_s"] > 0
+
+
+@pytest.mark.parametrize("key", ["n_val_units", "n_val_samples"])
+@pytest.mark.parametrize("value", [0, -1, 1.5, True, "2"])
+def test_config_rejects_bad_validation_counts(tmp_path, key, value):
+    with pytest.raises(ValueError, match=f"guidance.{key} must be an integer >= 1"):
+        _tiny_config(tmp_path, guidance={"select": True, key: value})
+
+
+def test_data_stage_rejects_a_single_unit(tmp_path):
+    config = _tiny_config(tmp_path, dataset={"kind": "dex", "n_units": 1, "n_days": 4})
+    with pytest.raises(StageError, match="at least 2 units") as err:
+        run_experiment(config)
+    assert err.value.stage == "data"
 
 
 def test_run_experiment_unknown_stage_rejected(tmp_path):
@@ -390,6 +445,17 @@ def test_load_regions_rejects_a_repeated_week(tmp_path, dup_first):
     path = tmp_path / "regions.csv"
     _write_weeks(path, dict(regions[::-1] if dup_first else regions))
     with pytest.raises(ValueError, match="region 'dup' lists a week more than once"):
+        load_regions(path)
+
+
+@pytest.mark.parametrize("policy", [7, -1, 2])
+def test_load_regions_rejects_a_policy_other_than_0_or_1(tmp_path, policy):
+    pre = np.linspace(0.0, 1.0, 4)
+    series = {f"r{i}": (np.concatenate([pre, pre]), [0] * 4 + [i % 2] * 4) for i in range(4)}
+    series["r2"][1][5] = policy
+    path = tmp_path / "regions.csv"
+    _write_regions(path, series)
+    with pytest.raises(ValueError, match=f"region 'r2' has policy {policy} in week 5"):
         load_regions(path)
 
 

@@ -84,7 +84,8 @@ def test_zeroed_readouts_predict_zero_everywhere():
 
 
 def predict_unit_like(model, times, a_seq, sched):
-    return predict(model, np.zeros(model.d_x), float(a_seq[0]), 0.0, a_seq, times, sched)
+    y, x = predict(model, np.zeros((1, model.d_x)), a_seq[:1], [0.0], a_seq[None, :], times, [sched])
+    return y[0], x[0]
 
 
 def test_prediction_shapes_and_determinism():
@@ -153,7 +154,7 @@ def test_training_halves_loss_on_noiseless_data():
     assert losses[-1] < 0.5 * losses[0]
     unit = data.units[0]
     f = unit.factual
-    y, x = predict(trained, f.x[0], float(f.a[0]), float(f.y[0]), f.a, f.times, unit.treatment_factual)
+    y, x = predict(trained, f.x[:1], f.a[:1], f.y[:1], f.a[None, :], f.times, [unit.treatment_factual])
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(x))
 
 
@@ -267,18 +268,42 @@ def test_batched_loss_and_gradients_match_per_unit_reference(case):
         _assert_close(got.gradient[name], want.gradient[name], BATCH_RTOL)
 
 
+def _predict_arm(model, units, arm):
+    """One ``predict`` call over ``units``' ``arm``, started from the factual
+    initial observation."""
+    trajs = [getattr(u, arm) for u in units]
+    return predict(
+        model,
+        np.stack([u.factual.x[0] for u in units]),
+        [tr.a[0] for tr in trajs],
+        [u.factual.y[0] for u in units],
+        np.stack([tr.a for tr in trajs]),
+        units[0].factual.times,
+        [getattr(u, f"treatment_{arm}") for u in units],
+    )
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_predict_matches_per_unit_reference(case):
     model, units = CASES[case]()
     params = dict(model.params.items())
-    for unit in units:
-        traj = unit.factual
-        y, x = predict(
-            model, traj.x[0], float(traj.a[0]), float(traj.y[0]), traj.a, traj.times, unit.treatment_factual
-        )
-        ys, xs = _reference_rollout(model, params, traj, unit.treatment_factual)
-        _assert_close(y, np.array([float(v) for v in ys]), BATCH_RTOL)
-        _assert_close(x, np.stack(xs), BATCH_RTOL)
+    y, x = _predict_arm(model, units, "factual")
+    assert y.shape == (len(units), units[0].factual.horizon)
+    for i, unit in enumerate(units):
+        ys, xs = _reference_rollout(model, params, unit.factual, unit.treatment_factual)
+        _assert_close(y[i], np.array([float(v) for v in ys]), BATCH_RTOL)
+        _assert_close(x[i], np.stack(xs), BATCH_RTOL)
+
+
+@pytest.mark.parametrize("arm", ["factual", "counterfactual"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_row_of_a_batched_predict_equals_its_single_unit_call(case, arm):
+    model, units = CASES[case]()
+    y, x = _predict_arm(model, units, arm)
+    for i, unit in enumerate(units):
+        y1, x1 = _predict_arm(model, [unit], arm)
+        np.testing.assert_array_equal(y1[0], y[i])
+        np.testing.assert_array_equal(x1[0], x[i])
 
 
 @pytest.mark.parametrize("field", ["y", "x"])
