@@ -10,7 +10,7 @@ exp, slicing, concatenation, sum, square).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +42,8 @@ class TrainingError(RuntimeError):
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -54,6 +56,7 @@ class Tensor:
     """Array node on the autodiff tape."""
 
     __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
+    const = False  # True for ``_Constant``: no gradient flows into it
     # numpy operators defer to the reflected Tensor operator, so that
     # ``array * tensor`` records a tape node instead of an object array
     __array_ufunc__ = None
@@ -75,8 +78,9 @@ class Tensor:
         out = Tensor(self.data + other.data, (self, other))
 
         def back():
-            _accum(self, _unbroadcast(out.grad, self.data.shape))
-            _accum(other, _unbroadcast(out.grad, other.data.shape))
+            for node in (self, other):
+                if not node.const:
+                    _accum(node, _unbroadcast(out.grad, node.data.shape))
 
         out._backward = back
         return out
@@ -88,8 +92,9 @@ class Tensor:
         out = Tensor(self.data * other.data, (self, other))
 
         def back():
-            _accum(self, _unbroadcast(out.grad * other.data, self.data.shape))
-            _accum(other, _unbroadcast(out.grad * self.data, other.data.shape))
+            for node, factor in ((self, other), (other, self)):
+                if not node.const:
+                    _accum(node, _unbroadcast(out.grad * factor.data, node.data.shape))
 
         out._backward = back
         return out
@@ -110,8 +115,10 @@ class Tensor:
         out = Tensor(self.data / other.data, (self, other))
 
         def back():
-            _accum(self, _unbroadcast(out.grad / other.data, self.data.shape))
-            _accum(other, _unbroadcast(-out.grad * self.data / other.data**2, other.data.shape))
+            if not self.const:
+                _accum(self, _unbroadcast(out.grad / other.data, self.data.shape))
+            if not other.const:
+                _accum(other, _unbroadcast(-out.grad * self.data / other.data**2, other.data.shape))
 
         out._backward = back
         return out
@@ -138,8 +145,10 @@ class Tensor:
                 _accum(self, g @ b.T)
                 _accum(other, np.outer(a, g))
             elif a.ndim == 2 and b.ndim == 2:
-                _accum(self, g @ b.T)
-                _accum(other, a.T @ g)
+                if not self.const:
+                    _accum(self, g @ b.T)
+                if not other.const:
+                    _accum(other, a.T @ g)
             elif a.ndim == 2 and b.ndim == 1:
                 _accum(self, np.outer(g, b))
                 _accum(other, a.T @ g)
@@ -277,11 +286,20 @@ class Tensor:
         return f"Tensor({self.data!r})"
 
 
+class _Constant(Tensor):
+    """A non-Tensor operand: backward neither computes nor stores its gradient."""
+
+    __slots__ = ()
+    const = True
+
+
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, Tensor) else _Constant(x)
 
 
 def _accum(node: Tensor, grad: np.ndarray) -> None:
+    if node.const:
+        return
     if node.grad is None:
         node.grad = grad
     else:
@@ -351,16 +369,6 @@ class ParamSet:
 
     def items(self):
         return self._arrays.items()
-
-    def replace(self, updates: dict[str, np.ndarray]) -> "ParamSet":
-        merged = dict(self._arrays)
-        for k, v in updates.items():
-            if k not in merged:
-                raise KeyError(f"unknown parameter {k!r}")
-            if merged[k].shape != np.asarray(v).shape:
-                raise ValueError(f"shape mismatch for parameter {k!r}")
-            merged[k] = np.asarray(v, dtype=np.float64)
-        return ParamSet(merged)
 
     def as_tensors(self) -> dict[str, Tensor]:
         return {k: Tensor(v) for k, v in self._arrays.items()}
@@ -486,8 +494,9 @@ def value_and_grad(f, params: ParamSet, *inputs) -> GradRecord:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    # moments of all parameters flattened in name order; None before step 1
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
 
@@ -500,24 +509,25 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ParamSet, AdamState]:
+    """Adam on all parameters as one flat vector; elementwise, so bitwise per array."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    state.t += 1
-    updates: dict[str, np.ndarray] = {}
-    for name, value in params.items():
-        g = grads[name]
-        if g.shape != value.shape:
+    names = params.names()
+    for name in names:
+        if grads[name].shape != params[name].shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
-        m = state.m.get(name, np.zeros_like(value))
-        v = state.v.get(name, np.zeros_like(value))
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g**2
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1 - beta1**state.t)
-        v_hat = v / (1 - beta2**state.t)
-        updates[name] = value - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params.replace(updates), state
+    value = np.concatenate([params[name].ravel() for name in names])
+    g = np.concatenate([grads[name].ravel() for name in names])
+    if state.m is None:
+        state.m, state.v = np.zeros_like(value), np.zeros_like(value)
+    state.t += 1
+    state.m = beta1 * state.m + (1 - beta1) * g
+    state.v = beta2 * state.v + (1 - beta2) * g**2
+    m_hat = state.m / (1 - beta1**state.t)
+    v_hat = state.v / (1 - beta2**state.t)
+    flat = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+    pieces = np.split(flat, np.cumsum([params[name].size for name in names])[:-1])
+    return ParamSet({n: p.reshape(params[n].shape) for n, p in zip(names, pieces)}), state
 
 
 def grad_check(f, params: ParamSet, eps: float = 1e-5, *inputs) -> float:

@@ -237,6 +237,8 @@ def train_diffusion(
     if n == 0:
         raise ValueError("training set must be nonempty")
     rng = np.random.default_rng([seed, 13])
+    t_d = schedule.t_d  # row tau - 1 of the table embeds step tau
+    table = np.stack([de.timestep_embedding(k, t_d, model.n_freq) for k in range(1, t_d + 1)])
     params = model.params
     state = de.AdamState()
     losses: list[float] = []
@@ -259,6 +261,7 @@ def train_diffusion(
                 weights[idx],
                 taus,
                 eps,
+                table[taus - 1],
             )
             if not np.isfinite(record.loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
@@ -271,11 +274,12 @@ def train_diffusion(
     return trained, losses
 
 
-def _batch_loss_fn(tensors, model, schedule, y0, cond, mask, weights, taus, eps):
+def _batch_loss_fn(tensors, model, schedule, y0, cond, mask, weights, taus, eps, embeds=None):
     B, T = y0.shape
     abar = np.array([schedule.alpha_bar_at(int(t)) for t in taus])
     y_tau = np.sqrt(abar)[:, None] * y0 + np.sqrt(1.0 - abar)[:, None] * eps
-    embeds = np.stack([de.timestep_embedding(int(t), schedule.t_d, model.n_freq) for t in taus])
+    if embeds is None:  # no table rows given: embed each row's tau here
+        embeds = np.stack([de.timestep_embedding(int(t), schedule.t_d, model.n_freq) for t in taus])
     inputs = np.concatenate([y_tau, embeds, cond], axis=1)
     y0_hat = de.mlp_apply(model.spec, tensors, inputs, prefix="den_") + y_tau
     w_tau = schedule.loss_weights[taus - 1]

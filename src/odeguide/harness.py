@@ -118,6 +118,15 @@ _SECTION_KEYS = {
     },
     "evaluation": {"n_samples", "test_fraction"},
 }
+# counts that must be integers >= 1, as (section, key)
+_COUNT_KEYS = (
+    ("guidance", "n_val_units"),
+    ("guidance", "n_val_samples"),
+    ("evaluation", "n_samples"),
+    ("hybrid", "n_substeps"),
+    ("diffusion", "epochs"),
+    ("diffusion", "batch_size"),
+)
 
 
 @dataclass
@@ -142,10 +151,13 @@ class ExperimentConfig:
             unknown = set(section) - allowed
             if unknown:
                 raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-        for key in ("n_val_units", "n_val_samples"):
-            value = (self.guidance or {}).get(key, 1)
+        for name, key in _COUNT_KEYS:
+            value = (getattr(self, name) or {}).get(key, 1)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"guidance.{key} must be an integer >= 1, got {value!r}")
+                raise ValueError(f"{name}.{key} must be an integer >= 1, got {value!r}")
+        fraction = self.evaluation.get("test_fraction", 0.2)
+        if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0 < fraction < 1:
+            raise ValueError(f"evaluation.test_fraction must lie in (0, 1), got {fraction!r}")
         if "path" in self.dataset:
             path = Path(self.dataset["path"])
             if not path.exists():
@@ -428,9 +440,11 @@ def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False)
     one ``predict`` rollout, started from the factual initial observation
     (all that is available at deployment). Guidance, when ``guided``: the
     aligned mechanistic signals, pre-divergence window and scaled factual
-    outcome of every unit, from one simulation of all factual and
-    counterfactual arms. Returns the conditioning list and the guidance
-    list, or None for the latter when not ``guided``.
+    outcome of every unit. A mechanistic curve depends only on its schedule
+    (the initial state and parameters are the run's), so the schedules not
+    yet in the run's ``expert_curves`` are simulated in one call and kept.
+    Returns the conditioning list and the guidance list, or None for the
+    latter when not ``guided``.
     """
     trajs = [getattr(u, arm) for u in units]
     y_p, x_p = predict(
@@ -450,11 +464,15 @@ def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False)
     ]
     if not guided:
         return conds, None
-    family, params, init, dt = state["expert"]
+    curves = state.setdefault("expert_curves", {})
     arms = [tr for u in units for tr in (u.treatment_factual, u.treatment_counterfactual)]
-    sims = _expert_outcomes(family, params, init, arms, state["times"], dt)
+    new = list(dict.fromkeys(tr for tr in arms if tr not in curves))
+    if new:
+        family, params, init, dt = state["expert"]
+        curves.update(zip(new, _expert_outcomes(family, params, init, new, state["times"], dt)))
     guidance = []
-    for unit, f_sim, cf_sim in zip(units, sims[0::2], sims[1::2]):
+    for unit in units:
+        f_sim, cf_sim = curves[unit.treatment_factual], curves[unit.treatment_counterfactual]
         _, aligned_f, aligned_cf = align_factual(f_sim, unit.factual.y, cf_sim)
         signals = ExpertGuidanceSignals(
             f_cf=y_s.transform(aligned_cf), f_f=y_s.transform(aligned_f)

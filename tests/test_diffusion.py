@@ -191,6 +191,40 @@ def test_training_reduces_loss():
     assert losses[-1] < losses[0]
 
 
+@pytest.mark.parametrize("t_d,n_freq", [(1, 8), (5, 3), (50, 8)])
+def test_training_embeds_each_row_from_the_table_bitwise(monkeypatch, t_d, n_freq):
+    """Training hands each row the table row of its tau, which must be
+    ``timestep_embedding(tau, ...)``; dropping the table (the loss then
+    embeds row by row) gives bitwise the same losses and parameters."""
+    from odeguide import diffusion
+
+    rng = np.random.default_rng(4)
+    T, n = 3, 24
+    model = make_denoiser(horizon=T, d_x=1, hidden=(8,), seed=2, n_freq=n_freq)
+    s = make_schedule(t_d=t_d)
+    data = (rng.standard_normal((n, T)), rng.standard_normal((n, model.cond_dim)))
+    args = (data[0], data[1], np.ones((n, T)), rng.uniform(0.5, 2.0, n), s)
+    config = DiffusionTrainConfig(epochs=4, lr=1e-2, batch_size=10)
+    original = diffusion._batch_loss_fn
+    seen = set()
+
+    def checked(*a):
+        taus, embeds = a[7], a[9]
+        for tau, row in zip(taus, embeds):
+            np.testing.assert_array_equal(row, de.timestep_embedding(int(tau), t_d, n_freq))
+            seen.add(int(tau))
+        return original(*a)
+
+    monkeypatch.setattr(diffusion, "_batch_loss_fn", checked)
+    trained, losses = train_diffusion(model, *args, config, seed=3)
+    assert seen == set(range(1, t_d + 1)) or len(seen) > 20
+    monkeypatch.setattr(diffusion, "_batch_loss_fn", lambda *a: original(*a[:9]))
+    ref, ref_losses = train_diffusion(model, *args, config, seed=3)
+    assert losses == ref_losses
+    for name, value in ref.params.items():
+        np.testing.assert_array_equal(trained.params[name], value)
+
+
 def test_training_rejects_empty_set():
     model = make_denoiser(horizon=3, d_x=1)
     s = make_schedule(t_d=4)

@@ -134,16 +134,59 @@ def test_guidance_inputs_are_built_once_per_unit(tmp_path, monkeypatch):
     run_experiment(config)
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     n_train, n_test = meta["n_train"], meta["n_test"]
-    # one batched simulation per stage (select-eta, then sample) with two
-    # arms per validation and test unit; one batched rollout per stage
-    # (diffusion, select-eta, sample) conditions all of that stage's units
-    assert calls["simulate_expert"] == 2
-    assert simulated_rows == [2 * 2, 2 * n_test]
+    # dex has two treatment schedules (dosed and undosed), each simulated
+    # once per run: select-eta's validation units hold both, so the sample
+    # stage simulates nothing; one batched rollout per stage (diffusion,
+    # select-eta, sample) conditions all of that stage's units
+    assert calls["simulate_expert"] == 1
+    assert simulated_rows == [2]
     assert calls["predict"] == 3
     assert n_train > 2
     # one stacked reverse pass per validation unit (all candidates) and per
     # test unit (unguided and guided ensembles together)
     assert calls["sample"] == 2 + n_test
+
+
+@pytest.mark.parametrize("kind", ["dex", "covid"])
+def test_each_guidance_curve_equals_its_single_schedule_simulation(tmp_path, monkeypatch, kind):
+    from odeguide import harness
+
+    built = []
+    original = harness._unit_inputs
+
+    def recorded(state, units, arm, guided=False):
+        conds, guidance = original(state, units, arm, guided)
+        if guided:
+            built.append((state, units, guidance))
+        return conds, guidance
+
+    monkeypatch.setattr(harness, "_unit_inputs", recorded)
+    dataset = {"kind": "dex", "n_units": 6, "n_days": 4}
+    if kind == "covid":
+        dataset = {"kind": "covid", "n_units": 4}
+    config = _tiny_config(
+        tmp_path,
+        dataset=dataset,
+        guidance={"eta_candidates": [0.0, 0.01], "nu": 0.01, "select": True, "n_val_units": 2},
+    )
+    run_experiment(config)
+    n_test = json.loads((tmp_path / "run_meta.json").read_text())["n_test"]
+    assert [len(units) for _, units, _ in built] == [2, n_test]
+    for state, units, guidance in built:
+        family, params, init, dt = state["expert"]
+
+        def single(schedule):
+            return harness._expert_outcomes(family, params, init, [schedule], state["times"], dt)[0]
+
+        assert len(state["expert_curves"]) == 2
+        for schedule, curve in state["expert_curves"].items():
+            np.testing.assert_array_equal(curve, single(schedule))
+        y_s = state["y_scaler"]
+        for unit, (signals, _, _) in zip(units, guidance):
+            f_sim, cf_sim = single(unit.treatment_factual), single(unit.treatment_counterfactual)
+            _, f, cf = harness.align_factual(f_sim, unit.factual.y, cf_sim)
+            np.testing.assert_array_equal(signals.f_f, y_s.transform(f))
+            np.testing.assert_array_equal(signals.f_cf, y_s.transform(cf))
 
 
 def test_traced_run_binds_every_traced_name(tmp_path):
@@ -191,6 +234,22 @@ def test_traced_run_binds_every_traced_name(tmp_path):
 def test_config_rejects_bad_validation_counts(tmp_path, key, value):
     with pytest.raises(ValueError, match=f"guidance.{key} must be an integer >= 1"):
         _tiny_config(tmp_path, guidance={"select": True, key: value})
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [("evaluation", "n_samples"), ("hybrid", "n_substeps"), ("diffusion", "epochs"), ("diffusion", "batch_size")],
+)
+@pytest.mark.parametrize("value", [0, -1, 1.5, True, "2"])
+def test_config_rejects_bad_counts_when_loaded(tmp_path, section, key, value):
+    with pytest.raises(ValueError, match=f"{section}.{key} must be an integer >= 1"):
+        _tiny_config(tmp_path, **{section: {key: value}})
+
+
+@pytest.mark.parametrize("value", [-1.0, 0, 0.0, 1, 1.0, 5.0, float("nan"), True, "0.2"])
+def test_config_rejects_a_test_fraction_outside_0_1(tmp_path, value):
+    with pytest.raises(ValueError, match=r"evaluation.test_fraction must lie in \(0, 1\)"):
+        _tiny_config(tmp_path, evaluation={"n_samples": 3, "test_fraction": value})
 
 
 def test_data_stage_rejects_a_single_unit(tmp_path):
