@@ -4,7 +4,9 @@ Everything runs on float64 numpy arrays. A ``Tensor`` records the operations
 applied to it on a tape; ``backward()`` replays the tape in reverse to obtain
 exact gradients. Only the primitives needed by the rest of the package are
 supported (affine maps, elementwise arithmetic, tanh/relu/sigmoid/softplus,
-exp, slicing, concatenation, sum, square).
+exp, slicing, concatenation, sum, square), plus ``custom_vjp``: one node
+computed on arrays with a hand-written vector-Jacobian product, on which the
+one-input primitives are built.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "GradRecord",
     "AdamState",
     "concat",
+    "custom_vjp",
     "init_mlp_params",
     "mlp_apply",
     "value_and_grad",
@@ -127,13 +130,9 @@ class Tensor:
         return _as_tensor(other) / self
 
     def __pow__(self, exponent: float):
-        out = Tensor(self.data**exponent, (self,))
-
-        def back():
-            _accum(self, out.grad * exponent * self.data ** (exponent - 1))
-
-        out._backward = back
-        return out
+        return custom_vjp(
+            self.data**exponent, self, lambda g: g * exponent * self.data ** (exponent - 1)
+        )
 
     def __matmul__(self, other):
         other = _as_tensor(other)
@@ -160,42 +159,29 @@ class Tensor:
         return out
 
     def __getitem__(self, idx):
-        out = Tensor(self.data[idx], (self,))
+        def vjp(g):
+            full = np.zeros_like(self.data)
+            np.add.at(full, idx, g)
+            return full
 
-        def back():
-            g = np.zeros_like(self.data)
-            np.add.at(g, idx, out.grad)
-            _accum(self, g)
-
-        out._backward = back
-        return out
+        return custom_vjp(self.data[idx], self, vjp)
 
     # -- reductions and shape ------------------------------------------
 
     def sum(self, axis=None):
-        out = Tensor(self.data.sum(axis=axis), (self,))
-
-        def back():
-            g = out.grad
+        def vjp(g):
             if axis is not None:
                 g = np.expand_dims(g, axis)
-            _accum(self, np.broadcast_to(g, self.data.shape).copy())
+            return np.broadcast_to(g, self.data.shape).copy()
 
-        out._backward = back
-        return out
+        return custom_vjp(self.data.sum(axis=axis), self, vjp)
 
     def mean(self, axis=None):
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis) * (1.0 / n)
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), (self,))
-
-        def back():
-            _accum(self, out.grad.reshape(self.data.shape))
-
-        out._backward = back
-        return out
+        return custom_vjp(self.data.reshape(*shape), self, lambda g: g.reshape(self.data.shape))
 
     def square(self):
         return self * self
@@ -204,53 +190,23 @@ class Tensor:
 
     def tanh(self):
         y = np.tanh(self.data)
-        out = Tensor(y, (self,))
-
-        def back():
-            _accum(self, out.grad * (1.0 - y**2))
-
-        out._backward = back
-        return out
+        return custom_vjp(y, self, lambda g: g * (1.0 - y**2))
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), (self,))
-
-        def back():
-            _accum(self, out.grad * (self.data > 0.0))
-
-        out._backward = back
-        return out
+        return custom_vjp(np.maximum(self.data, 0.0), self, lambda g: g * (self.data > 0.0))
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(y, (self,))
-
-        def back():
-            _accum(self, out.grad * y * (1.0 - y))
-
-        out._backward = back
-        return out
+        return custom_vjp(y, self, lambda g: g * y * (1.0 - y))
 
     def softplus(self):
         # log(1 + e^x), computed stably; derivative is sigmoid(x)
         y = np.logaddexp(0.0, self.data)
-        out = Tensor(y, (self,))
-
-        def back():
-            _accum(self, out.grad / (1.0 + np.exp(-self.data)))
-
-        out._backward = back
-        return out
+        return custom_vjp(y, self, lambda g: g / (1.0 + np.exp(-self.data)))
 
     def exp(self):
         y = np.exp(self.data)
-        out = Tensor(y, (self,))
-
-        def back():
-            _accum(self, out.grad * y)
-
-        out._backward = back
-        return out
+        return custom_vjp(y, self, lambda g: g * y)
 
     # -- backward pass --------------------------------------------------
 
@@ -318,6 +274,15 @@ def concat(parts: Sequence, axis: int = -1) -> Tensor:
             _accum(t, piece.reshape(t.data.shape))
 
     out._backward = back
+    return out
+
+
+def custom_vjp(data, parent: Tensor, vjp: Callable) -> Tensor:
+    """One node whose value ``data`` was computed from ``parent.data`` off
+    the tape; ``vjp(g)`` maps the gradient ``g`` of the result to the
+    gradient of ``parent``."""
+    out = Tensor(data, (parent,))
+    out._backward = lambda: _accum(parent, vjp(out.grad))
     return out
 
 

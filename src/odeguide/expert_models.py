@@ -7,15 +7,18 @@ closed-form plasma concentration produced by dosing events.
 
 Simulations run on a batch. An ``ExpertOdeSpec`` may hold B initial states
 as a (B, dim) array, with one parameter set and one treatment schedule per
-row, and ``simulate_expert`` integrates every row in one RK4 call. Each RK4
-stage evaluates the family's right-hand side on (B,) state columns:
-parameters that differ between rows enter as (B,) vectors, and
-``make_drive`` gives the treatment drive at the stage time as a (B, 1)
-column (the dose plasma level for PKPD, the contact rate beta_t for the
-epidemic models). Every row equals its own one-row simulation bitwise.
+row, and ``simulate_expert`` integrates every row in one RK4 call. The
+treatment drive of ``make_drive`` (the dose plasma level for PKPD, the
+contact rate beta_t for the epidemic models) is tabulated once per
+integration over every RK4 stage time by ``tabulate_drive``; each stage
+reads its (B,) row of that table and evaluates the family's right-hand side
+on (B,) state columns, with parameters that differ between rows as (B,)
+vectors. Every row equals its own one-row simulation bitwise.
 
 The per-compartment derivative expressions are written with plain arithmetic
-so they evaluate on numpy floats, on arrays of rows and on autodiff tensors.
+so they evaluate on numpy floats and on arrays of rows. ``seirm_jacobian``
+and ``pkpd_jacobian`` give their closed-form Jacobians, which the hybrid
+predictor backpropagates through.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .diff_engine import relu
 from .ode_core import OdeTrajectory, TimeGrid, integrate
 
 SEIRM_DIM = 5
@@ -243,12 +245,30 @@ def seirm_terms(s, e, i, r, m, params: SeirmParams, beta_t):
     return ds, de, di, dr, dm
 
 
+def seirm_jacobian(state: np.ndarray, params: SeirmParams, beta_t) -> np.ndarray:
+    """d seirm_terms / d state, (..., 5, 5) for states (..., 5); ``beta_t``
+    broadcasts against one compartment."""
+    s, _, i, _, _ = _columns(state)
+    jac = np.zeros(state.shape + (SEIRM_DIM,))
+    jac[..., 0, 0] = -beta_t * i / params.N
+    jac[..., 0, 2] = -beta_t * s / params.N
+    jac[..., 1, 0], jac[..., 1, 2] = -jac[..., 0, 0], -jac[..., 0, 2]
+    jac[..., 1, 1], jac[..., 2, 1] = -params.alpha, params.alpha
+    jac[..., 2, 2] = -params.gamma - params.mu
+    jac[..., 3, 2], jac[..., 4, 2] = params.gamma, params.mu
+    return jac
+
+
+def _check_contact_rate(beta_t) -> None:
+    if np.any(np.asarray(beta_t) < 0):
+        raise ValueError("beta_t must be nonnegative")
+
+
 def seirm_rhs(state: np.ndarray, t: float, params: SeirmParams, beta_t) -> np.ndarray:
     """Derivative over the last axis of a state (5,) or a batch (B, 5);
     ``beta_t`` and the parameters are scalars or (B,) vectors."""
-    if np.any(np.asarray(beta_t) < 0):
-        raise ValueError("beta_t must be nonnegative")
-    return np.array(seirm_terms(*_columns(state), params, beta_t)).T
+    _check_contact_rate(beta_t)
+    return _derivative("SEIRM", state, params, beta_t)
 
 
 def seirhd_terms(state: Sequence, params: SeirhdParams, beta_t):
@@ -274,9 +294,8 @@ def seirhd_terms(state: Sequence, params: SeirhdParams, beta_t):
 def seirhd_rhs(state: np.ndarray, t: float, params: SeirhdParams, beta_t) -> np.ndarray:
     """Derivative over the last axis of a state (10,) or a batch (B, 10);
     ``beta_t`` and the parameters are scalars or (B,) vectors."""
-    if np.any(np.asarray(beta_t) < 0):
-        raise ValueError("beta_t must be nonnegative")
-    return np.array(seirhd_terms(_columns(state), params, beta_t)).T
+    _check_contact_rate(beta_t)
+    return _derivative("SEIRHD", state, params, beta_t)
 
 
 def hospital_inflow_rate(states: np.ndarray, params: SeirhdParams) -> np.ndarray:
@@ -293,10 +312,9 @@ def pkpd_terms(state: Sequence, params: PkpdParams, z3_t, power=operator.pow):
         z1, z2, z3, z4, z5 = state
     else:
         z1, z2, z3, z4 = state
-    z1c = relu(z1)  # negative immune response is unphysical
-    hill = params.E_max * power(z1c, params.h_P) / (
-        params.EC_50**params.h_P + power(z1c, params.h_P)
-    )
+    z1c = np.maximum(z1, 0.0)  # negative immune response is unphysical
+    z1c_h = power(z1c, params.h_P)
+    hill = params.E_max * z1c_h / (params.EC_50**params.h_P + z1c_h)
     dz1 = (
         params.k_IR * z4
         + params.k_PF * z4 * z1
@@ -307,7 +325,7 @@ def pkpd_terms(state: Sequence, params: PkpdParams, z3_t, power=operator.pow):
     dz2 = -params.k_2 * z2 + params.k_3 * (z3 + z3_t)
     dz3 = -params.k_3 * z3
     if params.full_model:
-        z5c = relu(z5)
+        z5c = np.maximum(z5, 0.0)
         dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4 * power(z5c, params.h_C)
         dz5 = params.k_1 * z1
         return dz1, dz2, dz3, dz4, dz5
@@ -322,7 +340,42 @@ def pkpd_rhs(state: np.ndarray, t: float, params: PkpdParams, z3_t) -> np.ndarra
         raise ValueError(
             f"state dimension {state.shape[-1]} does not match model ({params.dim})"
         )
-    return np.array(pkpd_terms(_columns(state), params, z3_t, _libm_power)).T
+    return _derivative("PKPD", state, params, z3_t)
+
+
+def pkpd_jacobian(state: np.ndarray, params: PkpdParams) -> np.ndarray:
+    """d pkpd_terms / d state, (..., dim, dim) for states (..., dim). Each
+    relu's slope is ``z > 0``, as on the autodiff tape; the drive enters
+    additively, so the Jacobian does not depend on it."""
+    p = params
+    z1, z2, _, z4 = _columns(state)[:4]
+    z1c = np.maximum(z1, 0.0)
+    c = p.EC_50**p.h_P
+    hill_slope = p.E_max * p.h_P * z1c ** (p.h_P - 1) * c / (c + z1c**p.h_P) ** 2
+    jac = np.zeros(state.shape + (p.dim,))
+    jac[..., 0, 0] = p.k_PF * z4 - p.k_O + (z1 > 0) * (hill_slope - p.k_Dex * z2)
+    jac[..., 0, 1] = -p.k_Dex * z1c
+    jac[..., 0, 3] = p.k_IR + p.k_PF * z1
+    jac[..., 1, 1], jac[..., 1, 2], jac[..., 2, 2] = -p.k_2, p.k_3, -p.k_3
+    jac[..., 3, 0] = -p.k_IIR * z4
+    jac[..., 3, 3] = p.k_DP - p.k_IIR * z1 - p.k_DC
+    if p.full_model:
+        z5c = np.maximum(state[..., 4], 0.0)
+        jac[..., 3, 3] = p.k_DP - p.k_IIR * z1 - p.k_DC * z5c**p.h_C
+        jac[..., 3, 4] = -p.k_DC * z4 * (state[..., 4] > 0) * p.h_C * z5c ** (p.h_C - 1)
+        jac[..., 4, 0] = p.k_1
+    return jac
+
+
+def _derivative(family: str, state: np.ndarray, params, drive) -> np.ndarray:
+    """The family's derivative over the last axis of a state or a batch,
+    without the input checks of the public right-hand sides."""
+    cols = _columns(state)
+    if family == "SEIRM":
+        return np.array(seirm_terms(*cols, params, drive)).T
+    if family == "SEIRHD":
+        return np.array(seirhd_terms(cols, params, drive)).T
+    return np.array(pkpd_terms(cols, params, drive, _libm_power)).T
 
 
 # -- treatment coupling -------------------------------------------------
@@ -331,7 +384,8 @@ def pkpd_rhs(state: np.ndarray, t: float, params: PkpdParams, z3_t) -> np.ndarra
 def make_drive(family: str, params, treatments, decay_lambda: float = 0.005):
     """The treatment's input to the expert as ``drive(t) -> (B, 1)``, one row
     per schedule in ``treatments``; ``params`` is one parameter set or one
-    per row.
+    per row. For a 1-D array of times ``drive`` returns (B, n_t), each entry
+    bitwise equal to its one-time call.
 
     PKPD: the plasma level of past doses; a dose of level ``d`` at ``t_i``
     adds ``k_d * d * exp(k_3 * (t_i - t))`` once ``t > t_i``. Rows with fewer
@@ -354,7 +408,7 @@ def make_drive(family: str, params, treatments, decay_lambda: float = 0.005):
         k3 = np.reshape(p.k_3, (-1, 1))
 
         def plasma(t):
-            total = np.zeros((rows, 1))
+            total = np.zeros((rows, np.size(t)))
             for j in range(n):
                 level = amount[j] * np.exp(k3 * (dose_t[j] - t))
                 total = total + np.where(t > starts[j], level, 0.0)
@@ -377,25 +431,18 @@ def make_drive(family: str, params, treatments, decay_lambda: float = 0.005):
     return contact_rate
 
 
+def tabulate_drive(drive, starts, dt) -> tuple[np.ndarray, dict]:
+    """Evaluate ``drive`` once at every RK4 stage time of the steps that
+    start at ``starts`` with step ``dt`` (a scalar or one per start):
+    ``t``, ``t + 0.5 * dt`` and ``t + dt``, formed as ``rk4_step`` forms
+    them. Returns the (n_t, B) table and a dict from each stage time to its
+    row, so that a stage reads its drive as ``table[row[t]]``."""
+    starts = np.asarray(starts, float)
+    times = np.unique(np.concatenate([starts, starts + 0.5 * dt, starts + dt]))
+    return np.ascontiguousarray(drive(times).T), {t: k for k, t in enumerate(times.tolist())}
+
+
 # -- full simulation ----------------------------------------------------
-
-_FAMILY_RHS = {"SEIRM": seirm_rhs, "SEIRHD": seirhd_rhs, "PKPD": pkpd_rhs}
-
-
-def make_rhs(spec: ExpertOdeSpec, decay_lambda: float = 0.005):
-    """Bind the treatment schedules into a plain ``rhs(state, t)`` over the
-    spec's (B, dim) batch of states."""
-    params = _row_params(spec.params)
-    treatments = spec.treatment
-    if not isinstance(treatments, tuple):
-        treatments = (treatments,) * len(np.atleast_2d(spec.init))
-    drive = make_drive(spec.family, spec.params, treatments, decay_lambda)
-    family_rhs = _FAMILY_RHS[spec.family]
-
-    def rhs(state, t):
-        return family_rhs(state, t, params, drive(t)[:, 0])
-
-    return rhs
 
 
 def simulate_expert(
@@ -405,7 +452,20 @@ def simulate_expert(
     (dim,) ``init`` gives states (n_steps + 1, dim); a (B, dim) batch is
     integrated in one RK4 call and gives (n_steps + 1, B, dim)."""
     init = np.asarray(spec.init, float)
-    traj = integrate(make_rhs(spec, decay_lambda), np.atleast_2d(init), grid)
+    batch = np.atleast_2d(init)
+    treatments = spec.treatment
+    if not isinstance(treatments, tuple):
+        treatments = (treatments,) * len(batch)
+    drive = make_drive(spec.family, spec.params, treatments, decay_lambda)
+    table, row = tabulate_drive(drive, grid.times[:-1], grid.dt)
+    if spec.family != "PKPD":
+        _check_contact_rate(table)
+    params = _row_params(spec.params)
+
+    def rhs(state, t):
+        return _derivative(spec.family, state, params, table[row[t]])
+
+    traj = integrate(rhs, batch, grid)
     if init.ndim == 1:
         return OdeTrajectory(grid=grid, states=traj.states[:, 0])
     return traj

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -126,6 +127,13 @@ _COUNT_KEYS = (
     ("hybrid", "n_substeps"),
     ("diffusion", "epochs"),
     ("diffusion", "batch_size"),
+    ("schedule", "t_d"),
+)
+# real numbers that must lie in the open interval (0, high), as (section, key, high)
+_OPEN_INTERVAL_KEYS = (
+    ("evaluation", "test_fraction", 1),
+    ("hybrid", "lr", math.inf),
+    ("diffusion", "lr", math.inf),
 )
 
 
@@ -155,9 +163,15 @@ class ExperimentConfig:
             value = (getattr(self, name) or {}).get(key, 1)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name}.{key} must be an integer >= 1, got {value!r}")
-        fraction = self.evaluation.get("test_fraction", 0.2)
-        if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0 < fraction < 1:
-            raise ValueError(f"evaluation.test_fraction must lie in (0, 1), got {fraction!r}")
+        for name, key, high in _OPEN_INTERVAL_KEYS:
+            section = getattr(self, name)
+            if key not in section:
+                continue
+            value = section[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < high:
+                raise ValueError(f"{name}.{key} must lie in (0, {high}), got {value!r}")
+        # make_schedule's own checks, on one step (t_d is checked as a count)
+        make_schedule(**{**self.schedule, "t_d": 1})
         if "path" in self.dataset:
             path = Path(self.dataset["path"])
             if not path.exists():

@@ -6,10 +6,12 @@ The rollout integrates U units at once on their shared time grid: the
 latent states are (U, m_y), (U, m_x) and (U, e) arrays with one row per
 unit, so every RK4 stage is one batched MLP evaluation. Each unit's
 treatment reaches the expert as the (U, 1) drive of
-``expert_models.make_drive``, computed off the tape at each stage time: the
-dose plasma level for PKPD, the contact rate beta_t (from the unit's own
-mandate start) for SEIRM. Training backpropagates through one
-rollout of the whole training set. Inference (``predict``) runs the same
+``expert_models.make_drive``, tabulated off the tape once per rollout over
+every stage time: the dose plasma level for PKPD, the contact rate beta_t
+(from the unit's own mandate start) for SEIRM. On the tape the expert's
+right-hand side is one node per stage, evaluated on arrays, whose gradient
+is the product with its closed-form Jacobian. Training backpropagates
+through one rollout of the whole training set. Inference (``predict``) runs the same
 rollout on plain numpy arrays for any number of units; the plain-array MLP
 forward is row-invariant, so a unit's prediction is the same bits whichever
 units share the call.
@@ -28,8 +30,11 @@ from .expert_models import (
     PkpdParams,
     SeirmParams,
     make_drive,
+    pkpd_jacobian,
     pkpd_terms,
+    seirm_jacobian,
     seirm_terms,
+    tabulate_drive,
 )
 
 
@@ -124,13 +129,23 @@ def encode_init(model: HybridCpModel, params, x0, a0, y0):
 def expert_rhs(model: HybridCpModel, ze, drive):
     """Mechanistic derivative of the expert state (last axis) under the
     treatment drive; never learned. ``drive`` broadcasts against one state
-    column: a scalar for one unit, (U, 1) for a batch."""
-    cols = [ze[..., k : k + 1] for k in range(model.e_dim)]
+    column: a scalar for one unit, (U, 1) for a batch. A Tensor ``ze`` gives
+    one tape node whose gradient is the product with the closed-form
+    Jacobian."""
+    z = ze.data if isinstance(ze, Tensor) else ze
+    cols = [z[..., k : k + 1] for k in range(model.e_dim)]
+    p = model.expert_params
     if model.family == "SEIRM":
-        terms = seirm_terms(*cols, model.expert_params, drive)
+        dze = np.concatenate(seirm_terms(*cols, p, drive), axis=-1)
     else:
-        terms = pkpd_terms(cols, model.expert_params, drive)
-    return _cat(terms)
+        dze = np.concatenate(pkpd_terms(cols, p, drive), axis=-1)
+    if not isinstance(ze, Tensor):
+        return dze
+    if model.family == "SEIRM":
+        jac = seirm_jacobian(z, p, np.broadcast_to(drive, z[..., :1].shape)[..., 0])
+    else:
+        jac = pkpd_jacobian(z, p)
+    return de.custom_vjp(dze, ze, lambda g: np.einsum("...i,...ij->...j", g, jac))
 
 
 def hybrid_rhs(model: HybridCpModel, params, state, zy_lag, a_t, drive):
@@ -192,19 +207,25 @@ def rollout(
     if a_seq.shape[1] != len(times):
         raise ValueError("treatment sequence must cover the grid")
 
+    n_sub = model.config.n_substeps
+    # every substep's start and size, as (T - 1, n_sub) arrays
+    dts = np.repeat(np.diff(times)[:, None] / n_sub, n_sub, axis=1)
+    starts = times[:-1, None] + np.arange(n_sub) * dts
     drive = make_drive(model.family, model.expert_params, treatments, model.config.decay_lambda)
+    table, row = tabulate_drive(drive, starts.ravel(), dts.ravel())
+
+    def drive_at(t):
+        return table[row[t], :, None]
+
     zx, zy, ze = encode_init(model, params, x0, a0, y0)
     y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, :1])
     ys, xs = [y_out], [x_out]
     zy_lag = zy
-    n_sub = model.config.n_substeps
     for k in range(len(times) - 1):
         zy_start = zy
-        dt = (times[k + 1] - times[k]) / n_sub
         a_t = a_seq[:, k : k + 1]
-        for s in range(n_sub):
-            t = times[k] + s * dt
-            zy, zx, ze = _rk4_joint(model, params, (zy, zx, ze), zy_lag, a_t, t, dt, drive)
+        for t, dt in zip(starts[k], dts[k]):
+            zy, zx, ze = _rk4_joint(model, params, (zy, zx, ze), zy_lag, a_t, t, dt, drive_at)
         zy_lag = zy_start
         y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, k + 1 : k + 2])
         ys.append(y_out)

@@ -68,26 +68,33 @@ def rk4_step(rhs: Callable, state: StateVector, t: float, dt: float) -> StateVec
     k2 = np.asarray(rhs(state + 0.5 * dt * k1, t + 0.5 * dt), dtype=np.float64)
     k3 = np.asarray(rhs(state + 0.5 * dt * k2, t + 0.5 * dt), dtype=np.float64)
     k4 = np.asarray(rhs(state + dt * k3, t + dt), dtype=np.float64)
-    for k in (k1, k2, k3, k4):
+    slopes = (k1, k2, k3, k4)
+    for k in slopes:
         if k.shape != state.shape:
             raise IntegrationError(f"rhs returned shape {k.shape}, expected {state.shape}")
-        if not np.all(np.isfinite(k)):
-            raise IntegrationError(f"non-finite derivative{_first_bad_row(k)} at t={t}")
-    return state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # a non-finite slope makes the sum non-finite (opposite infinities make a
+    # NaN, without a warning before the error), so only then are the slopes
+    # scanned; finite slopes whose sum overflows step on as before
+    with np.errstate(invalid="ignore"):
+        incr = k1 + 2 * k2 + 2 * k3 + k4
+    if not np.isfinite(incr).all():
+        for k in slopes:
+            if not np.isfinite(k).all():
+                raise IntegrationError(f"non-finite derivative{_first_bad_row(k)} at t={t}")
+    return state + (dt / 6.0) * incr
 
 
 def integrate(rhs: Callable, init: StateVector, grid: TimeGrid) -> OdeTrajectory:
-    """Step ``init`` across the grid; ``states`` is (n_steps + 1, *init.shape)."""
+    """Step ``init`` across the grid from each of ``grid.times`` but the
+    last; ``states`` is (n_steps + 1, *init.shape)."""
     init = np.asarray(init, dtype=np.float64)
     if not np.all(np.isfinite(init)):
         raise IntegrationError(f"initial state{_first_bad_row(init)} must be finite")
     states = np.empty((grid.n_steps + 1, *init.shape))
     states[0] = init
-    t = grid.t0
-    for step in range(grid.n_steps):
+    for step, t in enumerate(grid.times[:-1].tolist()):
         try:
             states[step + 1] = rk4_step(rhs, states[step], t, grid.dt)
         except IntegrationError as err:
             raise IntegrationError(f"step {step}: {err}") from err
-        t = grid.t0 + (step + 1) * grid.dt
     return OdeTrajectory(grid=grid, states=states)

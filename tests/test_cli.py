@@ -61,9 +61,17 @@ def test_out_flag_overrides_config(tmp_path):
 
 
 def test_failure_returns_nonzero(tmp_path, capsys):
+    hybrid = {"m_y": 2, "m_x": 2, "hidden": [4], "epochs": 2, "activation": "bogus"}
+    config = _write_config(tmp_path, hybrid=hybrid)
+    assert main(["run", "--config", str(config)]) == 1
+    assert "hybrid" in capsys.readouterr().err
+
+
+def test_run_bad_schedule_fails_when_the_config_loads(tmp_path, capsys):
     config = _write_config(tmp_path, schedule={"t_d": 5, "beta_start": 0.9, "beta_end": 0.5})
     assert main(["run", "--config", str(config)]) == 1
-    assert "diffusion" in capsys.readouterr().err
+    assert "beta_start <= beta_end" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_returns_nonzero(tmp_path, capsys):

@@ -12,15 +12,18 @@ from odeguide.expert_models import (
     SeirmParams,
     TreatmentSchedule,
     make_drive,
+    pkpd_jacobian,
     pkpd_rhs,
     pkpd_terms,
     seirhd_rhs,
     seirhd_terms,
+    seirm_jacobian,
     seirm_rhs,
     seirm_terms,
     simulate_expert,
+    tabulate_drive,
 )
-from odeguide.ode_core import IntegrationError, TimeGrid
+from odeguide.ode_core import IntegrationError, TimeGrid, integrate
 
 
 def dex_plasma(t, schedule, k3):
@@ -435,3 +438,101 @@ def test_batched_nonfinite_row_names_step_and_row():
     )
     with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="step 0: .* row 1"):
         simulate_expert(spec, TimeGrid(0.0, 0.1, 5))
+
+
+# -- the drive table and the closed-form Jacobians -----------------------
+
+MANDATES = tuple(
+    TreatmentSchedule(kind="binary_policy", mandate_start=m) for m in (None, 0.0, 2.5, 3.1, None)
+)
+DRIVE_CASES = {
+    "PKPD-multi-dose-per-row-k3": (
+        "PKPD",
+        tuple(PkpdParams(k_3=k) for k in (0.5, 1.0, 1.7, 0.3)),
+        (DOSED, UNDOSED, ONE_DOSE, TreatmentSchedule(kind="dosing", doses=((0.0, 0.5), (0.05, 1.0)))),
+    ),
+    "SEIRM-mandates": ("SEIRM", SeirmParams(0.5, 0.3, 0.25, 0.02, 1000.0), MANDATES),
+    "SEIRM-none": ("SEIRM", SeirmParams(0.5, 0.3, 0.25, 0.02, 1000.0), MANDATES[:1] * 3),
+    "SEIRHD-mandates-per-row-beta": (
+        "SEIRHD",
+        tuple(SeirhdParams(beta=b, alpha=0.3, delta=0.15, N=1e6) for b in (0.5, 0.9, 0.0, 0.2, 1.3)),
+        MANDATES,
+    ),
+    "SEIRHD-none": ("SEIRHD", SeirhdParams(beta=0.5, alpha=0.3, delta=0.15, N=1e6), MANDATES[:1] * 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIVE_CASES))
+def test_drive_table_equals_one_time_calls_at_every_rk4_stage_bitwise(case):
+    family, params, treatments = DRIVE_CASES[case]
+    drive = make_drive(family, params, treatments, 0.05)
+    grid = TimeGrid(0.0, 0.05, 80)
+    table, row = tabulate_drive(drive, grid.times[:-1], grid.dt)
+    stage_times = []
+    integrate(lambda y, t: stage_times.append(t) or np.zeros_like(y), np.zeros(1), grid)
+    assert set(row) == set(stage_times) and table.shape == (len(row), len(treatments))
+    for t in stage_times:
+        assert np.array_equal(table[row[t]], drive(t)[:, 0]), t
+    times = np.array(sorted(row))
+    assert np.array_equal(drive(times), np.hstack([drive(t) for t in times]))
+
+
+def _terms_array(family, params, state, drive):
+    cols = [state[..., k] for k in range(state.shape[-1])]
+    if family == "SEIRM":
+        return np.stack(seirm_terms(*cols, params, drive), axis=-1)
+    return np.stack(pkpd_terms(cols, params, drive), axis=-1)
+
+
+# rows on both sides of each relu kink (z1 for PKPD, and z5 for the 5-dim model)
+JACOBIAN_CASES = {
+    "SEIRM": (
+        "SEIRM",
+        SeirmParams(0.5, 0.3, 0.25, 0.02, 1000.0),
+        [[800.0, 100.0, 60.0, 30.0, 10.0], [990.0, 5.0, 3.0, 1.0, 1.0]],
+    ),
+    "PKPD-4": ("PKPD", PkpdParams(), [[0.7, 0.3, 0.1, 2.0], [-0.4, 0.3, 0.1, 2.0]]),
+    "PKPD-4-hill": (
+        "PKPD",
+        PkpdParams(h_P=2.5, k_Dex=0.8),
+        [[0.7, 0.3, 0.1, 2.0], [-0.4, 0.3, 0.1, 2.0]],
+    ),
+    "PKPD-5": (
+        "PKPD",
+        PkpdParams(full_model=True),
+        [[0.7, 0.3, 0.1, 2.0, 0.4], [-0.4, 0.3, 0.1, 2.0, -0.2], [0.6, 0.2, 0.1, 1.5, -0.3]],
+    ),
+    "PKPD-5-hill": (
+        "PKPD",
+        PkpdParams(full_model=True, h_P=1.3, h_C=1.5),
+        [[0.7, 0.3, 0.1, 2.0, 0.4], [-0.4, 0.3, 0.1, 2.0, -0.2], [-0.6, 0.2, 0.1, 1.5, 0.3]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+def test_jacobian_matches_central_differences(case):
+    family, params, rows = JACOBIAN_CASES[case]
+    state = np.array(rows)
+    drive = np.linspace(0.2, 0.5, len(rows))
+    if family == "SEIRM":
+        jac = seirm_jacobian(state, params, drive)
+    else:
+        jac = pkpd_jacobian(state, params)
+    assert jac.shape == (len(rows), state.shape[1], state.shape[1])
+    numeric = np.empty_like(jac)
+    for j in range(state.shape[1]):
+        h = 1e-6 * max(1.0, np.max(np.abs(state[:, j])))
+        step = np.zeros_like(state)
+        step[:, j] = h
+        hi = _terms_array(family, params, state + step, drive)
+        lo = _terms_array(family, params, state - step, drive)
+        numeric[..., j] = (hi - lo) / (2 * h)
+    np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-8)
+
+
+def test_pkpd_jacobian_takes_the_relu_slope_zero_at_the_kink():
+    p = PkpdParams(full_model=True)
+    jac = pkpd_jacobian(np.array([0.0, 0.3, 0.1, 2.0, 0.0]), p)
+    assert jac[0, 0] == p.k_PF * 2.0 - p.k_O
+    assert jac[0, 1] == 0.0 and jac[3, 4] == 0.0

@@ -252,6 +252,32 @@ def test_config_rejects_a_test_fraction_outside_0_1(tmp_path, value):
         _tiny_config(tmp_path, evaluation={"n_samples": 3, "test_fraction": value})
 
 
+@pytest.mark.parametrize(
+    "section,value,message",
+    [
+        ("diffusion", {"lr": 0.0}, r"diffusion.lr must lie in \(0, inf\), got 0.0"),
+        ("diffusion", {"lr": float("nan")}, r"diffusion.lr must lie in \(0, inf\), got nan"),
+        ("diffusion", {"lr": float("inf")}, r"diffusion.lr must lie in \(0, inf\)"),
+        ("diffusion", {"lr": "0.1"}, r"diffusion.lr must lie in \(0, inf\)"),
+        ("hybrid", {"epochs": 2, "lr": -1.0}, r"hybrid.lr must lie in \(0, inf\), got -1.0"),
+        ("hybrid", {"epochs": 2, "lr": True}, r"hybrid.lr must lie in \(0, inf\)"),
+        ("schedule", {"t_d": 0}, "schedule.t_d must be an integer >= 1, got 0"),
+        ("schedule", {"t_d": 2.5}, "schedule.t_d must be an integer >= 1, got 2.5"),
+        ("schedule", {"t_d": 5, "beta_end": 1.5}, "beta_start <= beta_end < 1"),
+        ("schedule", {"t_d": 5, "beta_start": 0.9, "beta_end": 0.5}, "beta_start <= beta_end"),
+        ("schedule", {"t_d": 5, "beta_start": 0.0}, "0 < beta_start"),
+    ],
+)
+def test_config_rejects_bad_learning_rates_and_schedules_when_loaded(tmp_path, section, value, message):
+    with pytest.raises(ValueError, match=message):
+        _tiny_config(tmp_path, **{section: value})
+
+
+def test_config_accepts_integral_learning_rates_and_the_default_schedule(tmp_path):
+    config = _tiny_config(tmp_path, diffusion={"epochs": 3, "lr": 1}, schedule={})
+    assert config.diffusion["lr"] == 1
+
+
 def test_data_stage_rejects_a_single_unit(tmp_path):
     config = _tiny_config(tmp_path, dataset={"kind": "dex", "n_units": 1, "n_days": 4})
     with pytest.raises(StageError, match="at least 2 units") as err:
@@ -265,8 +291,9 @@ def test_run_experiment_unknown_stage_rejected(tmp_path):
 
 
 def test_run_experiment_stage_failure_reports_stage(tmp_path):
-    config = _tiny_config(tmp_path, schedule={"t_d": 5, "beta_start": 0.9, "beta_end": 0.5})
-    with pytest.raises(StageError, match="diffusion"):
+    hybrid = {"m_y": 2, "m_x": 2, "hidden": [4], "epochs": 2, "activation": "bogus"}
+    config = _tiny_config(tmp_path, hybrid=hybrid)
+    with pytest.raises(StageError, match="hybrid"):
         run_experiment(config)
     # partial artifacts still persisted
     assert (tmp_path / "log.txt").exists()

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from odeguide import diff_engine as de
+from odeguide import hybrid_cp
 from odeguide.datagen import gen_covid_dataset, gen_dex_dataset
 from odeguide.expert_models import (
     PkpdParams,
@@ -358,3 +361,99 @@ def test_both_trainers_raise_one_training_error_on_divergence():
     cond = np.ones((2, denoiser.cond_dim))
     with pytest.raises(de.TrainingError, match="diverged"):
         train_diffusion(denoiser, rows, cond, rows, np.ones(2), make_schedule(t_d=4))
+
+
+# -- the expert right-hand side as one tape node -------------------------
+
+
+def _tape_expert_rhs(model, ze, drive):
+    """The expert derivative as the tape recorded it before it became one
+    node: a slice node per state column and a node per arithmetic operation
+    of the SEIRM or PKPD terms."""
+    cols = [ze[..., k : k + 1] for k in range(model.e_dim)]
+    p = model.expert_params
+    if model.family == "SEIRM":
+        return de.concat(seirm_terms(*cols, p, drive))
+    z1, z2, z3, z4 = cols[:4]
+    z1c = de.relu(z1)
+    hill = p.E_max * z1c**p.h_P / (p.EC_50**p.h_P + z1c**p.h_P)
+    dz1 = p.k_IR * z4 + p.k_PF * z4 * z1 - p.k_O * z1 + hill - p.k_Dex * z1c * z2
+    dz2 = -p.k_2 * z2 + p.k_3 * (z3 + drive)
+    dz3 = -p.k_3 * z3
+    if not p.full_model:
+        return de.concat([dz1, dz2, dz3, p.k_DP * z4 - p.k_IIR * z4 * z1 - p.k_DC * z4])
+    dz4 = p.k_DP * z4 - p.k_IIR * z4 * z1 - p.k_DC * z4 * de.relu(cols[4]) ** p.h_C
+    return de.concat([dz1, dz2, dz3, dz4, p.k_1 * z1])
+
+
+def _dex_full_model_case():
+    data = gen_dex_dataset(n_patients=3, seed=7, sigma=0.1, n_days=5, drop_measurements=True)
+    params = PkpdParams(full_model=True, h_P=1.5, h_C=1.5)
+    model = make_hybrid_model("PKPD", params, d_x=1, config=TINY, seed=3)
+    return model, data.units
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["dex_full_model"])
+def test_expert_node_gradient_matches_the_per_column_tape(case, monkeypatch):
+    model, units = CASES.get(case, _dex_full_model_case)()
+    got = de.value_and_grad(lambda t: _dataset_loss(model, t, units), model.params)
+    monkeypatch.setattr(hybrid_cp, "expert_rhs", _tape_expert_rhs)
+    want = de.value_and_grad(lambda t: _dataset_loss(model, t, units), model.params)
+    assert got.loss == want.loss  # the forward values are the same bits
+    scale = max(np.max(np.abs(g)) for g in want.gradient.values())
+    for name in model.params.names():
+        assert np.max(np.abs(got.gradient[name] - want.gradient[name])) <= 1e-12 * scale, name
+
+
+def test_a_dex_sized_hybrid_loss_builds_at_most_2368_tape_nodes(monkeypatch):
+    data = gen_dex_dataset(n_patients=10, seed=0, n_days=14)
+    config = HybridCpConfig(m_y=4, m_x=4, hidden=(16, 16))
+    model = make_hybrid_model("PKPD", PkpdParams(), d_x=1, config=config, seed=0)
+    created = []
+    tensor_init = de.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(1)
+        tensor_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(de.Tensor, "__init__", counting_init)
+    de.value_and_grad(lambda t: _dataset_loss(model, t, data.units), model.params)
+    assert len(data.units) == 10 and data.units[0].factual.horizon == 15
+    assert len(created) <= 2368
+
+
+class _DrivePerCall:
+    """Stands in for the drive table: each stage evaluates ``drive`` at its
+    own time, as the rollout did before the drive was tabulated."""
+
+    def __init__(self, drive):
+        self.drive = drive
+
+    def __getitem__(self, key):
+        return self.drive(key[0])
+
+
+class _SameTime(dict):
+    def __missing__(self, t):
+        return t
+
+
+@pytest.mark.parametrize("n_substeps", [1, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rollout_drive_table_equals_a_drive_call_per_stage_bitwise(case, n_substeps, monkeypatch):
+    model, units = CASES[case]()
+    model.config = replace(model.config, n_substeps=n_substeps)
+    tensors = {k: de.Tensor(v) for k, v in model.params.items()}
+    times = units[0].factual.times
+    # an irregular grid: substep sizes differ between intervals
+    for u in units:
+        u.factual.times = times + 0.37 * np.arange(len(times)) ** 1.5
+    y, x = _predict_arm(model, units, "factual")
+    loss = _dataset_loss(model, tensors, units)
+    monkeypatch.setattr(
+        hybrid_cp, "tabulate_drive", lambda drive, *_: (_DrivePerCall(drive), _SameTime())
+    )
+    y_ref, x_ref = _predict_arm(model, units, "factual")
+    np.testing.assert_array_equal(y, y_ref)
+    np.testing.assert_array_equal(x, x_ref)
+    assert float(loss.data) == float(_dataset_loss(model, tensors, units).data)

@@ -141,3 +141,33 @@ def test_linear_ode_matches_closed_form(rate, y0):
     grid = TimeGrid(0.0, 0.02, 50)
     traj = integrate(lambda y, t: rate * y, np.array([y0]), grid)
     assert traj.states[-1, 0] == pytest.approx(y0 * np.exp(rate), abs=1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3], ids=["k2", "k3", "k4"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_later_non_finite_slope_names_its_step_row_and_time(stage, bad):
+    calls = []
+
+    def rhs(y, t):
+        calls.append(t)
+        out = -y
+        # only the given stage of step 3 is non-finite, in row 2
+        if len(calls) == 4 * 3 + stage + 1:
+            out[2, 1] = bad
+        return out
+
+    with pytest.raises(IntegrationError, match=r"^step 3: non-finite derivative in row 2 at t=0\.75$"):
+        integrate(rhs, np.ones((4, 2)), TimeGrid(0.0, 0.25, 10))
+
+
+def test_finite_slopes_whose_sum_overflows_step_on_as_before():
+    # every slope is finite, but k1 + 2 k2 + 2 k3 + k4 overflows in row 0
+    def rhs(y, t):
+        return np.array([[1e308], [1.0]])
+
+    with np.errstate(over="ignore"):
+        out = rk4_step(rhs, np.zeros((2, 1)), 0.0, 1.0)
+        traj = integrate(rhs, np.zeros((2, 1)), TimeGrid(0.0, 1.0, 3))
+    assert out[0, 0] == np.inf and out[1, 0] == 1.0
+    assert np.all(traj.states[1:, 0, 0] == np.inf)
+    assert np.array_equal(traj.states[:, 1, 0], [0.0, 1.0, 2.0, 3.0])
