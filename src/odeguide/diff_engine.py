@@ -4,7 +4,7 @@ Everything runs on float64 numpy arrays. A ``Tensor`` records the operations
 applied to it on a tape; ``backward()`` replays the tape in reverse to obtain
 exact gradients. Only the primitives needed by the rest of the package are
 supported (affine maps, elementwise arithmetic, tanh/relu/sigmoid/softplus,
-exp, slicing, concatenation, sum, square), plus ``custom_vjp``: one node
+slicing, concatenation, sum), plus ``custom_vjp``: one node
 computed on arrays with a hand-written vector-Jacobian product, on which the
 one-input primitives are built.
 """
@@ -110,9 +110,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-_as_tensor(other))
 
-    def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
-
     def __truediv__(self, other):
         other = _as_tensor(other)
         out = Tensor(self.data / other.data, (self, other))
@@ -176,15 +173,8 @@ class Tensor:
 
         return custom_vjp(self.data.sum(axis=axis), self, vjp)
 
-    def mean(self, axis=None):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
-
     def reshape(self, *shape):
         return custom_vjp(self.data.reshape(*shape), self, lambda g: g.reshape(self.data.shape))
-
-    def square(self):
-        return self * self
 
     # -- nonlinearities -------------------------------------------------
 
@@ -203,10 +193,6 @@ class Tensor:
         # log(1 + e^x), computed stably; derivative is sigmoid(x)
         y = np.logaddexp(0.0, self.data)
         return custom_vjp(y, self, lambda g: g / (1.0 + np.exp(-self.data)))
-
-    def exp(self):
-        y = np.exp(self.data)
-        return custom_vjp(y, self, lambda g: g * y)
 
     # -- backward pass --------------------------------------------------
 

@@ -89,17 +89,20 @@ def reverse_step(
 
 @dataclass
 class ConditioningContext:
-    """Denoiser conditions: point-prediction prior, covariates, treatment."""
+    """Denoiser conditions: point-prediction prior, covariates, treatment;
+    the fields of U stacked units carry a leading U axis."""
 
     y_prime: np.ndarray  # (T,)
     x: np.ndarray  # (T, d_x)
     a: np.ndarray  # (T,)
 
     def vector(self) -> np.ndarray:
-        if not (len(self.y_prime) == len(self.x) == len(self.a)):
+        """(cond_dim,), or (U, cond_dim) when the fields carry a unit axis."""
+        x = np.asarray(self.x, float)
+        if not (np.shape(self.y_prime)[-1] == x.shape[-2] == np.shape(self.a)[-1]):
             raise ValueError("conditioning lengths must match the horizon")
         return np.concatenate(
-            [self.y_prime, np.asarray(self.x, float).ravel(), np.asarray(self.a, float)]
+            [self.y_prime, x.reshape(*x.shape[:-2], -1), np.asarray(self.a, float)], axis=-1
         )
 
 
@@ -136,15 +139,17 @@ def _predict_y0(model, params, y_tau, tau, t_d, cond_vec):
     correction to the noisy sample, which keeps the low-noise regime
     near-identity without training effort.
 
-    ``y_tau`` is (..., T); the network sees it as (R, T) rows through
-    ``mlp_apply``, whose plain-array forward is batch-size invariant, so a
-    member's estimate does not depend on how many members share the pass.
+    ``y_tau`` is (..., T) and ``cond_vec`` broadcasts against its rows; the
+    network sees them as (R, T) rows through ``mlp_apply``, whose plain-array
+    forward is batch-size invariant, so a member's estimate does not depend
+    on how many members or units share the pass.
     """
     y_tau = np.asarray(y_tau, float)
-    rows = y_tau.reshape(-1, model.horizon)
-    fixed = np.concatenate([de.timestep_embedding(tau, t_d, model.n_freq), cond_vec])
-    inp = np.concatenate([rows, np.broadcast_to(fixed, (len(rows), fixed.size))], axis=1)
-    return y_tau + de.mlp_apply(model.spec, params, inp, prefix="den_").reshape(y_tau.shape)
+    emb = de.timestep_embedding(tau, t_d, model.n_freq)
+    fixed = np.concatenate([np.broadcast_to(emb, (*cond_vec.shape[:-1], emb.size)), cond_vec], axis=-1)
+    inp = np.concatenate([y_tau, np.broadcast_to(fixed, (*y_tau.shape[:-1], fixed.shape[-1]))], axis=-1)
+    out = de.mlp_apply(model.spec, params, inp.reshape(-1, inp.shape[-1]), prefix="den_")
+    return y_tau + out.reshape(y_tau.shape)
 
 
 # -- propensity model ---------------------------------------------------
@@ -276,7 +281,7 @@ def train_diffusion(
 
 def _batch_loss_fn(tensors, model, schedule, y0, cond, mask, weights, taus, eps, embeds=None):
     B, T = y0.shape
-    abar = np.array([schedule.alpha_bar_at(int(t)) for t in taus])
+    abar = schedule.alpha_bar[taus - 1]
     y_tau = np.sqrt(abar)[:, None] * y0 + np.sqrt(1.0 - abar)[:, None] * eps
     if embeds is None:  # no table rows given: embed each row's tau here
         embeds = np.stack([de.timestep_embedding(int(t), schedule.t_d, model.n_freq) for t in taus])
@@ -313,7 +318,7 @@ def diffusion_batch_loss(
 
 @dataclass
 class SampleEnsemble:
-    samples: np.ndarray  # (n_samples, T)
+    samples: np.ndarray  # (n_samples, T); stacked passes add leading (K, U) axes
 
 
 def sample(
@@ -321,41 +326,42 @@ def sample(
     cond: ConditioningContext,
     schedule: DiffusionSchedule,
     n_samples: int,
-    seed: int,
+    seed: int | list[int],
     guide_fn=None,
     predict_fn=None,
 ) -> SampleEnsemble:
-    """Draw an ensemble by running the reverse process on all members at
-    once, as an (n_samples, T) array.
+    """Draw ensembles by running the reverse process on every member of
+    every unit at once.
+
+    ``seed`` is one int, or a sequence of U unit seeds with ``cond``'s
+    fields carrying a leading U axis; ``samples`` is then (U, n_samples, T)
+    instead of (n_samples, T). Member s of unit u draws its initial state
+    and step noise from ``[seed_u, 17, s]``, so ensemble prefixes are stable
+    in ``n_samples`` and a unit's ensemble equals its one-unit call.
 
     ``predict_fn(y_tau, tau) -> y0_hat`` replaces the trained denoiser
-    entirely (oracle injection); it receives the (n_samples, T) state and
-    may return (n_samples, T) or a (T,) row that broadcasts.
+    entirely (oracle injection); it receives the (..., n_samples, T) state
+    and may return that shape or a (T,) row that broadcasts.
     ``guide_fn(y0_hat, tau) -> y0_tilde`` optionally adjusts the
     clean-signal estimate before each reverse step. A guide whose output
-    broadcasts to (K, n_samples, T), such as one built with a (K, 1, 1)
-    strength column, runs K guided ensembles that share every noise draw
-    in one stacked pass; ``samples`` is then (K, n_samples, T), and member
-    s of copy k equals member s of a separate call with that guide.
-
-    Member s draws its initial state and its step noise from its own
-    sub-seed, so prefixes of the ensemble are stable in ``n_samples``.
-    Raises FloatingPointError when the ensemble is not finite.
+    has a leading K axis, such as one built with a (K, 1, 1) strength
+    column ((K, 1, 1, 1) with units), runs K guided copies that share every
+    noise draw in one stacked pass; copy k of ``samples`` equals a separate
+    call with that guide. Raises FloatingPointError, naming the first unit
+    with a non-finite value, when the ensemble is not finite.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     T = model.horizon
-    cond_vec = cond.vector()
-    # (t_d, n_samples, T): row 0 is the initial state, row i the noise of
-    # the step from tau = t_d - i + 1
-    draws = np.stack(
-        [
-            np.random.default_rng([seed, 17, s]).standard_normal((schedule.t_d, T))
-            for s in range(n_samples)
-        ],
-        axis=1,
-    )
-    y = draws[0]
+    seeds = np.ravel(seed).tolist()
+    shape = (*np.shape(seed), n_samples, T)
+    rngs = [np.random.default_rng([s, 17, m]) for s in seeds for m in range(n_samples)]
+
+    def draw():  # the next (T,) vector of every member's stream
+        return np.stack([rng.standard_normal(T) for rng in rngs]).reshape(shape)
+
+    cond_vec = cond.vector()[..., None, :]  # broadcasts over the members
+    y = draw()
     for tau in range(schedule.t_d, 0, -1):
         if predict_fn is not None:
             y0_hat = np.broadcast_to(predict_fn(y, tau), y.shape)
@@ -363,11 +369,12 @@ def sample(
             y0_hat = _predict_y0(model, model.params, y, tau, schedule.t_d, cond_vec)
         if guide_fn is not None:
             y0_hat = guide_fn(y0_hat, tau)
-        noise = draws[schedule.t_d - tau + 1] if tau > 1 else None
-        y = reverse_step(y, tau, y0_hat, schedule, noise)
-    bad = int(np.count_nonzero(~np.isfinite(y)))
-    if bad:
+        y = reverse_step(y, tau, y0_hat, schedule, draw() if tau > 1 else None)
+    finite = np.isfinite(y)
+    if not finite.all():
+        u = int(np.argmin(finite.reshape(-1, len(seeds), n_samples * T).all(axis=(0, 2))))
         raise FloatingPointError(
-            f"sample: reverse diffusion gave {bad} non-finite of {y.size} values (seed {seed})"
+            f"sample: reverse diffusion gave {finite.size - np.count_nonzero(finite)} non-finite "
+            f"of {y.size} values, first in unit {u} (seed {seeds[u]})"
         )
     return SampleEnsemble(samples=np.array(y, float))

@@ -5,6 +5,7 @@ and correlation-based selection of the guidance strength."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,13 @@ class GuidanceConfig:
     use_direction: bool = True
 
     def __post_init__(self):
-        if self.eta < 0 or self.nu < 0:
-            raise ValueError("guidance strengths must be nonnegative")
+        if not self.eta_candidates:
+            raise ValueError("eta_candidates must be nonempty")
+        named = [("eta", self.eta), ("nu", self.nu)]
+        for name, v in named + [("eta_candidates", v) for v in self.eta_candidates]:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
+                raise ValueError(f"guidance.{name} must be a finite nonnegative number, got {v!r}")
+        object.__setattr__(self, "eta_candidates", tuple(float(v) for v in self.eta_candidates))
 
 
 @dataclass
@@ -47,16 +53,23 @@ class ExpertGuidanceSignals:
 
 @dataclass(frozen=True)
 class FactualWindow:
-    """Time indices strictly before the treatment divergence point."""
+    """Time points strictly before the treatment divergence point, as a
+    boolean mask over the last axis."""
 
-    indices: tuple[int, ...]
+    mask: np.ndarray
 
     @classmethod
     def before_divergence(cls, a_factual: np.ndarray, a_counterfactual: np.ndarray) -> "FactualWindow":
-        diverging = np.nonzero(np.asarray(a_factual) != np.asarray(a_counterfactual))[0]
-        if diverging.size == 0:
-            return cls(indices=tuple(range(len(a_factual))))
-        return cls(indices=tuple(range(int(diverging[0]))))
+        """Arms may be stacked, (..., T): each row's mask is True before its
+        own first divergence, and everywhere when the arms never diverge."""
+        differ = np.asarray(a_factual) != np.asarray(a_counterfactual)
+        return cls(mask=~np.logical_or.accumulate(differ, axis=-1))
+
+    def checked_mask(self, n: int) -> np.ndarray:
+        mask = np.asarray(self.mask, bool)
+        if mask.shape[-1] != n:
+            raise ValueError(f"window mask length {mask.shape[-1]} out of range of a {n}-point grid")
+        return mask
 
 
 def loss_cf(y0_hat, y0_factual, signals: ExpertGuidanceSignals, config: GuidanceConfig):
@@ -100,14 +113,11 @@ def _finite_diff(rel):
 def loss_f(y0_hat, y0_factual, window: FactualWindow):
     """Squared deviation from the factual outcome on the pre-divergence
     window; values outside the window never contribute."""
-    if not window.indices:
-        return (y0_hat * 0.0).sum() if isinstance(y0_hat, Tensor) else 0.0
-    idx = list(window.indices)
     n = len(y0_hat.data) if isinstance(y0_hat, Tensor) else len(y0_hat)
-    if max(idx) >= n or min(idx) < 0:
-        raise ValueError("window indices out of range")
-    target = np.asarray(y0_factual, float)[idx]
-    diff = y0_hat[idx] - target
+    idx = np.flatnonzero(window.checked_mask(n)).tolist()
+    if not idx:
+        return (y0_hat * 0.0).sum() if isinstance(y0_hat, Tensor) else 0.0
+    diff = y0_hat[idx] - np.asarray(y0_factual, float)[idx]
     return (diff * diff).sum()
 
 
@@ -128,7 +138,7 @@ def grad_loss_cf(y0_hat: np.ndarray, y0_factual, signals, config) -> np.ndarray:
     direction terms on."""
     y0_hat = np.asarray(y0_hat, float)
     n = y0_hat.shape[-1]
-    if not (len(y0_factual) == len(signals.f_cf) == len(signals.f_f) == n):
+    if not (np.shape(y0_factual)[-1] == np.shape(signals.f_cf)[-1] == np.shape(signals.f_f)[-1] == n):
         raise ValueError("trajectories must share the data grid")
     exp_rel = np.asarray(signals.f_cf, float) - np.asarray(signals.f_f, float)
     u = y0_hat - np.asarray(y0_factual, float) - exp_rel
@@ -142,17 +152,10 @@ def grad_loss_cf(y0_hat: np.ndarray, y0_factual, signals, config) -> np.ndarray:
 
 def grad_loss_f(y0_hat: np.ndarray, y0_factual, window: FactualWindow) -> np.ndarray:
     """Closed-form gradient of ``loss_f`` over the last axis of y0_hat:
-    2 P_w (y0_hat - y_f), zero outside the window."""
+    2 P_w (y0_hat - y_f), zero outside the window whatever y_f holds there."""
     y0_hat = np.asarray(y0_hat, float)
-    grad = np.zeros_like(y0_hat)
-    if not window.indices:
-        return grad
-    idx, counts = np.unique(window.indices, return_counts=True)
-    if idx[-1] >= y0_hat.shape[-1] or idx[0] < 0:
-        raise ValueError("window indices out of range")
-    target = np.asarray(y0_factual, float)[idx]
-    grad[..., idx] = 2.0 * counts * (y0_hat[..., idx] - target)
-    return grad
+    mask = window.checked_mask(y0_hat.shape[-1])
+    return np.where(mask, 2.0 * (y0_hat - np.where(mask, y0_factual, 0.0)), 0.0)
 
 
 def guided_update(
@@ -183,7 +186,8 @@ def make_guide_fn(
     ``eta`` and ``nu`` may be scalars or arrays that broadcast against the
     sampler's rows: an (R, 1) column gives each of R rows its own strength,
     and a (K, 1, 1) column against (S, T) rows stacks K strengths over one
-    ensemble."""
+    ensemble. ``y0_factual``, the signals and the window may carry a unit
+    axis, (U, 1, T) against (U, S, T) rows, with a (K, 1, 1, 1) column."""
     eta = config.eta if eta is None else eta
     nu = config.nu if nu is None else nu
 
@@ -263,8 +267,6 @@ def select_eta(
     ``sampler(eta, seed) -> (n_samples, T) array``. Candidates are scanned
     in ascending order; ties keep the smallest.
     """
-    if not config.eta_candidates:
-        raise SelectionError("eta_candidates must be nonempty")
     entries: list[EtaSweepEntry] = []
     best_eta = None
     best_r = -np.inf

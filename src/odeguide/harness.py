@@ -129,6 +129,8 @@ _COUNT_KEYS = (
     ("diffusion", "batch_size"),
     ("schedule", "t_d"),
 )
+# switches that must be true or false
+_GUIDANCE_FLAGS = ("select", "use_value", "use_direction")
 # real numbers that must lie in the open interval (0, high), as (section, key, high)
 _OPEN_INTERVAL_KEYS = (
     ("evaluation", "test_fraction", 1),
@@ -172,6 +174,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name}.{key} must lie in (0, {high}), got {value!r}")
         # make_schedule's own checks, on one step (t_d is checked as a count)
         make_schedule(**{**self.schedule, "t_d": 1})
+        for key in _GUIDANCE_FLAGS:
+            value = (self.guidance or {}).get(key, False)
+            if not isinstance(value, bool):
+                raise ValueError(f"guidance.{key} must be true or false, got {value!r}")
+        # built once, here, so that a bad strength fails when the config loads
+        g = self.guidance
+        self.guidance_config = None if g is None else GuidanceConfig(
+            **{f.name: g[f.name] for f in fields(GuidanceConfig) if f.name in g}
+        )
         if "path" in self.dataset:
             path = Path(self.dataset["path"])
             if not path.exists():
@@ -447,53 +458,47 @@ def _stage_propensity(config, state, out, meta):
 
 
 def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False):
-    """Per-unit inputs of one sampling stage, each kind built by one batched
-    call.
+    """Inputs of one sampling stage for all its units, stacked on a leading
+    unit axis, each kind built by one batched call.
 
     Conditioning: the scaled hybrid prediction of every unit's ``arm`` from
     one ``predict`` rollout, started from the factual initial observation
     (all that is available at deployment). Guidance, when ``guided``: the
     aligned mechanistic signals, pre-divergence window and scaled factual
-    outcome of every unit. A mechanistic curve depends only on its schedule
-    (the initial state and parameters are the run's), so the schedules not
-    yet in the run's ``expert_curves`` are simulated in one call and kept.
-    Returns the conditioning list and the guidance list, or None for the
-    latter when not ``guided``.
+    outcome of every unit, each (U, 1, T). A mechanistic curve depends only
+    on its schedule (the initial state and parameters are the run's), so
+    the schedules not yet in the run's ``expert_curves`` are simulated in
+    one call and kept. Returns the conditioning context and the guidance
+    triple, or None for the latter when not ``guided``.
     """
     trajs = [getattr(u, arm) for u in units]
+    a = np.stack([tr.a for tr in trajs])
     y_p, x_p = predict(
         state["hybrid"],
         np.stack([u.factual.x[0] for u in units]),
         [float(tr.a[0]) for tr in trajs],
         [float(u.factual.y[0]) for u in units],
-        np.stack([tr.a for tr in trajs]),
+        a,
         state["times"],
         [getattr(u, f"treatment_{arm}") for u in units],
     )
     y_s, x_s = state["y_scaler"], state["x_scalers"]
     x_scaled = np.stack([x_s[j].transform(x_p[..., j]) for j in range(x_p.shape[-1])], axis=-1)
-    conds = [
-        ConditioningContext(y_prime=y_s.transform(y), x=x, a=np.asarray(tr.a, float))
-        for y, x, tr in zip(y_p, x_scaled, trajs)
-    ]
+    cond = ConditioningContext(y_prime=y_s.transform(y_p), x=x_scaled, a=a.astype(float))
     if not guided:
-        return conds, None
+        return cond, None
     curves = state.setdefault("expert_curves", {})
     arms = [tr for u in units for tr in (u.treatment_factual, u.treatment_counterfactual)]
     new = list(dict.fromkeys(tr for tr in arms if tr not in curves))
     if new:
         family, params, init, dt = state["expert"]
         curves.update(zip(new, _expert_outcomes(family, params, init, new, state["times"], dt)))
-    guidance = []
-    for unit in units:
-        f_sim, cf_sim = curves[unit.treatment_factual], curves[unit.treatment_counterfactual]
-        _, aligned_f, aligned_cf = align_factual(f_sim, unit.factual.y, cf_sim)
-        signals = ExpertGuidanceSignals(
-            f_cf=y_s.transform(aligned_cf), f_f=y_s.transform(aligned_f)
-        )
-        window = FactualWindow.before_divergence(unit.factual.a, unit.counterfactual.a)
-        guidance.append((signals, window, y_s.transform(unit.factual.y)))
-    return conds, guidance
+    pairs = [(curves[u.treatment_factual], curves[u.treatment_counterfactual]) for u in units]
+    aligned = y_s.transform([align_factual(f, u.factual.y, cf)[1:] for u, (f, cf) in zip(units, pairs)])
+    signals = ExpertGuidanceSignals(f_cf=aligned[:, 1, None], f_f=aligned[:, 0, None])  # (U, 1, T)
+    a_cf = np.stack([u.counterfactual.a for u in units])[:, None]
+    window = FactualWindow.before_divergence(np.stack([u.factual.a for u in units])[:, None], a_cf)
+    return cond, (signals, window, y_s.transform(np.stack([u.factual.y for u in units])[:, None]))
 
 
 def _stage_diffusion(config, state, out, meta):
@@ -519,8 +524,7 @@ def _stage_diffusion(config, state, out, meta):
         n_freq=diff.get("n_freq", 8),
     )
     y0_rows = np.stack([state["y_scaler"].transform(u.factual.y) for u in train_units])
-    conds, _ = _unit_inputs(state, train_units, "factual")
-    cond_rows = np.stack([c.vector() for c in conds])
+    cond, _ = _unit_inputs(state, train_units, "factual")
     mask_rows = np.stack([u.factual.observed.astype(float) for u in train_units])
     train_cfg = DiffusionTrainConfig(
         epochs=diff.get("epochs", 200),
@@ -530,7 +534,7 @@ def _stage_diffusion(config, state, out, meta):
     denoiser, losses = train_diffusion(
         denoiser,
         y0_rows,
-        cond_rows,
+        cond.vector(),
         mask_rows,
         state["weights"],
         state["schedule"],
@@ -542,23 +546,18 @@ def _stage_diffusion(config, state, out, meta):
     meta["diffusion_final_loss"] = losses[-1]
 
 
-def _guidance_config(config) -> GuidanceConfig:
-    g = config.guidance
-    kwargs = {
-        k: g[k] for k in ("eta", "nu", "use_value", "use_direction") if k in g
-    }
-    if "eta_candidates" in g:
-        kwargs["eta_candidates"] = tuple(float(v) for v in g["eta_candidates"])
-    return GuidanceConfig(**kwargs)
-
-
-def _guided_samples(state, cond, guidance, eta, nu, n_samples, seed) -> np.ndarray:
-    """Guided ensemble of one unit from its ``_unit_inputs``; (K, 1, 1)
-    ``eta`` and ``nu`` columns give K ensembles, (K, n_samples, T), that
-    share the seed's noise."""
-    signals, window, y0_f = guidance
-    guide = make_guide_fn(y0_f, signals, window, state["gcfg"], eta=eta, nu=nu)
-    return sample(state["denoiser"], cond, state["schedule"], n_samples, seed, guide).samples
+def _stacked_samples(config, state, units, key, n_samples, eta=None, nu=None) -> np.ndarray:
+    """One reverse pass over ``units``, each unit drawing from its own
+    sub-seed ``(config.seed, key, i)``; (K, 1, 1, 1) ``eta`` and ``nu``
+    columns guide K stacked copies, (K, U, n_samples, T), that share the
+    noise. Unguided when ``eta`` is None: (U, n_samples, T)."""
+    cond, guidance = _unit_inputs(state, units, "counterfactual", guided=eta is not None)
+    guide = None
+    if eta is not None:
+        signals, window, y_f = guidance
+        guide = make_guide_fn(y_f, signals, window, config.guidance_config, eta=eta, nu=nu)
+    seeds = [_unit_seed(config.seed, key, i) for i in range(len(units))]
+    return sample(state["denoiser"], cond, state["schedule"], n_samples, seeds, guide).samples
 
 
 def _stage_select_eta(config, state, out, meta):
@@ -568,13 +567,11 @@ def _stage_select_eta(config, state, out, meta):
         state["eta"] = None
         return
     g = config.guidance
-    gcfg = _guidance_config(config)
-    state["gcfg"] = gcfg
+    gcfg = config.guidance_config
     if not g.get("select", False):
         state["eta"] = gcfg.eta
         return
     n_val = min(g.get("n_val_units", 3), len(state["train_units"]))
-    n_val_samples = g.get("n_val_samples", 10)
     val_units = state["train_units"][-n_val:]
     y_s = state["y_scaler"]
     target = np.concatenate(
@@ -587,19 +584,15 @@ def _stage_select_eta(config, state, out, meta):
             for u in val_units
         ]
     )
-    # one stacked reverse pass per validation unit covers every candidate
+    # one stacked reverse pass: validation units x candidates
     etas = sorted(gcfg.eta_candidates)
-    column = np.asarray(etas, float)[:, None, None]
-    conds, guidance = _unit_inputs(state, val_units, "counterfactual", guided=True)
-    passes = [
-        _guided_samples(state, c, g, column, gcfg.nu, n_val_samples, _unit_seed(config.seed, 41, i))
-        for i, (c, g) in enumerate(zip(conds, guidance))
-    ]
+    column = np.asarray(etas, float)[:, None, None, None]
+    ens = _stacked_samples(config, state, val_units, 41, g.get("n_val_samples", 10), column, gcfg.nu)
 
     def sampler(eta, _seed):
-        # select_eta hands back config.seed, which the passes above used
-        k = etas.index(eta)
-        return np.concatenate([p[k] for p in passes], axis=1)
+        # select_eta hands back config.seed, which the pass above used;
+        # the units' ensembles side by side, (n_samples, U * T)
+        return np.concatenate(ens[etas.index(eta)], axis=1)
 
     eta, entries = select_eta(gcfg, sampler, target, config.seed)
     with open(sweep_path, "a", newline="") as fh:
@@ -612,34 +605,21 @@ def _stage_select_eta(config, state, out, meta):
 
 def _stage_sample(config, state, out, meta):
     n_samples = config.evaluation.get("n_samples", 100)
-    times = state["times"]
+    units = state["test_units"]
+    unit_ids = [u.unit_id for u in units]
     y_s = state["y_scaler"]
-    guided, unguided = [], []
-    unit_ids = [u.unit_id for u in state["test_units"]]
-    conds, guidance = _unit_inputs(
-        state, state["test_units"], "counterfactual", guided=config.guidance is not None
-    )
-    if config.guidance is not None:
-        # one stacked pass per unit: row 0 has zero strengths and is
-        # bitwise the unguided ensemble, row 1 is the guided one
-        eta = np.array([0.0, state["eta"]])[:, None, None]
-        nu = np.array([0.0, state["gcfg"].nu])[:, None, None]
-    for i, cond in enumerate(conds):
-        seed_u = _unit_seed(config.seed, 29, i)
-        if config.guidance is None:
-            base = sample(state["denoiser"], cond, state["schedule"], n_samples, seed_u)
-            unguided.append(y_s.inverse(base.samples))
-        else:
-            ens = _guided_samples(state, cond, guidance[i], eta, nu, n_samples, seed_u)
-            unguided.append(y_s.inverse(ens[0]))
-            guided.append(y_s.inverse(ens[1]))
-    state["unguided"] = unguided
-    if config.guidance is not None:
-        state["guided"] = guided
-        _write_ensembles_csv(out / "ensembles.csv", unit_ids, times, guided)
-        _write_ensembles_csv(out / "ensembles_unguided.csv", unit_ids, times, unguided)
-    else:
-        _write_ensembles_csv(out / "ensembles.csv", unit_ids, times, unguided)
+    if config.guidance is None:
+        state["unguided"] = list(y_s.inverse(_stacked_samples(config, state, units, 29, n_samples)))
+        _write_ensembles_csv(out / "ensembles.csv", unit_ids, state["times"], state["unguided"])
+        return
+    # one stacked pass: copy 0 has zero strengths and is bitwise the
+    # unguided ensemble, copy 1 is the guided one
+    eta = np.array([0.0, state["eta"]])[:, None, None, None]
+    nu = np.array([0.0, config.guidance_config.nu])[:, None, None, None]
+    unguided, guided = y_s.inverse(_stacked_samples(config, state, units, 29, n_samples, eta, nu))
+    state["unguided"], state["guided"] = list(unguided), list(guided)
+    _write_ensembles_csv(out / "ensembles.csv", unit_ids, state["times"], guided)
+    _write_ensembles_csv(out / "ensembles_unguided.csv", unit_ids, state["times"], unguided)
 
 
 def _stage_evaluate(config, state, out, meta):
@@ -680,10 +660,10 @@ class CaseStudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-        if self.train_weeks < 1:
-            raise ValueError("train_weeks must be >= 1")
+        for name, low in (("train_weeks", 1), ("k_neighbors", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if isinstance(self.test_regions, str):
             head, _, count = self.test_regions.partition(":")
             if head != "random" or not count.isdecimal() or int(count) < 1:

@@ -308,7 +308,7 @@ def _guide(T, eta, nu, seed=0):
 
     rng = np.random.default_rng(seed)
     signals = ExpertGuidanceSignals(f_cf=rng.standard_normal(T), f_f=rng.standard_normal(T))
-    window = FactualWindow(indices=(0, 1))
+    window = FactualWindow(mask=np.arange(T) < 2)
     return make_guide_fn(
         rng.standard_normal(T), signals, window, GuidanceConfig(), eta=eta, nu=nu
     )
@@ -361,3 +361,71 @@ def test_sample_raises_on_nonfinite_ensemble():
         sample(
             model, _cond(3, 1), s, n_samples=2, seed=0, predict_fn=lambda y, tau: np.full(3, np.inf)
         )
+
+
+# -- the unit axis ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["unguided", "guided", "column"])
+def test_unit_axis_pass_equals_one_unit_calls_bitwise(mode):
+    # bound: bitwise, as for the member axis; unit 0's arms never diverge,
+    # unit 1's diverge at index 0 (empty window), unit 2's at index 3
+    from odeguide.guidance import (
+        ExpertGuidanceSignals,
+        FactualWindow,
+        GuidanceConfig,
+        make_guide_fn,
+    )
+
+    U, T = 3, 6
+    model = make_denoiser(horizon=T, d_x=2, hidden=(16, 16), seed=4)
+    s = make_schedule(t_d=8)
+    rng = np.random.default_rng(12)
+    a = rng.integers(0, 2, (U, T)).astype(float)
+    cond = ConditioningContext(
+        y_prime=rng.standard_normal((U, T)), x=rng.standard_normal((U, T, 2)), a=a
+    )
+    a_cf = np.zeros((U, 1, T))
+    a_cf[1, 0, 0] = 1.0
+    a_cf[2, 0, 3:] = 1.0
+    window = FactualWindow.before_divergence(np.zeros((U, 1, T)), a_cf)
+    np.testing.assert_array_equal(window.mask[:, 0].sum(axis=1), [T, 0, 3])
+    signals = ExpertGuidanceSignals(
+        f_cf=rng.standard_normal((U, 1, T)), f_f=rng.standard_normal((U, 1, T))
+    )
+    y_f = rng.standard_normal((U, 1, T))
+    column = np.array([0.0, 0.02, 0.1])[:, None, None, None]
+    eta = {"unguided": None, "guided": 0.05, "column": column}[mode]
+    seeds = [11, 5, 2**31 + 7]
+
+    def guide(y_f, signals, window, eta):
+        if eta is None:
+            return None
+        return make_guide_fn(y_f, signals, window, GuidanceConfig(), eta=eta, nu=0.3)
+
+    stacked = sample(model, cond, s, 4, seeds, guide(y_f, signals, window, eta)).samples
+    assert stacked.shape == ((3,) if mode == "column" else ()) + (U, 4, T)
+    for u in range(U):
+        one = ConditioningContext(y_prime=cond.y_prime[u], x=cond.x[u], a=a[u])
+        one_guide = guide(
+            y_f[u, 0],
+            ExpertGuidanceSignals(f_cf=signals.f_cf[u, 0], f_f=signals.f_f[u, 0]),
+            FactualWindow(mask=window.mask[u, 0]),
+            eta if mode != "column" else eta[:, 0],
+        )
+        single = sample(model, one, s, 4, seeds[u], one_guide).samples
+        np.testing.assert_array_equal(stacked[..., u, :, :], single)
+
+
+@pytest.mark.parametrize("column", [False, True])
+def test_sample_names_the_first_non_finite_unit(column):
+    model = make_denoiser(horizon=3, d_x=1, hidden=(8,), seed=2)
+    s = make_schedule(t_d=4)
+    cond = ConditioningContext(y_prime=np.zeros((3, 3)), x=np.zeros((3, 3, 1)), a=np.zeros((3, 3)))
+
+    def predict(y, tau):  # units 1 and 2 diverge
+        return np.where(np.arange(3)[:, None, None] >= 1, np.inf, 0.0)
+
+    guide = (lambda y0, tau: np.stack([y0, y0])) if column else None
+    with pytest.raises(FloatingPointError, match=r"sample: .*non-finite .*first in unit 1 \(seed 8\)"):
+        sample(model, cond, s, 2, [7, 8, 9], guide_fn=guide, predict_fn=predict)

@@ -75,18 +75,18 @@ def test_loss_cf_rejects_grid_mismatch():
 def test_loss_f_window_restriction():
     y0_hat = np.array([1.0, 2.0, 3.0, 4.0])
     y0_f = np.array([0.0, 0.0, 0.0, 0.0])
-    assert loss_f(y0_hat, y0_f, FactualWindow(indices=(0, 1))) == pytest.approx(5.0)
-    assert loss_f(y0_hat, y0_f, FactualWindow(indices=())) == 0.0
+    assert loss_f(y0_hat, y0_f, FactualWindow(mask=np.arange(4) < 2)) == pytest.approx(5.0)
+    assert loss_f(y0_hat, y0_f, FactualWindow(mask=np.zeros(4, bool))) == 0.0
     with pytest.raises(ValueError, match="range"):
-        loss_f(y0_hat, y0_f, FactualWindow(indices=(4,)))
+        loss_f(y0_hat, y0_f, FactualWindow(mask=np.arange(5) == 4))
 
 
 def test_factual_window_before_divergence():
     a_f = np.array([0, 0, 1, 1])
     a_cf = np.array([0, 0, 0, 0])
-    assert FactualWindow.before_divergence(a_f, a_cf).indices == (0, 1)
+    np.testing.assert_array_equal(FactualWindow.before_divergence(a_f, a_cf).mask, [1, 1, 0, 0])
     same = FactualWindow.before_divergence(a_f, a_f)
-    assert same.indices == (0, 1, 2, 3)
+    np.testing.assert_array_equal(same.mask, [1, 1, 1, 1])
 
 
 def _numeric_grad(f, x, eps=1e-6):
@@ -116,7 +116,7 @@ def test_grad_loss_f_matches_finite_differences():
     rng = np.random.default_rng(2)
     y0_hat = rng.standard_normal(5)
     y0_f = rng.standard_normal(5)
-    window = FactualWindow(indices=(0, 1, 2))
+    window = FactualWindow(mask=np.arange(5) < 3)
     got = grad_loss_f(y0_hat, y0_f, window)
     want = _numeric_grad(
         lambda v: float(np.sum((v[:3] - y0_f[:3]) ** 2)), y0_hat
@@ -141,7 +141,7 @@ def test_make_guide_fn_zero_strengths_is_bitwise_identity():
     y0_f = rng.standard_normal(4)
     signals = _signals(rng.standard_normal(4), rng.standard_normal(4))
     guide = make_guide_fn(
-        y0_f, signals, FactualWindow(indices=(0,)), GuidanceConfig(), eta=0.0, nu=0.0
+        y0_f, signals, FactualWindow(mask=np.arange(4) < 1), GuidanceConfig(), eta=0.0, nu=0.0
     )
     y0_hat = rng.standard_normal(4)
     np.testing.assert_array_equal(guide(y0_hat, 5), y0_hat)
@@ -264,10 +264,9 @@ def test_select_eta_all_undefined_raises():
         select_eta(config, lambda e, s: np.zeros((2, 3)), np.arange(3.0), seed=0)
 
 
-def test_select_eta_empty_candidates_raises():
-    config = GuidanceConfig(eta_candidates=())
-    with pytest.raises(SelectionError, match="nonempty"):
-        select_eta(config, lambda e, s: np.zeros((2, 3)), np.arange(3.0), seed=0)
+def test_guidance_config_rejects_empty_candidates():
+    with pytest.raises(ValueError, match="nonempty"):
+        GuidanceConfig(eta_candidates=())
 
 
 def test_loss_cf_gradient_through_tensor_inputs():
@@ -313,7 +312,7 @@ def test_closed_form_grad_loss_cf_matches_tape(T, flags):
 def test_closed_form_grad_loss_f_matches_tape(T, indices):
     rng = np.random.default_rng(T + len(indices))
     y0_f = rng.standard_normal(T)
-    window = FactualWindow(indices=indices)
+    window = FactualWindow(mask=np.isin(np.arange(T), indices))
     rows = rng.standard_normal((3, T))
     batched = grad_loss_f(rows, y0_f, window)
     assert batched.shape == rows.shape
@@ -325,7 +324,7 @@ def test_closed_form_grad_loss_f_matches_tape(T, indices):
 
 def test_grad_loss_f_ignores_nonfinite_factual_values_outside_the_window():
     y0_f = np.array([1.0, 2.0, np.nan, np.inf])
-    got = grad_loss_f(np.zeros(4), y0_f, FactualWindow(indices=(0, 1)))
+    got = grad_loss_f(np.zeros(4), y0_f, FactualWindow(mask=np.arange(4) < 2))
     np.testing.assert_array_equal(got, [-2.0, -4.0, 0.0, 0.0])
 
 
@@ -333,7 +332,7 @@ def test_make_guide_fn_strength_column_guides_rows_separately():
     rng = np.random.default_rng(5)
     y0_f = rng.standard_normal(6)
     signals = _signals(rng.standard_normal(6), rng.standard_normal(6))
-    window = FactualWindow(indices=(0, 1))
+    window = FactualWindow(mask=np.arange(6) < 2)
     config = GuidanceConfig()
     etas = np.array([0.0, 0.01, 0.1])
     rows = rng.standard_normal((3, 6))
@@ -342,3 +341,55 @@ def test_make_guide_fn_strength_column_guides_rows_separately():
     for k, eta in enumerate(etas):
         single = make_guide_fn(y0_f, signals, window, config, eta=eta, nu=0.01)
         np.testing.assert_array_equal(stacked[k], single(rows[k], 4))
+
+
+def test_stacked_before_divergence_equals_each_rows_first_divergence():
+    rng = np.random.default_rng(6)
+    a_f = rng.integers(0, 2, (4, 3, 7))
+    a_cf = np.where(rng.random(a_f.shape) < 0.15, 1 - a_f, a_f)
+    a_cf[0, 0] = a_f[0, 0]  # never diverges
+    a_cf[0, 1, 0] = 1 - a_f[0, 1, 0]  # diverges at index 0
+    stacked = FactualWindow.before_divergence(a_f, a_cf).mask
+    assert stacked.shape == a_f.shape
+    for idx in np.ndindex(a_f.shape[:-1]):
+        diverging = np.flatnonzero(a_f[idx] != a_cf[idx])
+        first = diverging[0] if diverging.size else a_f.shape[-1]
+        np.testing.assert_array_equal(stacked[idx], np.arange(a_f.shape[-1]) < first)
+        np.testing.assert_array_equal(stacked[idx], FactualWindow.before_divergence(a_f[idx], a_cf[idx]).mask)
+    assert stacked[0, 0].all() and not stacked[0, 1].any()
+
+
+def test_unit_axis_guidance_gradients_equal_each_units_own():
+    rng = np.random.default_rng(7)
+    U, S, T = 3, 4, 6
+    y_f = rng.standard_normal((U, 1, T))
+    signals = _signals(rng.standard_normal((U, 1, T)), rng.standard_normal((U, 1, T)))
+    window = FactualWindow(mask=np.arange(T) < np.array([6, 0, 3])[:, None, None])
+    rows = rng.standard_normal((U, S, T))
+    g_cf = grad_loss_cf(rows, y_f, signals, GuidanceConfig())
+    g_f = grad_loss_f(rows, y_f, window)
+    for u in range(U):
+        one = _signals(signals.f_cf[u, 0], signals.f_f[u, 0])
+        np.testing.assert_array_equal(g_cf[u], grad_loss_cf(rows[u], y_f[u, 0], one, GuidanceConfig()))
+        one_window = FactualWindow(mask=window.mask[u, 0])
+        np.testing.assert_array_equal(g_f[u], grad_loss_f(rows[u], y_f[u, 0], one_window))
+    with pytest.raises(ValueError, match="grid"):
+        grad_loss_cf(rows, y_f[..., :-1], signals, GuidanceConfig())
+    with pytest.raises(ValueError, match="range"):
+        grad_loss_f(rows, y_f, FactualWindow(mask=np.ones(T + 1, bool)))
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"eta": float("nan")}, "guidance.eta must be a finite nonnegative number, got nan"),
+        ({"nu": float("inf")}, "guidance.nu must be a finite nonnegative number, got inf"),
+        ({"eta": "x"}, "guidance.eta must be a finite nonnegative number, got 'x'"),
+        ({"nu": True}, "guidance.nu must be a finite nonnegative number, got True"),
+        ({"eta_candidates": (-0.5, 0.0)}, "guidance.eta_candidates must .* got -0.5"),
+        ({"eta_candidates": (0.0, float("nan"))}, "guidance.eta_candidates must .* got nan"),
+    ],
+)
+def test_guidance_config_rejects_bad_strengths(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        GuidanceConfig(**kwargs)
