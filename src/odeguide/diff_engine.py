@@ -3,10 +3,11 @@
 Everything runs on float64 numpy arrays. A ``Tensor`` records the operations
 applied to it on a tape; ``backward()`` replays the tape in reverse to obtain
 exact gradients. Only the primitives needed by the rest of the package are
-supported (affine maps, elementwise arithmetic, tanh/relu/sigmoid/softplus,
-slicing, concatenation, sum), plus ``custom_vjp``: one node
-computed on arrays with a hand-written vector-Jacobian product, on which the
-one-input primitives are built.
+supported (elementwise arithmetic, softplus, slicing, concatenation, sum),
+plus ``custom_vjp``: one node computed on arrays with a hand-written
+vector-Jacobian product, on which the one-input primitives are built. An MLP
+is one node too: ``mlp_apply`` computes it on arrays and backpropagates
+through its layers in closed form.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ __all__ = [
     "adam_step",
     "grad_check",
     "timestep_embedding",
-    "tanh",
-    "relu",
-    "sigmoid",
     "softplus",
 ]
 
@@ -131,30 +129,6 @@ class Tensor:
             self.data**exponent, self, lambda g: g * exponent * self.data ** (exponent - 1)
         )
 
-    def __matmul__(self, other):
-        other = _as_tensor(other)
-        out = Tensor(self.data @ other.data, (self, other))
-
-        def back():
-            a, b, g = self.data, other.data, out.grad
-            if a.ndim == 1 and b.ndim == 2:
-                _accum(self, g @ b.T)
-                _accum(other, np.outer(a, g))
-            elif a.ndim == 2 and b.ndim == 2:
-                if not self.const:
-                    _accum(self, g @ b.T)
-                if not other.const:
-                    _accum(other, a.T @ g)
-            elif a.ndim == 2 and b.ndim == 1:
-                _accum(self, np.outer(g, b))
-                _accum(other, a.T @ g)
-            else:  # 1-D @ 1-D inner product
-                _accum(self, g * b)
-                _accum(other, g * a)
-
-        out._backward = back
-        return out
-
     def __getitem__(self, idx):
         def vjp(g):
             full = np.zeros_like(self.data)
@@ -177,17 +151,6 @@ class Tensor:
         return custom_vjp(self.data.reshape(*shape), self, lambda g: g.reshape(self.data.shape))
 
     # -- nonlinearities -------------------------------------------------
-
-    def tanh(self):
-        y = np.tanh(self.data)
-        return custom_vjp(y, self, lambda g: g * (1.0 - y**2))
-
-    def relu(self):
-        return custom_vjp(np.maximum(self.data, 0.0), self, lambda g: g * (self.data > 0.0))
-
-    def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.data))
-        return custom_vjp(y, self, lambda g: g * y * (1.0 - y))
 
     def softplus(self):
         # log(1 + e^x), computed stably; derivative is sigmoid(x)
@@ -272,34 +235,16 @@ def custom_vjp(data, parent: Tensor, vjp: Callable) -> Tensor:
     return out
 
 
-# -- generic math helpers that accept Tensor or ndarray ----------------
-
-
-def tanh(x):
-    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
-
-
-def relu(x):
-    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
-
-
-def sigmoid(x):
-    return x.sigmoid() if isinstance(x, Tensor) else 1.0 / (1.0 + np.exp(-x))
-
-
 def softplus(x):
     return x.softplus() if isinstance(x, Tensor) else np.logaddexp(0.0, x)
 
 
-def _identity(x):
-    return x
-
-
-_ACTIVATIONS: dict[str, Callable] = {
-    "tanh": tanh,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "identity": _identity,
+# each activation with its slope as a function of its output
+_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+    "tanh": (np.tanh, lambda y: 1.0 - y**2),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda y: y > 0.0),
+    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda y: y * (1.0 - y)),
+    "identity": (lambda x: x, lambda y: 1.0),
 }
 
 
@@ -396,28 +341,45 @@ def init_mlp_params(spec: MlpSpec, rng: np.random.Generator, prefix: str = "") -
 def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
     """Forward pass on (..., n_in) input.
 
-    With a Tensor input or Tensor parameters it records the tape. On plain
-    arrays it computes each row through ``np.einsum``: BLAS products are not
-    batch-size invariant (a row can differ in the last bits between gemv and
-    gemm, and between gemm sizes), while the einsum loop computes every row
-    the same way, so a row's output depends only on that row.
+    Each row goes through ``np.einsum``: BLAS products are not batch-size
+    invariant (a row can differ in the last bits between gemv and gemm, and
+    between gemm sizes), while the einsum loop computes every row the same
+    way, so a row's output depends only on that row. With a Tensor input or
+    any Tensor parameter the result is one tape node, whose backward pass is
+    the closed-form backpropagation through the layers.
     """
     in_width = x.shape[-1] if getattr(x, "shape", ()) else 1
     if in_width != spec.n_in:
         raise ValueError(f"input width {in_width} does not match layer 0 width {spec.n_in}")
-    if not (isinstance(x, Tensor) or isinstance(params[f"{prefix}W0"], Tensor)):
-        h = np.asarray(x, float)
-        lead = h.shape[:-1]
-        h = h.reshape(-1, spec.n_in)
-        for i, act in enumerate(spec.activations):
-            h = np.einsum("ij,jk->ik", h, params[f"{prefix}W{i}"]) + params[f"{prefix}b{i}"]
-            h = _ACTIVATIONS[act](h)
-        return h.reshape(*lead, spec.n_out)
-    h = x
-    for i, act in enumerate(spec.activations):
-        W, b = params[f"{prefix}W{i}"], params[f"{prefix}b{i}"]
-        h = _ACTIVATIONS[act](_as_tensor(h) @ _as_tensor(W) + _as_tensor(b))
-    return h
+    operands = [x]
+    for i in range(len(spec.activations)):
+        operands += [params[f"{prefix}W{i}"], params[f"{prefix}b{i}"]]
+    arrays = [np.asarray(v.data if isinstance(v, Tensor) else v, float) for v in operands]
+    Ws, bs = arrays[1::2], arrays[2::2]
+    lead = arrays[0].shape[:-1]
+    hs = [arrays[0].reshape(-1, spec.n_in)]
+    for W, b, act in zip(Ws, bs, spec.activations):
+        hs.append(_ACTIVATIONS[act][0](np.einsum("ij,jk->ik", hs[-1], W) + b))
+    out = hs[-1].reshape(*lead, spec.n_out)
+    if not any(isinstance(v, Tensor) for v in operands):
+        return out
+    nodes = tuple(_as_tensor(v) for v in operands)
+    x_node, W_nodes, b_nodes = nodes[0], nodes[1::2], nodes[2::2]
+    node = Tensor(out, nodes)
+
+    def back():
+        g = node.grad.reshape(-1, spec.n_out)
+        for i in reversed(range(len(Ws))):
+            g = g * _ACTIVATIONS[spec.activations[i]][1](hs[i + 1])
+            _accum(W_nodes[i], hs[i].T @ g)
+            _accum(b_nodes[i], g.sum(axis=0))
+            if i == 0 and x_node.const:
+                return
+            g = g @ Ws[i].T
+        _accum(x_node, g.reshape(arrays[0].shape))
+
+    node._backward = back
+    return node
 
 
 # -- gradients and optimization ----------------------------------------

@@ -25,6 +25,7 @@ from .datagen import (
 from .diffusion import (
     ConditioningContext,
     DiffusionTrainConfig,
+    PropensityModel,
     fit_propensity,
     make_denoiser,
     make_schedule,
@@ -119,15 +120,18 @@ _SECTION_KEYS = {
     },
     "evaluation": {"n_samples", "test_fraction"},
 }
-# counts that must be integers >= 1, as (section, key)
+# counts that must be integers >= a minimum, as (section, key, minimum);
+# evaluation needs two samples per unit for an interval
 _COUNT_KEYS = (
-    ("guidance", "n_val_units"),
-    ("guidance", "n_val_samples"),
-    ("evaluation", "n_samples"),
-    ("hybrid", "n_substeps"),
-    ("diffusion", "epochs"),
-    ("diffusion", "batch_size"),
-    ("schedule", "t_d"),
+    ("guidance", "n_val_units", 1),
+    ("guidance", "n_val_samples", 1),
+    ("evaluation", "n_samples", 2),
+    ("hybrid", "epochs", 1),
+    ("hybrid", "n_substeps", 1),
+    ("diffusion", "epochs", 1),
+    ("diffusion", "batch_size", 1),
+    ("diffusion", "n_freq", 1),
+    ("schedule", "t_d", 1),
 )
 # switches that must be true or false
 _GUIDANCE_FLAGS = ("select", "use_value", "use_direction")
@@ -137,6 +141,10 @@ _OPEN_INTERVAL_KEYS = (
     ("hybrid", "lr", math.inf),
     ("diffusion", "lr", math.inf),
 )
+
+
+def _is_count(value, low: int) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int) and value >= low
 
 
 @dataclass
@@ -161,10 +169,14 @@ class ExperimentConfig:
             unknown = set(section) - allowed
             if unknown:
                 raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-        for name, key in _COUNT_KEYS:
-            value = (getattr(self, name) or {}).get(key, 1)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name}.{key} must be an integer >= 1, got {value!r}")
+        for name, key, low in _COUNT_KEYS:
+            value = (getattr(self, name) or {}).get(key, low)
+            if not _is_count(value, low):
+                raise ValueError(f"{name}.{key} must be an integer >= {low}, got {value!r}")
+        for name in ("hybrid", "diffusion"):
+            hidden = getattr(self, name).get("hidden", [])
+            if not isinstance(hidden, (list, tuple)) or not all(_is_count(w, 1) for w in hidden):
+                raise ValueError(f"{name}.hidden must be a list of integers >= 1, got {hidden!r}")
         for name, key, high in _OPEN_INTERVAL_KEYS:
             section = getattr(self, name)
             if key not in section:
@@ -416,6 +428,13 @@ def _stage_data(config, state, out, meta):
     # the hybrid predictor integrates all units together on one grid
     if any(not np.array_equal(u.factual.times, units[0].factual.times) for u in units):
         raise ValueError("all units must share one time grid")
+    n_times, history = units[0].factual.horizon, PropensityModel.history_length
+    if n_times < history:
+        raise ValueError(f"the grid has {n_times} points; the propensity model needs {history}")
+    for u in units:
+        f = u.factual
+        if not (np.isfinite(f.y[f.observed]).all() and np.isfinite(f.x[f.observed]).all()):
+            raise ValueError(f"unit {u.unit_id!r} has a non-finite factual y or x at an observed point")
     ev = config.evaluation
     rng = np.random.default_rng([config.seed, 23])
     n_test = min(max(1, round(ev.get("test_fraction", 0.2) * n)), n - 1)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odeguide import diff_engine as de
 from odeguide.diff_engine import (
     AdamState,
     MlpSpec,
@@ -23,6 +22,13 @@ from odeguide.diff_engine import (
 
 def _square(t):
     return t * t
+
+
+def _activate(t, act):
+    """``act`` elementwise on a 1-D tensor: a one-layer MLP node with
+    identity weights and zero bias."""
+    n = t.shape[-1]
+    return mlp_apply(MlpSpec((n, n), (act,)), {"W0": np.eye(n), "b0": np.zeros(n)}, t)
 
 
 def _numeric_grad(f, x, eps=1e-6):
@@ -43,9 +49,9 @@ def _numeric_grad(f, x, eps=1e-6):
         lambda t: (t / 3.0).sum(),
         lambda t: (2.0 / (t + 5.0)).sum(),
         lambda t: (t**3.0).sum(),
-        lambda t: t.tanh().sum(),
-        lambda t: t.relu().sum(),
-        lambda t: t.sigmoid().sum(),
+        lambda t: _activate(t, "tanh").sum(),
+        lambda t: _activate(t, "relu").sum(),
+        lambda t: _activate(t, "sigmoid").sum(),
         lambda t: t.softplus().sum(),
         lambda t: _square(-t).sum() / 6.0,
         lambda t: _square(t.reshape(2, 3).sum(axis=0)).sum(),
@@ -60,18 +66,6 @@ def test_elementwise_gradients_match_numeric(expr):
     out.backward()
     numeric = _numeric_grad(lambda v: float(expr(Tensor(v)).data), x)
     assert np.allclose(t.grad, numeric, atol=1e-6)
-
-
-def test_matmul_gradient_matches_numeric():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((3, 4))
-    x = rng.standard_normal(4)
-    ta, tx = Tensor(A.copy()), Tensor(x.copy())
-    _square(ta @ tx).sum().backward()
-    na = _numeric_grad(lambda v: float(_square(Tensor(v) @ Tensor(x)).sum().data), A)
-    nx = _numeric_grad(lambda v: float(_square(Tensor(A) @ Tensor(v)).sum().data), x)
-    assert np.allclose(ta.grad, na, atol=1e-6)
-    assert np.allclose(tx.grad, nx, atol=1e-6)
 
 
 def test_broadcast_add_unbroadcasts_gradient():
@@ -337,12 +331,13 @@ def _mixed_constant_loss(tensors, wrap):
     rng = np.random.default_rng(8)
     x, scale = rng.standard_normal((5, 3)), rng.uniform(0.5, 2.0, (1, 4))
     w, b, c = tensors["w"], tensors["b"], tensors["c"]
-    # an array has no reflected ``@`` onto a Tensor, so x is wrapped here
-    h = (Tensor(x) if wrap is Tensor else de._as_tensor(x)) @ w + b
-    h = h * wrap(0.5) + wrap(scale) * h.tanh() - wrap(1.5)
+    h = mlp_apply(MlpSpec((3, 4), ("identity",)), {"W0": w, "b0": b}, wrap(x))
+    h = h * wrap(0.5) + wrap(scale) * h.softplus() - wrap(1.5)
     h = h / (wrap(2.0) + c * c) + wrap(3.0) / (h * h + wrap(1.0))
     h = wrap(0.25) + -(h * wrap(scale)) + concat([h[:, :2], wrap(x[:, :2])]) * c
-    return (h @ w.reshape(4, 3) * wrap(rng.standard_normal(3))).sum() + (b * wrap(2.0)).sum()
+    # a second layer whose weight is a tape node, not a leaf
+    h = mlp_apply(MlpSpec((4, 3), ("identity",)), {"W0": w.reshape(4, 3), "b0": wrap(np.zeros(3))}, h)
+    return (h * wrap(rng.standard_normal(3))).sum() + (b * wrap(2.0)).sum()
 
 
 def _tape_nodes(root):
@@ -387,10 +382,38 @@ def test_mlp_apply_on_arrays_is_row_invariant_and_matches_the_tensor_forward():
     rows = mlp_apply(spec, params, x)
     tape = mlp_apply(spec, params.as_tensors(), x)
     assert isinstance(tape, Tensor)
-    np.testing.assert_allclose(rows, tape.data, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(rows, tape.data)
     for r in range(1, 9):
         np.testing.assert_array_equal(mlp_apply(spec, params, x[:r]), rows[:r])
     np.testing.assert_array_equal(mlp_apply(spec, params, x[4]), rows[4])
     np.testing.assert_array_equal(mlp_apply(spec, params, x.reshape(3, 3, 7)), rows.reshape(3, 3, 3))
     with pytest.raises(ValueError, match="input width"):
         mlp_apply(spec, params, x[:, :6])
+
+
+@pytest.mark.parametrize("act", ["tanh", "relu", "sigmoid", "identity"])
+@pytest.mark.parametrize("lead", [(), (5,), (3, 3)])
+@pytest.mark.parametrize("input_on_tape", [True, False])
+def test_mlp_node_gradient_matches_finite_differences(act, lead, input_on_tape):
+    spec = MlpSpec.make(4, 2, (6, 5), act=act)
+    rng = np.random.default_rng(12)
+    arrays = init_mlp_params(spec, rng, prefix="m_")
+    x = rng.standard_normal((*lead, 4))
+    if input_on_tape:
+        arrays["x"] = x
+    params = ParamSet(arrays)
+    inputs = () if input_on_tape else (x,)
+
+    def loss(tensors, *given):
+        h = mlp_apply(spec, tensors, given[0] if given else tensors["x"], prefix="m_")
+        return (h * h).sum()
+
+    assert grad_check(loss, params, 1e-5, *inputs) <= 1e-6
+    # one node over the leaf operands, with the array forward's bits
+    tensors = params.as_tensors()
+    node = mlp_apply(spec, tensors, tensors["x"] if input_on_tape else x, prefix="m_")
+    assert len(node._parents) == 7 and not any(p._parents for p in node._parents)
+    np.testing.assert_array_equal(node.data, mlp_apply(spec, params, x, prefix="m_"))
+    (node * node).sum().backward()
+    x_node = node._parents[0]
+    assert x_node.const != input_on_tape and (x_node.grad is None) == x_node.const

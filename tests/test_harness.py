@@ -238,14 +238,34 @@ def test_config_rejects_bad_validation_counts(tmp_path, key, value):
         _tiny_config(tmp_path, guidance={"select": True, key: value})
 
 
-@pytest.mark.parametrize(
-    "section,key",
-    [("evaluation", "n_samples"), ("hybrid", "n_substeps"), ("diffusion", "epochs"), ("diffusion", "batch_size")],
-)
+_COUNT_MINIMUM = {
+    ("evaluation", "n_samples"): 2,
+    ("hybrid", "n_substeps"): 1,
+    ("hybrid", "epochs"): 1,
+    ("diffusion", "epochs"): 1,
+    ("diffusion", "batch_size"): 1,
+    ("diffusion", "n_freq"): 1,
+}
+
+
+@pytest.mark.parametrize("section,key", list(_COUNT_MINIMUM))
 @pytest.mark.parametrize("value", [0, -1, 1.5, True, "2"])
 def test_config_rejects_bad_counts_when_loaded(tmp_path, section, key, value):
-    with pytest.raises(ValueError, match=f"{section}.{key} must be an integer >= 1"):
+    low = _COUNT_MINIMUM[section, key]
+    with pytest.raises(ValueError, match=f"{section}.{key} must be an integer >= {low}"):
         _tiny_config(tmp_path, **{section: {key: value}})
+
+
+def test_config_rejects_one_evaluation_sample_when_loaded(tmp_path):
+    with pytest.raises(ValueError, match="evaluation.n_samples must be an integer >= 2, got 1"):
+        _tiny_config(tmp_path, evaluation={"n_samples": 1})
+
+
+@pytest.mark.parametrize("section", ["hybrid", "diffusion"])
+@pytest.mark.parametrize("hidden", [[0], [8, -1], [2.5], [True], 4, "8", None])
+def test_config_rejects_hidden_widths_that_are_not_counts(tmp_path, section, hidden):
+    with pytest.raises(ValueError, match=f"{section}.hidden must be a list of integers >= 1"):
+        _tiny_config(tmp_path, **{section: {"hidden": hidden}})
 
 
 @pytest.mark.parametrize("value", [-1.0, 0, 0.0, 1, 1.0, 5.0, float("nan"), True, "0.2"])
@@ -644,3 +664,48 @@ def test_units_on_shifted_grids_fail_in_the_data_stage(tmp_path):
         run_experiment(config)
     assert err.value.stage == "data"
     assert "one time grid" in str(err.value)
+
+
+def _dataset_run(tmp_path, edit):
+    """A 6-unit dex dataset, edited by ``edit`` then written and read back,
+    run through the data stage."""
+    from odeguide.datagen import gen_dex_dataset, write_dataset
+
+    ds = gen_dex_dataset(n_patients=6, seed=0, n_days=4)
+    edit(ds.units)
+    write_dataset(ds, tmp_path / "data")
+    config = _tiny_config(tmp_path / "run", dataset={"path": str(tmp_path / "data")})
+    return run_experiment(config, stop_after="data")
+
+
+@pytest.mark.parametrize("field", ["y", "x"])
+def test_data_stage_rejects_a_non_finite_observed_value_naming_the_unit(tmp_path, field):
+    def edit(units):
+        f = units[4].factual
+        getattr(f, field)[np.flatnonzero(f.observed)[-1]] = np.nan
+
+    with pytest.raises(StageError, match="'patient_004' has a non-finite factual y or x") as err:
+        _dataset_run(tmp_path, edit)
+    assert err.value.stage == "data"
+
+
+def test_data_stage_passes_non_finite_values_at_unobserved_points(tmp_path):
+    def edit(units):
+        for u in units:
+            f = u.factual
+            assert not f.observed.all()
+            f.y[~f.observed] = np.nan
+            f.x[~f.observed] = np.nan
+
+    assert _dataset_run(tmp_path, edit) is None
+
+
+@pytest.mark.parametrize(
+    "dataset,n_times",
+    [({"kind": "dex", "n_units": 6, "n_days": 0}, 1), ({"kind": "covid", "n_weeks": 1}, 1)],
+)
+def test_data_stage_rejects_a_grid_shorter_than_the_propensity_history(tmp_path, dataset, n_times):
+    config = _tiny_config(tmp_path, dataset=dataset)
+    with pytest.raises(StageError, match=f"grid has {n_times} points; the propensity model needs 3") as err:
+        run_experiment(config, stop_after="data")
+    assert err.value.stage == "data"
