@@ -338,15 +338,29 @@ def init_mlp_params(spec: MlpSpec, rng: np.random.Generator, prefix: str = "") -
     return arrays
 
 
+def _rows(h: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(R, k) @ (k, n) as R stacked (1, k) @ (k, n) BLAS products, so a row's
+    bits do not depend on how many rows share the call. One gemm ``h @ W`` is
+    faster but not row-invariant: a (60, 292) input's first row alone
+    differed in the last bits from the same row in the 60-row call."""
+    return (h[:, None, :] @ W)[:, 0]
+
+
+def _layers(spec: MlpSpec, Ws, bs, pre: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output, given the first layer's pre-activation ``pre``."""
+    hs = [_ACTIVATIONS[spec.activations[0]][0](pre)]
+    for W, b, act in zip(Ws[1:], bs[1:], spec.activations[1:]):
+        hs.append(_ACTIVATIONS[act][0](_rows(hs[-1], W) + b))
+    return hs
+
+
 def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
     """Forward pass on (..., n_in) input.
 
-    Each row goes through ``np.einsum``: BLAS products are not batch-size
-    invariant (a row can differ in the last bits between gemv and gemm, and
-    between gemm sizes), while the einsum loop computes every row the same
-    way, so a row's output depends only on that row. With a Tensor input or
-    any Tensor parameter the result is one tape node, whose backward pass is
-    the closed-form backpropagation through the layers.
+    Every product goes through ``_rows``, so a row's output depends only on
+    that row. With a Tensor input or any Tensor parameter the result is one
+    tape node, whose backward pass is the closed-form backpropagation through
+    the layers; its forward is the same loop, bitwise.
     """
     in_width = x.shape[-1] if getattr(x, "shape", ()) else 1
     if in_width != spec.n_in:
@@ -357,9 +371,8 @@ def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
     arrays = [np.asarray(v.data if isinstance(v, Tensor) else v, float) for v in operands]
     Ws, bs = arrays[1::2], arrays[2::2]
     lead = arrays[0].shape[:-1]
-    hs = [arrays[0].reshape(-1, spec.n_in)]
-    for W, b, act in zip(Ws, bs, spec.activations):
-        hs.append(_ACTIVATIONS[act][0](np.einsum("ij,jk->ik", hs[-1], W) + b))
+    h = arrays[0].reshape(-1, spec.n_in)
+    hs = [h, *_layers(spec, Ws, bs, _rows(h, Ws[0]) + bs[0])]
     out = hs[-1].reshape(*lead, spec.n_out)
     if not any(isinstance(v, Tensor) for v in operands):
         return out
@@ -407,10 +420,13 @@ def value_and_grad(f, params: ParamSet, *inputs) -> GradRecord:
 
 @dataclass
 class AdamState:
-    # moments of all parameters flattened in name order; None before step 1
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    # parameters flattened in name order, updated in place: ``value``, and in
+    # ``work`` the moments m and v, the gradient and two scratch vectors;
+    # ``params`` is the ParamSet of views into ``value`` each step returns
     t: int = 0
+    value: np.ndarray | None = None
+    work: list[np.ndarray] | None = None
+    params: ParamSet | None = None
 
 
 def adam_step(
@@ -422,25 +438,34 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ParamSet, AdamState]:
-    """Adam on all parameters as one flat vector; elementwise, so bitwise per array."""
+    """Adam on all parameters as one flat vector, in place on the state's
+    buffers; elementwise, so bitwise per array. ``params`` is never written:
+    unless it is the last step's result, it is copied into the state. The
+    returned ParamSet stays valid until the next step with the same state,
+    which overwrites it; copy it to keep it."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     names = params.names()
     for name in names:
         if grads[name].shape != params[name].shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
-    value = np.concatenate([params[name].ravel() for name in names])
-    g = np.concatenate([grads[name].ravel() for name in names])
-    if state.m is None:
-        state.m, state.v = np.zeros_like(value), np.zeros_like(value)
+    if state.value is None:  # one vector each: the returned views keep only ``value`` alive
+        sizes = [params[name].size for name in names]
+        state.value, state.work = np.zeros(sum(sizes)), [np.zeros(sum(sizes)) for _ in range(5)]
+        pieces = np.split(state.value, np.cumsum(sizes)[:-1])
+        state.params = ParamSet({n: p.reshape(params[n].shape) for n, p in zip(names, pieces)})
+    if params is not state.params:
+        np.concatenate([params[name].ravel() for name in names], out=state.value)
+    m, v, g, s1, s2 = state.work
+    np.concatenate([grads[name].ravel() for name in names], out=g)
     state.t += 1
-    state.m = beta1 * state.m + (1 - beta1) * g
-    state.v = beta2 * state.v + (1 - beta2) * g**2
-    m_hat = state.m / (1 - beta1**state.t)
-    v_hat = state.v / (1 - beta2**state.t)
-    flat = value - lr * m_hat / (np.sqrt(v_hat) + eps)
-    pieces = np.split(flat, np.cumsum([params[name].size for name in names])[:-1])
-    return ParamSet({n: p.reshape(params[n].shape) for n, p in zip(names, pieces)}), state
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;  value -= lr m_hat / (sqrt(v_hat) + eps)
+    np.add(np.multiply(beta1, m, out=m), np.multiply(1 - beta1, g, out=s1), out=m)
+    np.add(np.multiply(beta2, v, out=v), np.multiply(np.square(g, out=s1), 1 - beta2, out=s1), out=v)
+    np.multiply(lr, np.divide(m, 1 - beta1**state.t, out=s1), out=s1)
+    np.add(np.sqrt(np.divide(v, 1 - beta2**state.t, out=s2), out=s2), eps, out=s2)
+    np.subtract(state.value, np.divide(s1, s2, out=s1), out=state.value)
+    return state.params, state
 
 
 def grad_check(f, params: ParamSet, eps: float = 1e-5, *inputs) -> float:

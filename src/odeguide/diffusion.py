@@ -139,16 +139,23 @@ def _predict_y0(model, params, y_tau, tau, t_d, cond_vec):
     correction to the noisy sample, which keeps the low-noise regime
     near-identity without training effort.
 
-    ``y_tau`` is (..., T) and ``cond_vec`` broadcasts against its rows; the
-    network sees them as (R, T) rows through ``mlp_apply``, whose plain-array
-    forward is batch-size invariant, so a member's estimate does not depend
-    on how many members or units share the pass.
+    ``y_tau`` is (..., T) and ``cond_vec`` broadcasts against its rows. The
+    first layer's pre-activation is split by weight rows into
+    ``rows(y, W_y) + (rows(emb, W_e) + rows(cond, W_c)) + b0``, so the
+    embedding product runs once per call and the conditioning product once
+    per unit. Every product uses ``mlp_apply``'s row-invariant helpers: a
+    member's estimate depends only on its noisy state and its unit's
+    conditioning, and agrees with ``mlp_apply`` on the concatenated input
+    to rounding (the sum is split), not bitwise.
     """
-    y_tau = np.asarray(y_tau, float)
-    emb = de.timestep_embedding(tau, t_d, model.n_freq)
-    fixed = np.concatenate([np.broadcast_to(emb, (*cond_vec.shape[:-1], emb.size)), cond_vec], axis=-1)
-    inp = np.concatenate([y_tau, np.broadcast_to(fixed, (*y_tau.shape[:-1], fixed.shape[-1]))], axis=-1)
-    out = de.mlp_apply(model.spec, params, inp.reshape(-1, inp.shape[-1]), prefix="den_")
+    y_tau, cond_vec = np.asarray(y_tau, float), np.asarray(cond_vec, float)
+    Ws, bs = ([params[f"den_{k}{i}"] for i in range(len(model.spec.activations))] for k in "Wb")
+    W_y, W_e, W_c = np.split(Ws[0], [model.horizon, model.horizon + 2 * model.n_freq])
+    emb = de.timestep_embedding(tau, t_d, model.n_freq)[None]
+    fixed = de._rows(emb, W_e) + de._rows(cond_vec.reshape(-1, W_c.shape[0]), W_c)
+    noisy = de._rows(y_tau.reshape(-1, model.horizon), W_y).reshape(*y_tau.shape[:-1], -1)
+    pre = noisy + fixed.reshape(*cond_vec.shape[:-1], -1) + bs[0]
+    out = de._layers(model.spec, Ws, bs, pre.reshape(-1, pre.shape[-1]))[-1]
     return y_tau + out.reshape(y_tau.shape)
 
 

@@ -164,7 +164,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, allowed in _SECTION_KEYS.items():
             section = getattr(self, name)
-            if section is None or allowed is None:
+            if section is None and name == "guidance":
+                continue
+            if not isinstance(section, dict):
+                raise ValueError(f"config section {name!r} must be a mapping, got {section!r}")
+            if allowed is None:
                 continue
             unknown = set(section) - allowed
             if unknown:
@@ -480,27 +484,35 @@ def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False)
     """Inputs of one sampling stage for all its units, stacked on a leading
     unit axis, each kind built by one batched call.
 
-    Conditioning: the scaled hybrid prediction of every unit's ``arm`` from
-    one ``predict`` rollout, started from the factual initial observation
-    (all that is available at deployment). Guidance, when ``guided``: the
-    aligned mechanistic signals, pre-divergence window and scaled factual
-    outcome of every unit, each (U, 1, T). A mechanistic curve depends only
-    on its schedule (the initial state and parameters are the run's), so
-    the schedules not yet in the run's ``expert_curves`` are simulated in
-    one call and kept. Returns the conditioning context and the guidance
-    triple, or None for the latter when not ``guided``.
+    Conditioning: the scaled hybrid prediction of every unit's ``arm``,
+    started from the factual initial observation (all that is available at
+    deployment); the first call rolls out both arms of every unit in one
+    row-invariant ``predict`` call and keeps the rows for later stages.
+    Guidance, when ``guided``: the aligned mechanistic signals,
+    pre-divergence window and scaled factual outcome of every unit, each
+    (U, 1, T). A mechanistic curve depends only on its schedule (the initial
+    state and parameters are the run's), so the schedules not yet in the
+    run's ``expert_curves`` are simulated in one call and kept. Returns the
+    conditioning context and the guidance triple, or None for the latter
+    when not ``guided``.
     """
-    trajs = [getattr(u, arm) for u in units]
-    a = np.stack([tr.a for tr in trajs])
-    y_p, x_p = predict(
-        state["hybrid"],
-        np.stack([u.factual.x[0] for u in units]),
-        [float(tr.a[0]) for tr in trajs],
-        [float(u.factual.y[0]) for u in units],
-        a,
-        state["times"],
-        [getattr(u, f"treatment_{arm}") for u in units],
-    )
+    if "predictions" not in state:
+        every = state["train_units"] + state["test_units"]
+        pairs = [(u, side) for u in every for side in ("factual", "counterfactual")]
+        trajs = [getattr(u, side) for u, side in pairs]
+        y_all, x_all = predict(
+            state["hybrid"],
+            np.stack([u.factual.x[0] for u, _ in pairs]),
+            [float(tr.a[0]) for tr in trajs],
+            [float(u.factual.y[0]) for u, _ in pairs],
+            np.stack([tr.a for tr in trajs]),
+            state["times"],
+            [getattr(u, f"treatment_{side}") for u, side in pairs],
+        )
+        state["predictions"] = {(u.unit_id, side): i for i, (u, side) in enumerate(pairs)}, y_all, x_all
+    index, y_all, x_all = state["predictions"]
+    rows = [index[u.unit_id, arm] for u in units]
+    y_p, x_p, a = y_all[rows], x_all[rows], np.stack([getattr(u, arm).a for u in units])
     y_s, x_s = state["y_scaler"], state["x_scalers"]
     x_scaled = np.stack([x_s[j].transform(x_p[..., j]) for j in range(x_p.shape[-1])], axis=-1)
     cond = ConditioningContext(y_prime=y_s.transform(y_p), x=x_scaled, a=a.astype(float))

@@ -244,6 +244,36 @@ def test_flat_adam_equals_the_per_parameter_loop_bitwise():
         adam_step(flat, {**grads, "b0": np.zeros(5)}, state, lr=0.1)
 
 
+def test_adam_never_writes_the_callers_starting_params():
+    start = ParamSet({"w": np.array([1.0, -2.0]), "b": np.array(0.5)})
+    kept = {k: v.copy() for k, v in start.items()}
+    params, state = start, AdamState()
+    for _ in range(3):
+        params, state = adam_step(params, {"w": np.ones(2), "b": np.array(-1.0)}, state, lr=0.1)
+    for name, value in kept.items():
+        np.testing.assert_array_equal(start[name], value)
+        assert not np.array_equal(params[name], value)
+    # a new run from the same start steps from the kept values (m_hat = v_hat = 1)
+    again, _ = adam_step(start, {"w": np.ones(2), "b": np.array(-1.0)}, AdamState(), lr=0.1)
+    np.testing.assert_array_equal(again["w"], kept["w"] - 0.1 / (1.0 + 1e-8))
+
+
+def test_adam_updates_params_that_are_not_the_previous_result():
+    rng = np.random.default_rng(6)
+    shapes = {"W0": (3, 2), "b0": (2,)}
+    params = ParamSet({k: rng.standard_normal(s) for k, s in shapes.items()})
+    ref = params
+    state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+    for step in range(4):
+        if step == 2:  # hand in values of the caller's own, not the last step's result
+            params = ref = ParamSet({k: rng.standard_normal(s) for k, s in shapes.items()})
+        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params, state = adam_step(params, grads, state, lr=0.05)
+        ref = _adam_step_per_parameter(ref, grads, ref_state, lr=0.05)
+        for name in shapes:
+            np.testing.assert_array_equal(params[name], ref[name])
+
+
 def test_adam_two_steps_decrease_quadratic():
     ps = ParamSet({"w": np.array([1.0])})
     state = AdamState()
@@ -389,6 +419,25 @@ def test_mlp_apply_on_arrays_is_row_invariant_and_matches_the_tensor_forward():
     np.testing.assert_array_equal(mlp_apply(spec, params, x.reshape(3, 3, 7)), rows.reshape(3, 3, 3))
     with pytest.raises(ValueError, match="input width"):
         mlp_apply(spec, params, x[:, :6])
+
+
+# the covid (T = 52, d_x = 2) and dex (T = 15, d_x = 1) denoisers at the
+# benchmark's hidden widths, and a hybrid-sized network
+@pytest.mark.parametrize(
+    "widths,act",
+    [((276, 64, 64, 52), "relu"), ((76, 64, 64, 15), "relu"), ((7, 16, 16, 4), "tanh")],
+    ids=["covid_denoiser", "dex_denoiser", "hybrid"],
+)
+def test_mlp_apply_gives_every_row_of_a_prefix_the_bits_of_the_full_call(widths, act):
+    spec = MlpSpec.make(widths[0], widths[-1], widths[1:-1], act=act)
+    params = ParamSet(init_mlp_params(spec, np.random.default_rng(21)))
+    x = np.random.default_rng(22).standard_normal((3, 2, 10, widths[0]))  # (K, U, S, n_in)
+    full = mlp_apply(spec, params, x)
+    rows = full.reshape(60, widths[-1])
+    for r in range(1, 61):
+        np.testing.assert_array_equal(mlp_apply(spec, params, x.reshape(60, -1)[:r]), rows[:r])
+    for idx in [(0, 0, 0), (1, 0, 7), (2, 1, 9)]:
+        np.testing.assert_array_equal(mlp_apply(spec, params, x[idx]), full[idx])
 
 
 @pytest.mark.parametrize("act", ["tanh", "relu", "sigmoid", "identity"])

@@ -112,6 +112,26 @@ def test_zeroed_denoiser_predicts_the_noisy_input():
     np.testing.assert_array_equal(out, y_tau)
 
 
+@pytest.mark.parametrize("horizon,d_x", [(52, 2), (15, 1)], ids=["covid", "dex"])
+def test_split_first_layer_agrees_with_mlp_apply_on_the_concatenated_input(horizon, d_x):
+    from odeguide.diffusion import _predict_y0
+
+    model = make_denoiser(horizon=horizon, d_x=d_x, hidden=(64, 64), seed=3)
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal((2, 3, 5, horizon))  # (K, U, S, T)
+    cond = rng.standard_normal((3, 1, model.cond_dim))  # (U, 1, cond_dim)
+    got = _predict_y0(model, model.params, y, 17, 50, cond)
+    emb = de.timestep_embedding(17, 50, model.n_freq)
+    fixed = np.concatenate([np.broadcast_to(emb, (3, 1, emb.size)), cond], axis=-1)
+    inp = np.concatenate([y, np.broadcast_to(fixed, (*y.shape[:-1], fixed.shape[-1]))], axis=-1)
+    ref = y + de.mlp_apply(model.spec, model.params, inp, prefix="den_")
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    # each member alone, with its unit's conditioning, has its bits in the pass
+    for k, u, s in [(0, 0, 0), (1, 2, 4), (0, 1, 3)]:
+        alone = _predict_y0(model, model.params, y[k, u, s], 17, 50, cond[u, 0])
+        np.testing.assert_array_equal(alone, got[k, u, s])
+
+
 def test_denoiser_same_seed_reproducible():
     a = make_denoiser(horizon=3, d_x=1, hidden=(8,), seed=5)
     b = make_denoiser(horizon=3, d_x=1, hidden=(8,), seed=5)
@@ -316,8 +336,8 @@ def _guide(T, eta, nu, seed=0):
 
 @pytest.mark.parametrize("guided", [False, True])
 def test_batched_sampler_matches_per_member_reference_bitwise(guided):
-    # bound: bitwise, because the denoiser's einsum forward gives each row
-    # the same result whatever the number of rows
+    # bound: bitwise, because the denoiser's stacked row products give each
+    # row the same result whatever the number of rows
     model = make_denoiser(horizon=6, d_x=2, hidden=(16, 16), seed=4)
     s = make_schedule(t_d=12)
     rng = np.random.default_rng(8)

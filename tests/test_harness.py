@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -136,11 +137,11 @@ def test_guidance_inputs_are_built_once_per_unit(tmp_path, monkeypatch):
     n_train, n_test = meta["n_train"], meta["n_test"]
     # dex has two treatment schedules (dosed and undosed), each simulated
     # once per run: select-eta's validation units hold both, so the sample
-    # stage simulates nothing; one batched rollout per stage (diffusion,
-    # select-eta, sample) conditions all of that stage's units
+    # stage simulates nothing; one batched rollout of both arms of every
+    # unit, in the diffusion stage, conditions every stage's units
     assert calls["simulate_expert"] == 1
     assert simulated_rows == [2]
-    assert calls["predict"] == 3
+    assert calls["predict"] == 1
     assert n_train > 2
     # one stacked reverse pass for the validation units (all candidates)
     # and one for the test units (unguided and guided ensembles together)
@@ -224,7 +225,7 @@ def test_traced_run_binds_every_traced_name(tmp_path):
         spans.uninstall(saved)
     assert harness.predict is original_predict
     metrics = spans.layer_metrics(tracer)
-    assert metrics["hybrid_cp.predict.calls"] == 3
+    assert metrics["hybrid_cp.predict.calls"] == 1
     assert metrics["hybrid_cp.predict.distinct_ratio"] == 1.0
     assert metrics["expert_models.simulate_expert.calls"] > 0
     assert metrics["diffusion.sample.members"] > 0
@@ -329,6 +330,14 @@ def test_config_builds_the_guidance_config_when_loaded(tmp_path):
     assert gcfg.eta_candidates == (1.0, 0.0) and all(type(v) is float for v in gcfg.eta_candidates)
     assert (gcfg.eta, gcfg.nu, gcfg.use_value, gcfg.use_direction) == (0.0, 0.01, False, True)
     assert _tiny_config(tmp_path).guidance_config is None
+
+
+@pytest.mark.parametrize("section", ["dataset", "expert", "hybrid", "schedule", "diffusion", "evaluation"])
+@pytest.mark.parametrize("value", [None, [], 3])
+def test_config_rejects_a_section_that_is_not_a_mapping(tmp_path, section, value):
+    message = f"config section {section!r} must be a mapping, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _tiny_config(tmp_path, **{section: value})
 
 
 def test_data_stage_rejects_a_single_unit(tmp_path):
