@@ -9,7 +9,7 @@ import numpy as np
 
 from . import diff_engine as de
 from .datagen import Dataset, UnitRecord
-from .diff_engine import MlpSpec, ParamSet, Tensor, TrainingError
+from .diff_engine import MlpSpec, ParamSet, TrainingError
 
 
 @dataclass(frozen=True)
@@ -314,10 +314,8 @@ def diffusion_batch_loss(
     """Loss value at fixed parameters (no gradient); linear in ``weights``."""
     if params is None:
         params = model.params
-    val = _batch_loss_fn(
-        {k: Tensor(v) for k, v in params.items()}, model, schedule, y0, cond, mask, weights, taus, eps
-    )
-    return float(val.data)
+    val = _batch_loss_fn(dict(params.items()), model, schedule, y0, cond, mask, weights, taus, eps)
+    return float(val)
 
 
 # -- sampling -----------------------------------------------------------

@@ -434,7 +434,7 @@ def make_drive(family: str, params, treatments, decay_lambda: float = 0.005):
 def tabulate_drive(drive, starts, dt) -> tuple[np.ndarray, dict]:
     """Evaluate ``drive`` once at every RK4 stage time of the steps that
     start at ``starts`` with step ``dt`` (a scalar or one per start):
-    ``t``, ``t + 0.5 * dt`` and ``t + dt``, formed as ``rk4_step`` forms
+    ``t``, ``t + 0.5 * dt`` and ``t + dt``, as ``ode_core.rk4_update`` forms
     them. Returns the (n_t, B) table and a dict from each stage time to its
     row, so that a stage reads its drive as ``table[row[t]]``."""
     starts = np.asarray(starts, float)

@@ -437,6 +437,9 @@ def _stage_data(config, state, out, meta):
         raise ValueError(f"the grid has {n_times} points; the propensity model needs {history}")
     for u in units:
         f = u.factual
+        # every rollout and the hybrid encoders start from y[0] and x[0]
+        if not f.observed[0]:
+            raise ValueError(f"unit {u.unit_id!r} has an unobserved first factual point")
         if not (np.isfinite(f.y[f.observed]).all() and np.isfinite(f.x[f.observed]).all()):
             raise ValueError(f"unit {u.unit_id!r} has a non-finite factual y or x at an observed point")
     ev = config.evaluation

@@ -2,9 +2,11 @@
 covariate channels co-evolving with a mechanistic expert state, learned
 initial-state encoders, and learned readouts.
 
-The rollout integrates U units at once on their shared time grid: the
-latent states are (U, m_y), (U, m_x) and (U, e) arrays with one row per
-unit, so every RK4 stage is one batched MLP evaluation. Each unit's
+The rollout integrates U units at once on their shared time grid. The
+latent state is one packed (U, m_y + e + m_x) array (z_y | z_e | z_x), one
+row per unit, stepped by ``ode_core.rk4_update``, the same RK4 that steps
+the expert alone; so every RK4 stage is one batched evaluation of each
+learned field, and the outcome field reads the packed state whole. Each unit's
 treatment reaches the expert as the (U, 1) drive of
 ``expert_models.make_drive``, tabulated off the tape once per rollout over
 every stage time: the dose plasma level for PKPD, the contact rate beta_t
@@ -36,6 +38,7 @@ from .expert_models import (
     seirm_terms,
     tabulate_drive,
 )
+from .ode_core import rk4_update
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ class HybridCpConfig:
     n_substeps: int = 1  # RK4 substeps per data-grid interval
     lr: float = 0.01
     epochs: int = 50
-    decay_lambda: float = 0.005
 
 
 @dataclass
@@ -148,41 +150,11 @@ def expert_rhs(model: HybridCpModel, ze, drive):
     return de.custom_vjp(dze, ze, lambda g: np.einsum("...i,...ij->...j", g, jac))
 
 
-def hybrid_rhs(model: HybridCpModel, params, state, zy_lag, a_t, drive):
-    """Coupled derivative of the state (z_y, z_x, z_e); the covariate channel
-    sees the outcome latent through a one-grid-step delay buffer."""
-    zy, zx, ze = state
-    dzy = de.mlp_apply(model.specs["fy"], params, _cat([zy, ze, zx, a_t]), prefix="fy_")
-    dzx = de.mlp_apply(model.specs["fx"], params, _cat([zx, zy_lag, a_t]), prefix="fx_")
-    dze = expert_rhs(model, ze, drive)
-    return dzy, dzx, dze
-
-
 def readout(model: HybridCpModel, params, zy, zx, ze, a_t):
     """Outcome (U, 1) and covariates (U, d_x) from the latent states."""
     y = de.mlp_apply(model.specs["gy"], params, _cat([ze, zy, zx, a_t]), prefix="gy_")
     x = de.mlp_apply(model.specs["gx"], params, _cat([zx, a_t]), prefix="gx_")
     return y, x
-
-
-def _rk4_joint(model, params, state, zy_lag, a_t, t, dt, drive):
-    """One RK4 step of the state tuple; ``drive(t)`` gives the treatment
-    drive at a stage time, and the delay buffer and treatment stay fixed."""
-
-    def rhs(s, t_stage):
-        return hybrid_rhs(model, params, s, zy_lag, a_t, drive(t_stage))
-
-    def shift(h, k):
-        return tuple(z + h * d for z, d in zip(state, k))
-
-    k1 = rhs(state, t)
-    k2 = rhs(shift(0.5 * dt, k1), t + 0.5 * dt)
-    k3 = rhs(shift(0.5 * dt, k2), t + 0.5 * dt)
-    k4 = rhs(shift(dt, k3), t + dt)
-    sixth = dt / 6.0
-    return tuple(
-        z + sixth * (d1 + 2 * d2 + 2 * d3 + d4) for z, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
-    )
 
 
 def rollout(
@@ -211,21 +183,33 @@ def rollout(
     # every substep's start and size, as (T - 1, n_sub) arrays
     dts = np.repeat(np.diff(times)[:, None] / n_sub, n_sub, axis=1)
     starts = times[:-1, None] + np.arange(n_sub) * dts
-    drive = make_drive(model.family, model.expert_params, treatments, model.config.decay_lambda)
+    drive = make_drive(model.family, model.expert_params, treatments)
     table, row = tabulate_drive(drive, starts.ravel(), dts.ravel())
-
-    def drive_at(t):
-        return table[row[t], :, None]
+    my, e = model.config.m_y, model.e_dim
 
     zx, zy, ze = encode_init(model, params, x0, a0, y0)
+    z = _cat([zy, ze, zx])  # the packed state (z_y | z_e | z_x)
     y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, :1])
     ys, xs = [y_out], [x_out]
+    # the covariate channel sees the outcome latent through a one-grid-step
+    # delay buffer; the buffer and the treatment stay fixed over an interval
     zy_lag = zy
     for k in range(len(times) - 1):
         zy_start = zy
         a_t = a_seq[:, k : k + 1]
+
+        def rhs(z, t):
+            dzy = de.mlp_apply(model.specs["fy"], params, _cat([z, a_t]), prefix="fy_")
+            fx_in = _cat([z[:, my + e :], zy_lag, a_t])
+            dzx = de.mlp_apply(model.specs["fx"], params, fx_in, prefix="fx_")
+            dze = expert_rhs(model, z[:, my : my + e], table[row[t], :, None])
+            return _cat([dzy, dze, dzx])
+
         for t, dt in zip(starts[k], dts[k]):
-            zy, zx, ze = _rk4_joint(model, params, (zy, zx, ze), zy_lag, a_t, t, dt, drive_at)
+            z, _ = rk4_update(rhs, z, t, dt)
+        # one slice per block, read by the readout and the delay buffer: a
+        # tape node the loss never reads keeps the tape alive until a GC pass
+        zy, ze, zx = z[:, :my], z[:, my : my + e], z[:, my + e :]
         zy_lag = zy_start
         y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, k + 1 : k + 2])
         ys.append(y_out)

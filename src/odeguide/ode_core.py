@@ -58,30 +58,39 @@ def _first_bad_row(values: np.ndarray) -> str:
     return f" in row {int(np.argmin(finite))}"
 
 
+def rk4_update(rhs: Callable, state, t: float, dt: float):
+    """One classic 4-stage Runge-Kutta update, by arithmetic alone, so that
+    ``state`` may be an array or a tape Tensor; ``rhs(state, t)`` returns
+    derivatives of the same shape. Returns the new state and the slopes
+    (k1, k2, k3, k4). Opposite infinities among the slopes give a NaN
+    without a warning, so that a caller may check the slopes first."""
+    k1 = rhs(state, t)
+    k2 = rhs(state + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs(state + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(state + dt * k3, t + dt)
+    with np.errstate(invalid="ignore"):
+        return state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), (k1, k2, k3, k4)
+
+
 def rk4_step(rhs: Callable, state: StateVector, t: float, dt: float) -> StateVector:
-    """One classic 4-stage Runge-Kutta update of a state or a batch of
-    states; ``rhs(state, t)`` returns derivatives of the same shape."""
+    """One checked ``rk4_update`` of a state or a batch of states: every
+    slope must have the state's shape and be finite."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     state = np.asarray(state, dtype=np.float64)
-    k1 = np.asarray(rhs(state, t), dtype=np.float64)
-    k2 = np.asarray(rhs(state + 0.5 * dt * k1, t + 0.5 * dt), dtype=np.float64)
-    k3 = np.asarray(rhs(state + 0.5 * dt * k2, t + 0.5 * dt), dtype=np.float64)
-    k4 = np.asarray(rhs(state + dt * k3, t + dt), dtype=np.float64)
-    slopes = (k1, k2, k3, k4)
+    new, slopes = rk4_update(
+        lambda s, t_stage: np.asarray(rhs(s, t_stage), dtype=np.float64), state, t, dt
+    )
     for k in slopes:
         if k.shape != state.shape:
             raise IntegrationError(f"rhs returned shape {k.shape}, expected {state.shape}")
-    # a non-finite slope makes the sum non-finite (opposite infinities make a
-    # NaN, without a warning before the error), so only then are the slopes
-    # scanned; finite slopes whose sum overflows step on as before
-    with np.errstate(invalid="ignore"):
-        incr = k1 + 2 * k2 + 2 * k3 + k4
-    if not np.isfinite(incr).all():
+    # a non-finite slope makes the step non-finite, so only then are the
+    # slopes scanned; finite slopes whose sum overflows step on as before
+    if not np.isfinite(new).all():
         for k in slopes:
             if not np.isfinite(k).all():
                 raise IntegrationError(f"non-finite derivative{_first_bad_row(k)} at t={t}")
-    return state + (dt / 6.0) * incr
+    return new
 
 
 def integrate(rhs: Callable, init: StateVector, grid: TimeGrid) -> OdeTrajectory:

@@ -39,6 +39,9 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"dataset": {"kind": "dex"}, "out_dir": "x", "bogus": 1})
     with pytest.raises(ValueError, match="unknown schedule keys"):
         ExperimentConfig(dataset={"kind": "dex"}, out_dir="x", schedule={"t_D": 10})
+    # the hybrid's contact rate decays at the rate the data and the guidance use
+    with pytest.raises(ValueError, match="unknown hybrid keys"):
+        ExperimentConfig(dataset={"kind": "dex"}, out_dir="x", hybrid={"decay_lambda": 0.01})
     with pytest.raises(ValueError, match="'path' or a 'kind'"):
         ExperimentConfig(dataset={"kind": "mnist"}, out_dir="x")
 
@@ -694,6 +697,16 @@ def test_data_stage_rejects_a_non_finite_observed_value_naming_the_unit(tmp_path
         getattr(f, field)[np.flatnonzero(f.observed)[-1]] = np.nan
 
     with pytest.raises(StageError, match="'patient_004' has a non-finite factual y or x") as err:
+        _dataset_run(tmp_path, edit)
+    assert err.value.stage == "data"
+
+
+def test_data_stage_rejects_an_unobserved_first_point_naming_the_unit(tmp_path):
+    # the hybrid encoders and every rollout start from y[0] and x[0]
+    def edit(units):
+        units[2].factual.observed[0] = False
+
+    with pytest.raises(StageError, match="'patient_002' has an unobserved first factual point") as err:
         _dataset_run(tmp_path, edit)
     assert err.value.stage == "data"
 

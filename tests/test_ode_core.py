@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odeguide.diff_engine import Tensor
 from odeguide.ode_core import (
     IntegrationError,
     OdeTrajectory,
     TimeGrid,
     integrate,
     rk4_step,
+    rk4_update,
 )
 
 
@@ -171,3 +173,38 @@ def test_finite_slopes_whose_sum_overflows_step_on_as_before():
     assert out[0, 0] == np.inf and out[1, 0] == 1.0
     assert np.all(traj.states[1:, 0, 0] == np.inf)
     assert np.array_equal(traj.states[:, 1, 0], [0.0, 1.0, 2.0, 3.0])
+
+
+# -- rk4_update on the autodiff tape ------------------------------------
+
+RATES = np.array([[-1.0, 0.5], [2.0, -0.3], [0.1, 1.5]])
+
+
+def _logistic_rhs(y, t):
+    """A nonlinear batch field written in operators a tape Tensor has."""
+    return RATES * y - 0.3 * y * y + t
+
+
+def test_rk4_update_on_a_tensor_batch_gives_rk4_steps_bits():
+    state = np.random.default_rng(0).normal(size=(3, 2))
+    new, slopes = rk4_update(_logistic_rhs, Tensor(state), 0.2, 0.1)
+    assert isinstance(new, Tensor) and all(isinstance(k, Tensor) for k in slopes)
+    np.testing.assert_array_equal(new.data, rk4_step(_logistic_rhs, state, 0.2, 0.1))
+
+
+def test_rk4_update_tape_gradient_matches_central_differences():
+    rng = np.random.default_rng(1)
+    state, weights = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+
+    def loss(y):
+        return (rk4_update(_logistic_rhs, y, 0.2, 0.1)[0] * weights).sum()
+
+    z = Tensor(state)
+    loss(z).backward()
+    h = 1e-6
+    fd = np.zeros_like(state)
+    for idx in np.ndindex(state.shape):
+        step = np.zeros_like(state)
+        step[idx] = h
+        fd[idx] = (loss(state + step) - loss(state - step)) / (2 * h)
+    np.testing.assert_allclose(z.grad, fd, rtol=1e-7, atol=1e-9)
