@@ -273,7 +273,7 @@ class ParamSet:
 
     def to_json(self) -> str:
         payload = {
-            k: {"shape": list(v.shape), "values": [float(x) for x in v.ravel()]}
+            k: {"shape": list(v.shape), "values": v.ravel().tolist()}
             for k, v in self._arrays.items()
         }
         return json.dumps(payload, sort_keys=True)

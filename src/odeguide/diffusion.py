@@ -321,6 +321,9 @@ def diffusion_batch_loss(
 # -- sampling -----------------------------------------------------------
 
 
+_NOISE_BLOCK_STEPS = 10  # reverse steps of noise each member draws at once
+
+
 @dataclass
 class SampleEnsemble:
     samples: np.ndarray  # (n_samples, T); stacked passes add leading (K, U) axes
@@ -362,11 +365,16 @@ def sample(
     shape = (*np.shape(seed), n_samples, T)
     rngs = [np.random.default_rng([s, 17, m]) for s in seeds for m in range(n_samples)]
 
-    def draw():  # the next (T,) vector of every member's stream
-        return np.stack([rng.standard_normal(T) for rng in rngs]).reshape(shape)
+    def draws():  # every member's next (T,) vector, one step after another;
+        # a (k, T) draw continues a stream as k draws of (T,) would
+        for left in range(schedule.t_d, 0, -_NOISE_BLOCK_STEPS):
+            k = min(left, _NOISE_BLOCK_STEPS)
+            block = np.stack([rng.standard_normal((k, T)) for rng in rngs], axis=1)
+            yield from block.reshape(k, *shape)
 
+    noise = draws()  # t_d draws: the initial state and the steps tau > 1
     cond_vec = cond.vector()[..., None, :]  # broadcasts over the members
-    y = draw()
+    y = next(noise)
     for tau in range(schedule.t_d, 0, -1):
         if predict_fn is not None:
             y0_hat = np.broadcast_to(predict_fn(y, tau), y.shape)
@@ -374,7 +382,7 @@ def sample(
             y0_hat = _predict_y0(model, model.params, y, tau, schedule.t_d, cond_vec)
         if guide_fn is not None:
             y0_hat = guide_fn(y0_hat, tau)
-        y = reverse_step(y, tau, y0_hat, schedule, draw() if tau > 1 else None)
+        y = reverse_step(y, tau, y0_hat, schedule, next(noise) if tau > 1 else None)
     finite = np.isfinite(y)
     if not finite.all():
         u = int(np.argmin(finite.reshape(-1, len(seeds), n_samples * T).all(axis=(0, 2))))

@@ -11,14 +11,16 @@ row, and ``simulate_expert`` integrates every row in one RK4 call. The
 treatment drive of ``make_drive`` (the dose plasma level for PKPD, the
 contact rate beta_t for the epidemic models) is tabulated once per
 integration over every RK4 stage time by ``tabulate_drive``; each stage
-reads its (B,) row of that table and evaluates the family's right-hand side
-on (B,) state columns, with parameters that differ between rows as (B,)
-vectors. Every row equals its own one-row simulation bitwise.
+reads its (B,) row of that table. Each family's derivative is bound to its
+parameters (those that differ between rows as (B,) vectors) once per
+integration: SEIR-HD's as a few calls over (B, 10) column blocks, SEIRM's and
+PKPD's as per-compartment expressions on (B,) state columns. Every row
+equals its own one-row simulation bitwise.
 
-The per-compartment derivative expressions are written with plain arithmetic
-so they evaluate on numpy floats and on arrays of rows. ``seirm_jacobian``
-and ``pkpd_jacobian`` give their closed-form Jacobians, which the hybrid
-predictor backpropagates through.
+The SEIRM and PKPD expressions are written with plain arithmetic so they
+evaluate on numpy floats, on arrays of rows and on tape Tensors.
+``seirm_jacobian`` and ``pkpd_jacobian`` give their closed-form Jacobians,
+which the hybrid predictor backpropagates through.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import copy
 import math
 import operator
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -223,15 +226,16 @@ def _columns(state) -> list:
     return [state[..., k] for k in range(state.shape[-1])]
 
 
-_pow = np.frompyfunc(math.pow, 2, 1)
-
-
 def _libm_power(base, exponent) -> np.ndarray:
     """Elementwise C ``pow``. numpy's array power differs from it in the
     last bit (about 1 base in 1,000 for squares, 1 in 20 for other
     exponents); simulations use it so that their trajectories stay those of
-    the one-state scalar integrator earlier datasets were generated with."""
-    return np.asarray(_pow(base, exponent), dtype=float)
+    the one-state scalar integrator earlier datasets were generated with.
+    ``exponent`` is a scalar or, from a per-row parameter, one per base."""
+    per_row = isinstance(exponent, np.ndarray)
+    exps = np.broadcast_to(exponent, base.shape).flat if per_row else repeat(exponent)
+    powers = map(math.pow, base.ravel().tolist(), exps)
+    return np.fromiter(powers, float, base.size).reshape(base.shape)
 
 
 def seirm_terms(s, e, i, r, m, params: SeirmParams, beta_t):
@@ -268,34 +272,14 @@ def seirm_rhs(state: np.ndarray, t: float, params: SeirmParams, beta_t) -> np.nd
     """Derivative over the last axis of a state (5,) or a batch (B, 5);
     ``beta_t`` and the parameters are scalars or (B,) vectors."""
     _check_contact_rate(beta_t)
-    return _derivative("SEIRM", state, params, beta_t)
-
-
-def seirhd_terms(state: Sequence, params: SeirhdParams, beta_t):
-    s, e, i_a, i_p, i_m, i_s, h_r, h_d, r, d = state
-    infectious = i_a + i_p + i_m + i_s
-    infection = beta_t * s * infectious / params.N
-    exit_e = params.alpha * e
-    exit_ip = params.rate_presym_exit * i_p
-    exit_is = params.rate_severe_exit * i_s
-    ds = -infection
-    de = infection - exit_e
-    dia = params.frac_asym * exit_e - params.gamma * i_a
-    dip = (1 - params.frac_asym) * exit_e - exit_ip
-    dim = (1 - params.delta) * exit_ip - params.gamma * i_m
-    dis = params.delta * exit_ip - exit_is
-    dhr = (1 - params.frac_hosp_death) * exit_is - params.gamma * h_r
-    dhd = params.frac_hosp_death * exit_is - params.rate_death * h_d
-    dr = params.gamma * (i_a + i_m + h_r)
-    dd = params.rate_death * h_d
-    return ds, de, dia, dip, dim, dis, dhr, dhd, dr, dd
+    return _derivative_fn("SEIRM", params)(state, beta_t)
 
 
 def seirhd_rhs(state: np.ndarray, t: float, params: SeirhdParams, beta_t) -> np.ndarray:
     """Derivative over the last axis of a state (10,) or a batch (B, 10);
     ``beta_t`` and the parameters are scalars or (B,) vectors."""
     _check_contact_rate(beta_t)
-    return _derivative("SEIRHD", state, params, beta_t)
+    return _derivative_fn("SEIRHD", params)(state, beta_t)
 
 
 def hospital_inflow_rate(states: np.ndarray, params: SeirhdParams) -> np.ndarray:
@@ -340,7 +324,7 @@ def pkpd_rhs(state: np.ndarray, t: float, params: PkpdParams, z3_t) -> np.ndarra
         raise ValueError(
             f"state dimension {state.shape[-1]} does not match model ({params.dim})"
         )
-    return _derivative("PKPD", state, params, z3_t)
+    return _derivative_fn("PKPD", params)(state, z3_t)
 
 
 def pkpd_jacobian(state: np.ndarray, params: PkpdParams) -> np.ndarray:
@@ -367,15 +351,41 @@ def pkpd_jacobian(state: np.ndarray, params: PkpdParams) -> np.ndarray:
     return jac
 
 
-def _derivative(family: str, state: np.ndarray, params, drive) -> np.ndarray:
-    """The family's derivative over the last axis of a state or a batch,
-    without the input checks of the public right-hand sides."""
-    cols = _columns(state)
+def _derivative_fn(family: str, params):
+    """The family's derivative ``f(state, drive)`` over the last axis of a
+    state or a batch, with ``params`` bound once and without the input
+    checks of the public right-hand sides."""
     if family == "SEIRM":
-        return np.array(seirm_terms(*cols, params, drive)).T
-    if family == "SEIRHD":
-        return np.array(seirhd_terms(cols, params, drive)).T
-    return np.array(pkpd_terms(cols, params, drive, _libm_power)).T
+        return lambda x, drive: np.array(seirm_terms(*_columns(x), params, drive)).T
+    if family == "PKPD":
+        return lambda x, drive: np.array(pkpd_terms(_columns(x), params, drive, _libm_power)).T
+    # SEIR-HD over column blocks. E, I_A, I_P, I_M, I_S, H_R and H_D
+    # (compartments 1-7) form a chain: each gains a share of an upstream exit
+    # flow and loses its own outflow. Every entry keeps the operation order of
+    # the per-compartment expressions, so trajectories keep their bits.
+    p = params
+    rates = np.stack(np.broadcast_arrays(
+        p.alpha, p.gamma, p.rate_presym_exit, p.gamma, p.rate_severe_exit, p.gamma, p.rate_death
+    ), axis=-1)
+    shares = np.stack(np.broadcast_arrays(
+        p.frac_asym, 1 - p.frac_asym, 1 - p.delta, p.delta, 1 - p.frac_hosp_death, p.frac_hosp_death
+    ), axis=-1)
+    sources = np.array([0, 0, 2, 2, 4, 4])  # the exit flow each of I_A ... H_D gains from
+
+    def seirhd(x, beta_t):
+        flows = rates * x[..., 1:8]  # exit_e, g i_a, exit_ip, g i_m, exit_is, g h_r, rd h_d
+        infectious = ((x[..., 2] + x[..., 3]) + x[..., 4]) + x[..., 5]
+        infection = beta_t * x[..., 0] * infectious / p.N
+        out = np.empty(x.shape)
+        np.multiply(shares, flows[..., sources], out=out[..., 2:8])
+        out[..., 1] = infection
+        np.subtract(out[..., 1:8], flows, out=out[..., 1:8])
+        out[..., 0] = -infection
+        out[..., 8] = p.gamma * ((x[..., 2] + x[..., 4]) + x[..., 6])
+        out[..., 9] = flows[..., 6]
+        return out
+
+    return seirhd
 
 
 # -- treatment coupling -------------------------------------------------
@@ -460,10 +470,10 @@ def simulate_expert(
     table, row = tabulate_drive(drive, grid.times[:-1], grid.dt)
     if spec.family != "PKPD":
         _check_contact_rate(table)
-    params = _row_params(spec.params)
+    derivative = _derivative_fn(spec.family, _row_params(spec.params))
 
     def rhs(state, t):
-        return _derivative(spec.family, state, params, table[row[t]])
+        return derivative(state, table[row[t]])
 
     traj = integrate(rhs, batch, grid)
     if init.ndim == 1:

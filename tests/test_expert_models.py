@@ -1,22 +1,28 @@
 import json
+import math
+from dataclasses import fields, replace
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odeguide import datagen
 from odeguide.expert_models import (
     ExpertOdeSpec,
     PkpdParams,
     SeirhdParams,
     SeirmParams,
     TreatmentSchedule,
+    _derivative_fn,
+    _libm_power,
+    _row_params,
     make_drive,
     pkpd_jacobian,
     pkpd_rhs,
     pkpd_terms,
     seirhd_rhs,
-    seirhd_terms,
     seirm_jacobian,
     seirm_rhs,
     seirm_terms,
@@ -305,6 +311,26 @@ def _reference_beta(t, initial_beta, lam, mandate_start):
     return initial_beta * np.exp(-lam * (t - mandate_start))
 
 
+def seirhd_terms(state: Sequence, params: SeirhdParams, beta_t):
+    s, e, i_a, i_p, i_m, i_s, h_r, h_d, r, d = state
+    infectious = i_a + i_p + i_m + i_s
+    infection = beta_t * s * infectious / params.N
+    exit_e = params.alpha * e
+    exit_ip = params.rate_presym_exit * i_p
+    exit_is = params.rate_severe_exit * i_s
+    ds = -infection
+    de = infection - exit_e
+    dia = params.frac_asym * exit_e - params.gamma * i_a
+    dip = (1 - params.frac_asym) * exit_e - exit_ip
+    dim = (1 - params.delta) * exit_ip - params.gamma * i_m
+    dis = params.delta * exit_ip - exit_is
+    dhr = (1 - params.frac_hosp_death) * exit_is - params.gamma * h_r
+    dhd = params.frac_hosp_death * exit_is - params.rate_death * h_d
+    dr = params.gamma * (i_a + i_m + h_r)
+    dd = params.rate_death * h_d
+    return ds, de, dia, dip, dim, dis, dhr, dhd, dr, dd
+
+
 def _reference_rhs(family, params, schedule, decay_lambda=0.005):
     def rhs(state, t):
         if family == "PKPD":
@@ -392,6 +418,74 @@ def test_batched_seirhd_per_row_params_equal_reference():
     treatment = tuple(TreatmentSchedule(kind="binary_policy", mandate_start=m) for m in starts)
     spec = ExpertOdeSpec(family="SEIRHD", params=params, init=init, treatment=treatment)
     _assert_rows_match_reference(spec, TimeGrid(0.0, 0.1, 80))
+
+
+SEIRHD_BASE = SeirhdParams(beta=0.5, alpha=0.3, delta=0.15, N=1e5)
+
+
+@pytest.mark.parametrize("beta_row", [True, False], ids=["beta-row", "beta-scalar"])
+@pytest.mark.parametrize(
+    "field", [None] + [f.name for f in fields(SeirhdParams) if f.name != "beta"]
+)
+def test_seirhd_block_derivative_equals_reference_bitwise(field, beta_row):
+    rng = np.random.default_rng(7)
+    scales = (1.0, 0.7, 1.3, 0.45)
+    base = SEIRHD_BASE
+    rows = tuple(
+        base if field is None else replace(base, **{field: getattr(base, field) * f})
+        for f in scales
+    )
+    state = rng.exponential(1e4, (len(rows), 10))
+    state[1, 2:6] = 0.0  # no infectious: a zero infection
+    beta_t = rng.uniform(0.0, 1.0, len(rows)) if beta_row else 0.4
+    got = _derivative_fn("SEIRHD", _row_params(rows))(state, beta_t)
+    assert got.shape == state.shape
+    for r, params in enumerate(rows):
+        want = np.array(seirhd_terms(state[r], params, beta_t[r] if beta_row else beta_t))
+        assert got[r].tobytes() == want.tobytes(), f"row {r}"
+
+
+def test_seirhd_block_derivative_of_one_state_and_one_row_equals_reference_bitwise():
+    state = np.random.default_rng(8).exponential(1e4, 10)
+    want = np.array(seirhd_terms(state, SEIRHD_BASE, 0.35)).tobytes()
+    assert seirhd_rhs(state, 0.0, SEIRHD_BASE, 0.35).tobytes() == want
+    one_row = _derivative_fn("SEIRHD", _row_params((SEIRHD_BASE,)))(state[None], np.array([0.35]))
+    assert one_row.shape == (1, 10) and one_row[0].tobytes() == want
+
+
+def test_covid_generator_rows_equal_reference(monkeypatch):
+    runs = []
+
+    def recording(spec, grid, *args):
+        runs.append((spec, grid))
+        return simulate_expert(spec, grid, *args)
+
+    monkeypatch.setattr(datagen, "simulate_expert", recording)
+    datagen.gen_covid_dataset(datagen.synthetic_census(n_cities=6, seed=1), seed=1)
+    ((spec, grid),) = runs
+    # per-row N, alpha and delta, and both mandate weeks
+    assert len({p.N for p in spec.params}) == 6
+    assert len({(p.alpha, p.delta) for p in spec.params}) == 2
+    assert len({tr.mandate_start for tr in spec.treatment}) == 2
+    _assert_rows_match_reference(spec, grid)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 1.7])
+@pytest.mark.parametrize("shape", [(), (7,), (7, 1)])
+def test_libm_power_equals_math_pow_elementwise(shape, exponent):
+    base = np.random.default_rng(9).exponential(3.0, shape)
+    if shape == ():
+        base = np.float64(base)  # what np.maximum gives a one-state column
+    got = _libm_power(base, exponent)
+    assert got.shape == shape and got.dtype == np.float64
+    assert got.ravel().tolist() == [math.pow(b, exponent) for b in np.ravel(base).tolist()]
+
+
+def test_libm_power_takes_one_exponent_per_row():
+    base = np.random.default_rng(10).exponential(3.0, 5)
+    exponents = np.array([1.0, 2.0, 1.7, 2.3, 3.0])
+    want = [math.pow(b, e) for b, e in zip(base.tolist(), exponents.tolist())]
+    assert _libm_power(base, exponents).tolist() == want
 
 
 def test_single_row_batch_equals_reference_and_unbatched():
