@@ -311,7 +311,7 @@ def gen_dex_dataset(
     )
     daily = simulate_expert(spec, grid).states[:: round(1.0 / DEX_SOLVER_DT)]
     drive = make_drive("PKPD", params, schedules)
-    plasma = np.hstack([drive(t) for t in np.arange(n_days + 1, dtype=float)])
+    plasma = drive(np.arange(n_days + 1.0))
     units = []
     for i, rng in enumerate(rngs):
         treated = bool(treated_flags[i])

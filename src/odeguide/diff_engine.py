@@ -7,7 +7,10 @@ supported (elementwise arithmetic, softplus, slicing, concatenation, sum),
 plus ``custom_vjp``: one node computed on arrays with a hand-written
 vector-Jacobian product, on which the one-input primitives are built. An MLP
 is one node too: ``mlp_apply`` computes it on arrays and backpropagates
-through its layers in closed form.
+through its layers in closed form. ``concat``, ``custom_vjp``, ``softplus``
+and ``mlp_apply`` return plain arrays when no operand is a Tensor. A node's
+backward step receives the node's gradient and never refers to the node, so
+a node that the loss never reads is freed by refcounting at once.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Array node on the autodiff tape."""
+    """Array node on the autodiff tape; ``backward(g)`` gets its gradient."""
 
     __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
     const = False  # True for ``_Constant``: no gradient flows into it
@@ -72,33 +75,32 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    def __len__(self) -> int:
+        return len(self.data)
+
     # -- elementwise arithmetic ----------------------------------------
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data + other.data, (self, other))
 
-        def back():
+        def back(g):
             for node in (self, other):
                 if not node.const:
-                    _accum(node, _unbroadcast(out.grad, node.data.shape))
+                    _accum(node, _unbroadcast(g, node.data.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data + other.data, (self, other), back)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data * other.data, (self, other))
 
-        def back():
+        def back(g):
             for node, factor in ((self, other), (other, self)):
                 if not node.const:
-                    _accum(node, _unbroadcast(out.grad * factor.data, node.data.shape))
+                    _accum(node, _unbroadcast(g * factor.data, node.data.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data * other.data, (self, other), back)
 
     __rmul__ = __mul__
 
@@ -106,20 +108,26 @@ class Tensor:
         return self * (-1.0)
 
     def __sub__(self, other):
-        return self + (-_as_tensor(other))
+        other = _as_tensor(other)
+
+        def back(g):
+            if not self.const:
+                _accum(self, _unbroadcast(g, self.data.shape))
+            if not other.const:
+                _accum(other, -_unbroadcast(g, other.data.shape))
+
+        return Tensor(self.data - other.data, (self, other), back)
 
     def __truediv__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.data / other.data, (self, other))
 
-        def back():
+        def back(g):
             if not self.const:
-                _accum(self, _unbroadcast(out.grad / other.data, self.data.shape))
+                _accum(self, _unbroadcast(g / other.data, self.data.shape))
             if not other.const:
-                _accum(other, _unbroadcast(-out.grad * self.data / other.data**2, other.data.shape))
+                _accum(other, _unbroadcast(-g * self.data / other.data**2, other.data.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data / other.data, (self, other), back)
 
     def __rtruediv__(self, other):
         return _as_tensor(other) / self
@@ -153,9 +161,7 @@ class Tensor:
     # -- nonlinearities -------------------------------------------------
 
     def softplus(self):
-        # log(1 + e^x), computed stably; derivative is sigmoid(x)
-        y = np.logaddexp(0.0, self.data)
-        return custom_vjp(y, self, lambda g: g / (1.0 + np.exp(-self.data)))
+        return softplus(self)
 
     # -- backward pass --------------------------------------------------
 
@@ -181,11 +187,9 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            # each closure refers to its own node, a reference cycle; dropping
-            # it once run lets refcounting free the tape without the cyclic GC
             back, node._backward = node._backward, None
             if back is not None and node.grad is not None:
-                back()
+                back(node.grad)
 
     def __repr__(self):
         return f"Tensor({self.data!r})"
@@ -211,32 +215,36 @@ def _accum(node: Tensor, grad: np.ndarray) -> None:
         node.grad = node.grad + grad
 
 
-def concat(parts: Sequence, axis: int = -1) -> Tensor:
-    """Concatenate tensors/arrays along ``axis``; scalars count as 1-D."""
-    tensors = [_as_tensor(p) for p in parts]
-    datas = [np.atleast_1d(t.data) for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=axis), tuple(tensors))
+def concat(parts: Sequence, axis: int = -1):
+    """Concatenate tensors/arrays along ``axis``; scalars count as 1-D. With
+    no Tensor among the parts the result is a plain array."""
+    datas = [np.atleast_1d(p.data if isinstance(p, Tensor) else p) for p in parts]
+    data = np.concatenate(datas, axis=axis)
+    if not any(isinstance(p, Tensor) for p in parts):
+        return data
+    tensors = tuple(_as_tensor(p) for p in parts)
     bounds = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
-    def back():
-        for t, piece in zip(tensors, np.split(out.grad, bounds, axis=axis)):
+    def back(g):
+        for t, piece in zip(tensors, np.split(g, bounds, axis=axis)):
             _accum(t, piece.reshape(t.data.shape))
 
-    out._backward = back
-    return out
+    return Tensor(data, tensors, back)
 
 
-def custom_vjp(data, parent: Tensor, vjp: Callable) -> Tensor:
+def custom_vjp(data, parent, vjp: Callable):
     """One node whose value ``data`` was computed from ``parent.data`` off
     the tape; ``vjp(g)`` maps the gradient ``g`` of the result to the
-    gradient of ``parent``."""
-    out = Tensor(data, (parent,))
-    out._backward = lambda: _accum(parent, vjp(out.grad))
-    return out
+    gradient of ``parent``. A ``parent`` that is no Tensor gives ``data``."""
+    if not isinstance(parent, Tensor):
+        return data
+    return Tensor(data, (parent,), lambda g: _accum(parent, vjp(g)))
 
 
 def softplus(x):
-    return x.softplus() if isinstance(x, Tensor) else np.logaddexp(0.0, x)
+    """log(1 + e^x), computed stably; its derivative is sigmoid(x)."""
+    z = x.data if isinstance(x, Tensor) else x
+    return custom_vjp(np.logaddexp(0.0, z), x, lambda g: g / (1.0 + np.exp(-z)))
 
 
 # each activation with its slope as a function of its output
@@ -378,10 +386,9 @@ def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
         return out
     nodes = tuple(_as_tensor(v) for v in operands)
     x_node, W_nodes, b_nodes = nodes[0], nodes[1::2], nodes[2::2]
-    node = Tensor(out, nodes)
 
-    def back():
-        g = node.grad.reshape(-1, spec.n_out)
+    def back(g):
+        g = g.reshape(-1, spec.n_out)
         for i in reversed(range(len(Ws))):
             g = g * _ACTIVATIONS[spec.activations[i]][1](hs[i + 1])
             _accum(W_nodes[i], hs[i].T @ g)
@@ -391,8 +398,7 @@ def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
             g = g @ Ws[i].T
         _accum(x_node, g.reshape(arrays[0].shape))
 
-    node._backward = back
-    return node
+    return Tensor(out, nodes, back)
 
 
 # -- gradients and optimization ----------------------------------------

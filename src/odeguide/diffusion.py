@@ -175,9 +175,10 @@ class PropensityModel:
         return float(1.0 / (1.0 + np.exp(-feats @ self.weights)))
 
 
-def fit_propensity(
-    dataset: Dataset, history_length: int = 3, n_iter: int = 50
-) -> PropensityModel:
+_NEWTON_STEPS = 50  # at most; the fit stops once a step is below 1e-10
+
+
+def fit_propensity(dataset: Dataset) -> PropensityModel:
     """Maximum-likelihood logistic fit on (x_t, a_{t-1}) -> a_t pairs from
     the factual arms (Newton-Raphson with ridge damping)."""
     feats, labels = [], []
@@ -189,7 +190,7 @@ def fit_propensity(
     X = np.asarray(feats)
     yv = np.asarray(labels)
     w = np.zeros(X.shape[1])
-    for _ in range(n_iter):
+    for _ in range(_NEWTON_STEPS):
         p = 1.0 / (1.0 + np.exp(-X @ w))
         grad = X.T @ (yv - p)
         W = p * (1.0 - p)
@@ -198,7 +199,7 @@ def fit_propensity(
         w = w + step
         if np.max(np.abs(step)) < 1e-10:
             break
-    return PropensityModel(weights=w, history_length=history_length)
+    return PropensityModel(weights=w)
 
 
 def propensity_weight(model: PropensityModel, unit: UnitRecord) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diff_engine import Tensor, concat
+from .diff_engine import concat
 from .metrics import dtw, pearson
 
 
@@ -78,7 +78,7 @@ def loss_cf(y0_hat, y0_factual, signals: ExpertGuidanceSignals, config: Guidance
 
     Accepts a Tensor ``y0_hat`` for gradient computation.
     """
-    n = len(y0_hat.data) if isinstance(y0_hat, Tensor) else len(y0_hat)
+    n = len(y0_hat)
     if not (len(y0_factual) == len(signals.f_cf) == len(signals.f_f) == n):
         raise ValueError("trajectories must share the data grid")
     gen_rel = y0_hat - np.asarray(y0_factual, float)
@@ -101,22 +101,13 @@ def loss_cf(y0_hat, y0_factual, signals: ExpertGuidanceSignals, config: Guidance
 def _finite_diff(rel):
     """Forward differences with a backward difference at the last index,
     over the last axis."""
-    if isinstance(rel, Tensor):
-        n = len(rel.data)
-        head = rel[list(range(1, n))] - rel[list(range(0, n - 1))]
-        last = rel[[n - 1]] - rel[[n - 2]]
-        return concat([head, last])
-    head = np.diff(rel, axis=-1)
-    return np.concatenate([head, rel[..., -1:] - rel[..., -2:-1]], axis=-1)
+    return concat([rel[..., 1:] - rel[..., :-1], rel[..., -1:] - rel[..., -2:-1]])
 
 
 def loss_f(y0_hat, y0_factual, window: FactualWindow):
     """Squared deviation from the factual outcome on the pre-divergence
     window; values outside the window never contribute."""
-    n = len(y0_hat.data) if isinstance(y0_hat, Tensor) else len(y0_hat)
-    idx = np.flatnonzero(window.checked_mask(n)).tolist()
-    if not idx:
-        return (y0_hat * 0.0).sum() if isinstance(y0_hat, Tensor) else 0.0
+    idx = np.flatnonzero(window.checked_mask(len(y0_hat))).tolist()
     diff = y0_hat[idx] - np.asarray(y0_factual, float)[idx]
     return (diff * diff).sum()
 

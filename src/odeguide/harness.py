@@ -21,6 +21,7 @@ from .datagen import (
     gen_covid_dataset,
     gen_dex_dataset,
     read_dataset,
+    synthetic_census,
 )
 from .diffusion import (
     ConditioningContext,
@@ -93,17 +94,14 @@ class Scaler:
         return np.asarray(v, float) * self.std + self.mean
 
 
+# the dataset keys each source reads
+_DATASET_KEYS = {
+    "path": {"path", "kind"},
+    "dex": {"kind", "n_units", "sigma", "n_days", "drop_measurements"},
+    "covid": {"kind", "n_units", "n_weeks", "initial_beta"},
+}
 _SECTION_KEYS = {
-    "dataset": {
-        "kind",
-        "path",
-        "n_units",
-        "sigma",
-        "n_days",
-        "n_weeks",
-        "drop_measurements",
-        "initial_beta",
-    },
+    "dataset": set().union(*_DATASET_KEYS.values()),
     "expert": None,  # validated by the parameter dataclasses
     "hybrid": {f.name for f in fields(HybridCpConfig)},
     "schedule": {"t_d", "beta_start", "beta_end", "lambda_const"},
@@ -199,12 +197,14 @@ class ExperimentConfig:
         self.guidance_config = None if g is None else GuidanceConfig(
             **{f.name: g[f.name] for f in fields(GuidanceConfig) if f.name in g}
         )
-        if "path" in self.dataset:
-            path = Path(self.dataset["path"])
-            if not path.exists():
-                raise FileNotFoundError(f"dataset path {path} does not exist")
-        elif self.dataset.get("kind") not in ("dex", "covid"):
+        source = "path" if "path" in self.dataset else self.dataset.get("kind")
+        if source not in ("path", "dex", "covid"):  # a tuple: ``kind`` may be unhashable
             raise ValueError("dataset needs a 'path' or a 'kind' of 'dex' or 'covid'")
+        extra = set(self.dataset) - _DATASET_KEYS[source]
+        if extra:
+            raise ValueError(f"dataset keys {sorted(extra)} do not apply to a {source!r} dataset")
+        if source == "path" and not Path(self.dataset["path"]).exists():
+            raise FileNotFoundError(f"dataset path {self.dataset['path']} does not exist")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -228,28 +228,18 @@ class ExperimentConfig:
 
 
 def _load_or_generate(config: ExperimentConfig) -> Dataset:
-    ds = config.dataset
+    """Read the dataset, or generate it with the keys the config sets and
+    the generator's defaults for the rest."""
+    ds = {k: v for k, v in config.dataset.items() if k != "kind"}
     if "path" in ds:
         return read_dataset(ds["path"])
-    if ds["kind"] == "dex":
-        return gen_dex_dataset(
-            n_patients=ds.get("n_units", 50),
-            seed=config.seed,
-            sigma=ds.get("sigma", 0.01),
-            n_days=ds.get("n_days", 14),
-            drop_measurements=ds.get("drop_measurements", True),
-        )
-    populations = None
+    if config.dataset["kind"] == "dex":
+        if "n_units" in ds:
+            ds["n_patients"] = ds.pop("n_units")
+        return gen_dex_dataset(seed=config.seed, **ds)
     if "n_units" in ds:
-        from .datagen import synthetic_census
-
-        populations = synthetic_census(n_cities=ds["n_units"], seed=config.seed)
-    return gen_covid_dataset(
-        populations=populations,
-        seed=config.seed,
-        n_weeks=ds.get("n_weeks", 52),
-        initial_beta=ds.get("initial_beta", 0.5),
-    )
+        ds["populations"] = synthetic_census(n_cities=ds.pop("n_units"), seed=config.seed)
+    return gen_covid_dataset(seed=config.seed, **ds)
 
 
 def _expert_setup(kind: str, overrides: dict):
@@ -550,21 +540,11 @@ def _stage_diffusion(config, state, out, meta):
     state["schedule"] = make_schedule(**sched_kwargs)
     horizon = state["times"].size
     diff = dict(config.diffusion)
-    denoiser = make_denoiser(
-        horizon,
-        d_x,
-        hidden=tuple(diff.get("hidden", (64, 64, 64))),
-        seed=config.seed,
-        n_freq=diff.get("n_freq", 8),
-    )
+    net = {k: diff.pop(k) for k in ("hidden", "n_freq") if k in diff}
+    denoiser = make_denoiser(horizon, d_x, seed=config.seed, **net)
     y0_rows = np.stack([state["y_scaler"].transform(u.factual.y) for u in train_units])
     cond, _ = _unit_inputs(state, train_units, "factual")
     mask_rows = np.stack([u.factual.observed.astype(float) for u in train_units])
-    train_cfg = DiffusionTrainConfig(
-        epochs=diff.get("epochs", 200),
-        lr=diff.get("lr", 1e-3),
-        batch_size=diff.get("batch_size", 64),
-    )
     denoiser, losses = train_diffusion(
         denoiser,
         y0_rows,
@@ -572,7 +552,7 @@ def _stage_diffusion(config, state, out, meta):
         mask_rows,
         state["weights"],
         state["schedule"],
-        train_cfg,
+        DiffusionTrainConfig(**diff),
         seed=config.seed,
     )
     denoiser.params.save(out / "checkpoints" / "denoiser.json")

@@ -97,13 +97,6 @@ def make_hybrid_model(
     return model
 
 
-def _cat(parts):
-    """Concatenate along the last axis, on the tape when any part is a Tensor."""
-    if any(isinstance(p, Tensor) for p in parts):
-        return de.concat(parts)
-    return np.concatenate(parts, axis=-1)
-
-
 def normalize_expert_state(raw, family: str, expert_params):
     """Map an unconstrained encoder output onto the family's state space:
     positivity via softplus, plus a per-row total-population rescale for
@@ -122,7 +115,7 @@ def encode_init(model: HybridCpModel, params, x0, a0, y0):
     y0 = np.asarray(y0, float)[:, None]
     obs = np.concatenate([np.asarray(x0, float), a0, y0], axis=1)
     zx0 = de.mlp_apply(model.specs["gxi"], params, obs, prefix="gxi_")
-    zy0 = de.mlp_apply(model.specs["gzeta"], params, _cat([zx0, a0, y0]), prefix="gzeta_")
+    zy0 = de.mlp_apply(model.specs["gzeta"], params, de.concat([zx0, a0, y0]), prefix="gzeta_")
     ze_raw = de.mlp_apply(model.specs["geta"], params, obs, prefix="geta_")
     ze0 = normalize_expert_state(ze_raw, model.family, model.expert_params)
     return zx0, zy0, ze0
@@ -139,21 +132,17 @@ def expert_rhs(model: HybridCpModel, ze, drive):
     p = model.expert_params
     if model.family == "SEIRM":
         dze = np.concatenate(seirm_terms(*cols, p, drive), axis=-1)
+        jacobian = lambda: seirm_jacobian(z, p, np.broadcast_to(drive, z[..., :1].shape)[..., 0])
     else:
         dze = np.concatenate(pkpd_terms(cols, p, drive), axis=-1)
-    if not isinstance(ze, Tensor):
-        return dze
-    if model.family == "SEIRM":
-        jac = seirm_jacobian(z, p, np.broadcast_to(drive, z[..., :1].shape)[..., 0])
-    else:
-        jac = pkpd_jacobian(z, p)
-    return de.custom_vjp(dze, ze, lambda g: np.einsum("...i,...ij->...j", g, jac))
+        jacobian = lambda: pkpd_jacobian(z, p)
+    return de.custom_vjp(dze, ze, lambda g: np.einsum("...i,...ij->...j", g, jacobian()))
 
 
 def readout(model: HybridCpModel, params, zy, zx, ze, a_t):
     """Outcome (U, 1) and covariates (U, d_x) from the latent states."""
-    y = de.mlp_apply(model.specs["gy"], params, _cat([ze, zy, zx, a_t]), prefix="gy_")
-    x = de.mlp_apply(model.specs["gx"], params, _cat([zx, a_t]), prefix="gx_")
+    y = de.mlp_apply(model.specs["gy"], params, de.concat([ze, zy, zx, a_t]), prefix="gy_")
+    x = de.mlp_apply(model.specs["gx"], params, de.concat([zx, a_t]), prefix="gx_")
     return y, x
 
 
@@ -188,7 +177,7 @@ def rollout(
     my, e = model.config.m_y, model.e_dim
 
     zx, zy, ze = encode_init(model, params, x0, a0, y0)
-    z = _cat([zy, ze, zx])  # the packed state (z_y | z_e | z_x)
+    z = de.concat([zy, ze, zx])  # the packed state (z_y | z_e | z_x)
     y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, :1])
     ys, xs = [y_out], [x_out]
     # the covariate channel sees the outcome latent through a one-grid-step
@@ -199,22 +188,20 @@ def rollout(
         a_t = a_seq[:, k : k + 1]
 
         def rhs(z, t):
-            dzy = de.mlp_apply(model.specs["fy"], params, _cat([z, a_t]), prefix="fy_")
-            fx_in = _cat([z[:, my + e :], zy_lag, a_t])
+            dzy = de.mlp_apply(model.specs["fy"], params, de.concat([z, a_t]), prefix="fy_")
+            fx_in = de.concat([z[:, my + e :], zy_lag, a_t])
             dzx = de.mlp_apply(model.specs["fx"], params, fx_in, prefix="fx_")
             dze = expert_rhs(model, z[:, my : my + e], table[row[t], :, None])
-            return _cat([dzy, dze, dzx])
+            return de.concat([dzy, dze, dzx])
 
         for t, dt in zip(starts[k], dts[k]):
             z, _ = rk4_update(rhs, z, t, dt)
-        # one slice per block, read by the readout and the delay buffer: a
-        # tape node the loss never reads keeps the tape alive until a GC pass
         zy, ze, zx = z[:, :my], z[:, my : my + e], z[:, my + e :]
         zy_lag = zy_start
         y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, k + 1 : k + 2])
         ys.append(y_out)
         xs.append(x_out)
-    return _cat(ys), _cat(xs).reshape(len(treatments), len(times), model.d_x)
+    return de.concat(ys), de.concat(xs).reshape(len(treatments), len(times), model.d_x)
 
 
 def predict(model: HybridCpModel, x0, a0, y0, a_seq, times, treatment):
@@ -251,17 +238,15 @@ def _dataset_loss(model: HybridCpModel, tensors, units: list[UnitRecord]):
     return ((y_hat[obs] - y) ** 2).sum() * (1.0 / y.size) + (dx * dx).sum() * (1.0 / x.size)
 
 
-def train_hybrid(
-    model: HybridCpModel, dataset: Dataset, config: HybridCpConfig | None = None
-) -> tuple[HybridCpModel, list[float]]:
-    """Fit the learned components to factual arms by MSE on observed points.
+def train_hybrid(model: HybridCpModel, dataset: Dataset) -> tuple[HybridCpModel, list[float]]:
+    """Fit the learned components to factual arms by MSE on observed points,
+    with the optimiser settings of ``model.config``.
 
     The mechanistic expert parameters are never touched.
     """
     if not dataset.units:
         raise ValueError("dataset must be nonempty")
-    if config is None:
-        config = model.config
+    config = model.config
     params = model.params
     state = de.AdamState()
     losses: list[float] = []

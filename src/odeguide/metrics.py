@@ -72,35 +72,35 @@ def wasserstein1(samples_a, samples_b) -> float:
     return float(np.sum(widths * np.abs(a[ia] - b[ib])))
 
 
-def pi_coverage(samples: np.ndarray, truth: np.ndarray, level: float) -> float:
-    """Fraction of time points where truth lies inside the central
-    ``level`` empirical interval of the per-time sample distribution."""
+def _ensemble(samples, truth) -> tuple[np.ndarray, np.ndarray]:
     samples = np.asarray(samples, dtype=float)
     truth = np.asarray(truth, dtype=float).ravel()
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("need a (n_samples, T) ensemble with n_samples >= 2")
-    if not 0 < level < 1:
-        raise ValueError("level must lie in (0, 1)")
+    return samples, truth
+
+
+def _covered(samples: np.ndarray, truth: np.ndarray, level: float) -> float:
     lo = np.quantile(samples, (1 - level) / 2, axis=0)
     hi = np.quantile(samples, 1 - (1 - level) / 2, axis=0)
-    inside = (truth >= lo) & (truth <= hi)
-    return float(np.mean(inside))
+    return float(np.mean((truth >= lo) & (truth <= hi)))
+
+
+def pi_coverage(samples: np.ndarray, truth: np.ndarray, level: float) -> float:
+    """Fraction of time points where truth lies inside the central
+    ``level`` empirical interval of the per-time sample distribution."""
+    samples, truth = _ensemble(samples, truth)
+    if not 0 < level < 1:
+        raise ValueError("level must lie in (0, 1)")
+    return _covered(samples, truth, level)
 
 
 def calibration_score(samples: np.ndarray, truth: np.ndarray) -> float:
     """Mean absolute gap between nominal and empirical coverage across the
     11 levels 0.0, 0.1, ..., 1.0."""
-    samples = np.asarray(samples, dtype=float)
-    truth = np.asarray(truth, dtype=float).ravel()
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise ValueError("need a (n_samples, T) ensemble with n_samples >= 2")
-    gaps = []
-    for level in np.linspace(0.0, 1.0, 11):
-        lo = np.quantile(samples, (1 - level) / 2, axis=0)
-        hi = np.quantile(samples, 1 - (1 - level) / 2, axis=0)
-        cov = float(np.mean((truth >= lo) & (truth <= hi)))
-        gaps.append(abs(cov - level))
-    return float(np.mean(gaps))
+    samples, truth = _ensemble(samples, truth)
+    levels = np.linspace(0.0, 1.0, 11)
+    return float(np.mean([abs(_covered(samples, truth, lv) - lv) for lv in levels]))
 
 
 def cate_rmse(estimate: np.ndarray, truth: np.ndarray) -> float:

@@ -10,11 +10,14 @@ from odeguide.diff_engine import (
     MlpSpec,
     ParamSet,
     Tensor,
+    _Constant,
     adam_step,
     concat,
+    custom_vjp,
     grad_check,
     init_mlp_params,
     mlp_apply,
+    softplus,
     timestep_embedding,
     value_and_grad,
 )
@@ -321,7 +324,7 @@ def _backward_keeping_tape(root):
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def test_backward_frees_the_tape_without_the_cyclic_gc():
@@ -352,6 +355,72 @@ def test_backward_frees_the_tape_without_the_cyclic_gc():
             gc.enable()
     for k in want:
         np.testing.assert_array_equal(record.gradient[k], want[k])
+
+
+@pytest.mark.parametrize("unread", ["scaled_slice", "concat"])
+def test_a_node_the_loss_never_reads_is_freed_without_the_cyclic_gc(unread):
+    import gc
+    import weakref
+
+    spec = MlpSpec.make(3, 2, (5, 4))
+    params = ParamSet(init_mlp_params(spec, np.random.default_rng(0)))
+    x = np.random.default_rng(1).standard_normal((6, 3))
+    dangling = []
+
+    def f(tensors, x):
+        h = mlp_apply(spec, tensors, x)
+        dangling.append(weakref.ref(h[:, :1] * 2.0 if unread == "scaled_slice" else concat([h, x])))
+        return (h * h).sum()
+
+    tensors = params.as_tensors()
+    _backward_keeping_tape(f(tensors, x))
+    want = {k: t.grad for k, t in tensors.items()}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dangling.clear()
+        record = value_and_grad(f, params, x)
+        assert dangling[0]() is None, "unread tape node outlived value_and_grad"
+    finally:
+        if enabled:
+            gc.enable()
+    for k in want:
+        assert record.gradient[k].tobytes() == want[k].tobytes()
+
+
+def test_concat_custom_vjp_and_softplus_pass_plain_arrays_through():
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((4, 2)), 30.0 * rng.standard_normal((4, 3))
+    joined = concat([a, b])
+    assert type(joined) is np.ndarray
+    assert joined.tobytes() == np.concatenate([a, b], axis=-1).tobytes()
+    value = np.sin(a)
+    assert custom_vjp(value, a, lambda g: g * np.cos(a)) is value
+    smooth = softplus(b)
+    assert type(smooth) is np.ndarray
+    assert smooth.tobytes() == np.logaddexp(0.0, b).tobytes()
+
+
+@pytest.mark.parametrize("case", ["same_shape", "broadcast", "constant_right", "constant_left"])
+def test_sub_equals_adding_the_negation_bitwise(case):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 4))
+    b = rng.standard_normal((1, 4) if case == "broadcast" else (3, 4))
+    weight = rng.standard_normal((3, 4))
+    params = ParamSet({"a": a, "b": b})
+    results = []
+    for sub in (lambda p, q: p - q, lambda p, q: p + (-q)):
+
+        def f(tensors):
+            p = _Constant(a) if case == "constant_left" else tensors["a"]
+            q = b if case == "constant_right" else tensors["b"]
+            d = sub(p, q)
+            results.append(d.data.tobytes())
+            return (d * weight).sum()
+
+        record = value_and_grad(f, params)
+        results.append((record.loss, {k: g.tobytes() for k, g in record.gradient.items()}))
+    assert results[0] == results[2] and results[1] == results[3]
 
 
 def _mixed_constant_loss(tensors, wrap):

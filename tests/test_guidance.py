@@ -81,6 +81,16 @@ def test_loss_f_window_restriction():
         loss_f(y0_hat, y0_f, FactualWindow(mask=np.arange(5) == 4))
 
 
+def test_loss_f_on_an_empty_window_ignores_non_finite_values_outside_it():
+    y0_hat = np.array([1.0, np.inf, np.nan, 4.0])
+    window = FactualWindow(mask=np.zeros(4, bool))
+    assert loss_f(y0_hat, np.zeros(4), window) == 0.0
+    t = Tensor(y0_hat)
+    loss = loss_f(t, np.zeros(4), window)
+    loss.backward()
+    assert float(loss.data) == 0.0 and not np.any(t.grad)
+
+
 def test_factual_window_before_divergence():
     a_f = np.array([0, 0, 1, 1])
     a_cf = np.array([0, 0, 0, 0])

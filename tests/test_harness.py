@@ -46,6 +46,19 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig(dataset={"kind": "mnist"}, out_dir="x")
 
 
+@pytest.mark.parametrize(
+    "dataset, key, source",
+    [
+        ({"kind": "covid", "n_days": 30}, "n_days", "covid"),
+        ({"kind": "dex", "n_weeks": 3}, "n_weeks", "dex"),
+        ({"path": ".", "n_units": 5}, "n_units", "path"),
+    ],
+)
+def test_config_rejects_dataset_keys_its_source_does_not_read(dataset, key, source):
+    with pytest.raises(ValueError, match=rf"dataset keys \['{key}'\] do not apply to a '{source}'"):
+        ExperimentConfig(dataset=dataset, out_dir="x")
+
+
 def test_config_missing_dataset_path_rejected(tmp_path):
     with pytest.raises(FileNotFoundError):
         ExperimentConfig(dataset={"path": str(tmp_path / "nope")}, out_dir="x")
