@@ -6,11 +6,17 @@ exact gradients. Only the primitives needed by the rest of the package are
 supported (elementwise arithmetic, softplus, slicing, concatenation, sum),
 plus ``custom_vjp``: one node computed on arrays with a hand-written
 vector-Jacobian product, on which the one-input primitives are built. An MLP
-is one node too: ``mlp_apply`` computes it on arrays and backpropagates
-through its layers in closed form. ``concat``, ``custom_vjp``, ``softplus``
-and ``mlp_apply`` return plain arrays when no operand is a Tensor. A node's
-backward step receives the node's gradient and never refers to the node, so
-a node that the loss never reads is freed by refcounting at once.
+is one node too: ``mlp_apply`` runs ``mlp_forward`` and backpropagates with
+``mlp_backward``, the closed-form pass through its layers. ``concat``,
+``custom_vjp``, ``softplus`` and ``mlp_apply`` return plain arrays when no
+operand is a Tensor. A node's backward step receives the node's gradient and
+never refers to the node, so a node that the loss never reads is freed by
+refcounting at once.
+
+Training builds no tape: the hybrid and the denoiser take their gradients
+in closed form from ``mlp_forward`` and ``mlp_backward`` on arrays. The tape
+is the reference those gradients are tested against, and what
+``grad_check`` and the guidance tests differentiate.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ __all__ = [
     "custom_vjp",
     "init_mlp_params",
     "mlp_apply",
+    "mlp_backward",
+    "mlp_forward",
     "value_and_grad",
     "adam_step",
     "grad_check",
@@ -362,13 +370,33 @@ def _layers(spec: MlpSpec, Ws, bs, pre: np.ndarray) -> list[np.ndarray]:
     return hs
 
 
-def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
-    """Forward pass on (..., n_in) input.
+def mlp_forward(spec: MlpSpec, Ws, bs, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output for the (R, n_in) array rows ``x``, with ``x``
+    first: what ``mlp_backward`` needs. Every product goes through
+    ``_rows``, so a row's output depends only on that row."""
+    return [x, *_layers(spec, Ws, bs, _rows(x, Ws[0]) + bs[0])]
 
-    Every product goes through ``_rows``, so a row's output depends only on
-    that row. With a Tensor input or any Tensor parameter the result is one
-    tape node, whose backward pass is the closed-form backpropagation through
-    the layers; its forward is the same loop, bitwise.
+
+def mlp_backward(spec: MlpSpec, Ws, hs: list[np.ndarray], g: np.ndarray, dx: bool = True):
+    """Closed-form backpropagation of the output gradient ``g`` (R, n_out)
+    through the layers ``hs`` of ``mlp_forward``: returns the weight and
+    bias gradients, one per layer, and the input gradient (R, n_in), or
+    None for it when not ``dx``."""
+    dWs, dbs = [None] * len(Ws), [None] * len(Ws)
+    for i in reversed(range(len(Ws))):
+        g = g * _ACTIVATIONS[spec.activations[i]][1](hs[i + 1])
+        dWs[i], dbs[i] = hs[i].T @ g, g.sum(axis=0)
+        if i == 0 and not dx:
+            return dWs, dbs, None
+        g = g @ Ws[i].T
+    return dWs, dbs, g
+
+
+def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
+    """Forward pass on (..., n_in) input: ``mlp_forward``'s last layer.
+
+    With a Tensor input or any Tensor parameter the result is one tape
+    node, whose backward pass is ``mlp_backward``.
     """
     in_width = x.shape[-1] if getattr(x, "shape", ()) else 1
     if in_width != spec.n_in:
@@ -377,26 +405,19 @@ def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
     for i in range(len(spec.activations)):
         operands += [params[f"{prefix}W{i}"], params[f"{prefix}b{i}"]]
     arrays = [np.asarray(v.data if isinstance(v, Tensor) else v, float) for v in operands]
-    Ws, bs = arrays[1::2], arrays[2::2]
-    lead = arrays[0].shape[:-1]
-    h = arrays[0].reshape(-1, spec.n_in)
-    hs = [h, *_layers(spec, Ws, bs, _rows(h, Ws[0]) + bs[0])]
-    out = hs[-1].reshape(*lead, spec.n_out)
+    Ws = arrays[1::2]
+    hs = mlp_forward(spec, Ws, arrays[2::2], arrays[0].reshape(-1, spec.n_in))
+    out = hs[-1].reshape(*arrays[0].shape[:-1], spec.n_out)
     if not any(isinstance(v, Tensor) for v in operands):
         return out
     nodes = tuple(_as_tensor(v) for v in operands)
-    x_node, W_nodes, b_nodes = nodes[0], nodes[1::2], nodes[2::2]
 
     def back(g):
-        g = g.reshape(-1, spec.n_out)
-        for i in reversed(range(len(Ws))):
-            g = g * _ACTIVATIONS[spec.activations[i]][1](hs[i + 1])
-            _accum(W_nodes[i], hs[i].T @ g)
-            _accum(b_nodes[i], g.sum(axis=0))
-            if i == 0 and x_node.const:
-                return
-            g = g @ Ws[i].T
-        _accum(x_node, g.reshape(arrays[0].shape))
+        dWs, dbs, dx = mlp_backward(spec, Ws, hs, g.reshape(-1, spec.n_out), not nodes[0].const)
+        for node, grad in zip(nodes[1::2] + nodes[2::2], dWs + dbs):
+            _accum(node, grad)
+        if dx is not None:
+            _accum(nodes[0], dx.reshape(arrays[0].shape))
 
     return Tensor(out, nodes, back)
 

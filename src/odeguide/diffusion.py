@@ -245,6 +245,10 @@ def train_diffusion(
     conditioning vectors; ``mask_rows``: (n, T) observation masks limiting
     the squared norm to observed entries; ``weights``: (n,) inverse
     propensity weights.
+
+    Each batch's loss and gradient come from ``_batch_loss_and_grad``, one
+    forward and one closed-form backward pass on arrays, bitwise equal to
+    the autodiff tape over ``_batch_loss_fn``, which is its test reference.
     """
     n, T = y0_rows.shape
     if n == 0:
@@ -263,8 +267,7 @@ def train_diffusion(
             idx = order[start : start + config.batch_size]
             taus = rng.integers(1, schedule.t_d + 1, size=idx.size)
             eps = rng.standard_normal((idx.size, T))
-            record = de.value_and_grad(
-                _batch_loss_fn,
+            loss, grads = _batch_loss_and_grad(
                 params,
                 model,
                 schedule,
@@ -276,10 +279,10 @@ def train_diffusion(
                 eps,
                 table[taus - 1],
             )
-            if not np.isfinite(record.loss):
+            if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
-            params, state = de.adam_step(params, record.gradient, state, config.lr)
-            epoch_loss += record.loss
+            params, state = de.adam_step(params, grads, state, config.lr)
+            epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)
     trained = replace(model)
@@ -287,18 +290,45 @@ def train_diffusion(
     return trained, losses
 
 
-def _batch_loss_fn(tensors, model, schedule, y0, cond, mask, weights, taus, eps, embeds=None):
-    B, T = y0.shape
+def _noised_inputs(model, schedule, y0, cond, taus, eps, embeds):
+    """The noisy rows ``y_tau`` and the denoiser's input rows
+    (y_tau | embedding | conditioning)."""
     abar = schedule.alpha_bar[taus - 1]
     y_tau = np.sqrt(abar)[:, None] * y0 + np.sqrt(1.0 - abar)[:, None] * eps
     if embeds is None:  # no table rows given: embed each row's tau here
         embeds = np.stack([de.timestep_embedding(int(t), schedule.t_d, model.n_freq) for t in taus])
-    inputs = np.concatenate([y_tau, embeds, cond], axis=1)
-    y0_hat = de.mlp_apply(model.spec, tensors, inputs, prefix="den_") + y_tau
-    w_tau = schedule.loss_weights[taus - 1]
+    return y_tau, np.concatenate([y_tau, embeds, cond], axis=1)
+
+
+def _weighted_sse(y0_hat, y0, mask, row_weights):
+    """Batch mean of the row-weighted squared error on the masked entries."""
     diff = (y0_hat - y0) * mask
-    per_row = (diff * diff).sum(axis=1)
-    return (per_row * (weights * w_tau)).sum() * (1.0 / B)
+    return ((diff * diff).sum(axis=1) * row_weights).sum() * (1.0 / len(y0))
+
+
+def _batch_loss_fn(tensors, model, schedule, y0, cond, mask, weights, taus, eps, embeds=None):
+    """The batch loss on the autodiff tape, given Tensor parameters: the
+    reference for ``_batch_loss_and_grad``."""
+    y_tau, inputs = _noised_inputs(model, schedule, y0, cond, taus, eps, embeds)
+    y0_hat = de.mlp_apply(model.spec, tensors, inputs, prefix="den_") + y_tau
+    return _weighted_sse(y0_hat, y0, mask, weights * schedule.loss_weights[taus - 1])
+
+
+def _batch_loss_and_grad(params, model, schedule, y0, cond, mask, weights, taus, eps, embeds=None):
+    """``_batch_loss_fn``'s value and parameter gradient from one forward
+    and one backward pass on arrays. The backward takes the tape's steps in
+    the tape's order, so both are bitwise the tape's."""
+    y_tau, inputs = _noised_inputs(model, schedule, y0, cond, taus, eps, embeds)
+    n_layers = len(model.spec.activations)
+    Ws, bs = ([params[f"den_{k}{i}"] for i in range(n_layers)] for k in "Wb")
+    hs = de.mlp_forward(model.spec, Ws, bs, inputs)
+    y0_hat = hs[-1] + y_tau
+    row_weights = weights * schedule.loss_weights[taus - 1]
+    loss = float(_weighted_sse(y0_hat, y0, mask, row_weights))
+    # d loss / d diff: the tape accumulates g * diff once per factor of diff * diff
+    g_diff = ((1.0 / len(y0)) * row_weights)[:, None] * ((y0_hat - y0) * mask)
+    dWs, dbs, _ = de.mlp_backward(model.spec, Ws, hs, (g_diff + g_diff) * mask, dx=False)
+    return loss, dict(zip([f"den_{k}{i}" for k in "Wb" for i in range(n_layers)], dWs + dbs))
 
 
 def diffusion_batch_loss(

@@ -23,6 +23,7 @@ from .datagen import (
     read_dataset,
     synthetic_census,
 )
+from .diff_engine import _ACTIVATIONS
 from .diffusion import (
     ConditioningContext,
     DiffusionTrainConfig,
@@ -126,6 +127,8 @@ _COUNT_KEYS = (
     ("evaluation", "n_samples", 2),
     ("hybrid", "epochs", 1),
     ("hybrid", "n_substeps", 1),
+    ("hybrid", "m_y", 1),
+    ("hybrid", "m_x", 1),
     ("diffusion", "epochs", 1),
     ("diffusion", "batch_size", 1),
     ("diffusion", "n_freq", 1),
@@ -179,6 +182,10 @@ class ExperimentConfig:
             hidden = getattr(self, name).get("hidden", [])
             if not isinstance(hidden, (list, tuple)) or not all(_is_count(w, 1) for w in hidden):
                 raise ValueError(f"{name}.hidden must be a list of integers >= 1, got {hidden!r}")
+        activation = self.hybrid.get("activation", "tanh")
+        if not isinstance(activation, str) or activation not in _ACTIVATIONS:
+            choices = sorted(_ACTIVATIONS)
+            raise ValueError(f"hybrid.activation must be one of {choices}, got {activation!r}")
         for name, key, high in _OPEN_INTERVAL_KEYS:
             section = getattr(self, name)
             if key not in section:
@@ -470,6 +477,10 @@ def _stage_propensity(config, state, out, meta):
     state["weights"] = np.array(
         [propensity_weight(prop, u) for u in state["train_units"]]
     )
+    finite = np.isfinite(state["weights"])
+    if not finite.all():
+        unit = state["train_units"][int(np.argmin(finite))]
+        raise ValueError(f"unit {unit.unit_id!r} has a non-finite IPTW weight")
     meta["mean_iptw_weight"] = float(state["weights"].mean())
 
 

@@ -12,11 +12,14 @@ treatment reaches the expert as the (U, 1) drive of
 every stage time: the dose plasma level for PKPD, the contact rate beta_t
 (from the unit's own mandate start) for SEIRM. On the tape the expert's
 right-hand side is one node per stage, evaluated on arrays, whose gradient
-is the product with its closed-form Jacobian. Training backpropagates
-through one rollout of the whole training set. Inference (``predict``) runs the same
-rollout on plain numpy arrays for any number of units; the plain-array MLP
-forward is row-invariant, so a unit's prediction is the same bits whichever
-units share the call.
+is the product with its closed-form Jacobian. Training runs one rollout of
+the whole training set on arrays, keeping every MLP call's layer outputs,
+and takes the gradient by the discrete adjoint of that rollout (the exact
+gradient of the computed loss); the tape over the same rollout is its test
+reference. Inference (``predict``) runs the same rollout on plain numpy
+arrays for any number of units; the plain-array MLP forward is
+row-invariant, so a unit's prediction is the same bits whichever units
+share the call.
 """
 
 from __future__ import annotations
@@ -108,17 +111,25 @@ def normalize_expert_state(raw, family: str, expert_params):
     return pos
 
 
-def encode_init(model: HybridCpModel, params, x0, a0, y0):
+def encode_init(model: HybridCpModel, params, x0, a0, y0, _mlp=de.mlp_apply):
     """Initial latent states (z_x, z_y, z_e) from the first observations:
     ``x0`` is (U, d_x), ``a0`` and ``y0`` are (U,)."""
     a0 = np.asarray(a0, float)[:, None]
     y0 = np.asarray(y0, float)[:, None]
     obs = np.concatenate([np.asarray(x0, float), a0, y0], axis=1)
-    zx0 = de.mlp_apply(model.specs["gxi"], params, obs, prefix="gxi_")
-    zy0 = de.mlp_apply(model.specs["gzeta"], params, de.concat([zx0, a0, y0]), prefix="gzeta_")
-    ze_raw = de.mlp_apply(model.specs["geta"], params, obs, prefix="geta_")
+    zx0 = _mlp(model.specs["gxi"], params, obs, prefix="gxi_")
+    zy0 = _mlp(model.specs["gzeta"], params, de.concat([zx0, a0, y0]), prefix="gzeta_")
+    ze_raw = _mlp(model.specs["geta"], params, obs, prefix="geta_")
     ze0 = normalize_expert_state(ze_raw, model.family, model.expert_params)
     return zx0, zy0, ze0
+
+
+def _expert_jacobian(model: HybridCpModel, z: np.ndarray, drive) -> np.ndarray:
+    """d expert_rhs / d z, (..., e, e)."""
+    p = model.expert_params
+    if model.family == "SEIRM":
+        return seirm_jacobian(z, p, np.broadcast_to(drive, z[..., :1].shape)[..., 0])
+    return pkpd_jacobian(z, p)
 
 
 def expert_rhs(model: HybridCpModel, ze, drive):
@@ -132,18 +143,28 @@ def expert_rhs(model: HybridCpModel, ze, drive):
     p = model.expert_params
     if model.family == "SEIRM":
         dze = np.concatenate(seirm_terms(*cols, p, drive), axis=-1)
-        jacobian = lambda: seirm_jacobian(z, p, np.broadcast_to(drive, z[..., :1].shape)[..., 0])
     else:
         dze = np.concatenate(pkpd_terms(cols, p, drive), axis=-1)
-        jacobian = lambda: pkpd_jacobian(z, p)
-    return de.custom_vjp(dze, ze, lambda g: np.einsum("...i,...ij->...j", g, jacobian()))
+    vjp = lambda g: np.einsum("...i,...ij->...j", g, _expert_jacobian(model, z, drive))
+    return de.custom_vjp(dze, ze, vjp)
 
 
-def readout(model: HybridCpModel, params, zy, zx, ze, a_t):
+def readout(model: HybridCpModel, params, zy, zx, ze, a_t, _mlp=de.mlp_apply):
     """Outcome (U, 1) and covariates (U, d_x) from the latent states."""
-    y = de.mlp_apply(model.specs["gy"], params, de.concat([ze, zy, zx, a_t]), prefix="gy_")
-    x = de.mlp_apply(model.specs["gx"], params, de.concat([zx, a_t]), prefix="gx_")
+    y = _mlp(model.specs["gy"], params, de.concat([ze, zy, zx, a_t]), prefix="gy_")
+    x = _mlp(model.specs["gx"], params, de.concat([zx, a_t]), prefix="gx_")
     return y, x
+
+
+def _substeps(model: HybridCpModel, times: np.ndarray, treatments):
+    """Every RK4 substep's start and size, as (T - 1, n_sub) arrays, and
+    the (U, 1) drive at a stage time, tabulated once over every stage."""
+    n_sub = model.config.n_substeps
+    dts = np.repeat(np.diff(times)[:, None] / n_sub, n_sub, axis=1)
+    starts = times[:-1, None] + np.arange(n_sub) * dts
+    drive = make_drive(model.family, model.expert_params, treatments)
+    table, row = tabulate_drive(drive, starts.ravel(), dts.ravel())
+    return starts, dts, lambda t: table[row[t], :, None]
 
 
 def rollout(
@@ -155,30 +176,25 @@ def rollout(
     a_seq,
     times: np.ndarray,
     treatments,
+    _mlp=de.mlp_apply,
 ):
     """Encode, integrate, and read out U units at every point of their
     shared grid.
 
     ``x0`` is (U, d_x); ``a0`` and ``y0`` are (U,); ``a_seq`` is (U, T);
     ``treatments`` holds one schedule per unit. Returns the outcome (U, T)
-    and covariates (U, T, d_x): tensors during training, arrays during
-    inference.
+    and covariates (U, T, d_x): tensors on the tape, arrays otherwise.
+    Every MLP is evaluated by ``_mlp``, which has ``mlp_apply``'s signature.
     """
     a_seq = np.asarray(a_seq, float)
     if a_seq.shape[1] != len(times):
         raise ValueError("treatment sequence must cover the grid")
-
-    n_sub = model.config.n_substeps
-    # every substep's start and size, as (T - 1, n_sub) arrays
-    dts = np.repeat(np.diff(times)[:, None] / n_sub, n_sub, axis=1)
-    starts = times[:-1, None] + np.arange(n_sub) * dts
-    drive = make_drive(model.family, model.expert_params, treatments)
-    table, row = tabulate_drive(drive, starts.ravel(), dts.ravel())
+    starts, dts, drive_at = _substeps(model, times, treatments)
     my, e = model.config.m_y, model.e_dim
 
-    zx, zy, ze = encode_init(model, params, x0, a0, y0)
+    zx, zy, ze = encode_init(model, params, x0, a0, y0, _mlp)
     z = de.concat([zy, ze, zx])  # the packed state (z_y | z_e | z_x)
-    y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, :1])
+    y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, :1], _mlp)
     ys, xs = [y_out], [x_out]
     # the covariate channel sees the outcome latent through a one-grid-step
     # delay buffer; the buffer and the treatment stay fixed over an interval
@@ -188,17 +204,17 @@ def rollout(
         a_t = a_seq[:, k : k + 1]
 
         def rhs(z, t):
-            dzy = de.mlp_apply(model.specs["fy"], params, de.concat([z, a_t]), prefix="fy_")
+            dzy = _mlp(model.specs["fy"], params, de.concat([z, a_t]), prefix="fy_")
             fx_in = de.concat([z[:, my + e :], zy_lag, a_t])
-            dzx = de.mlp_apply(model.specs["fx"], params, fx_in, prefix="fx_")
-            dze = expert_rhs(model, z[:, my : my + e], table[row[t], :, None])
+            dzx = _mlp(model.specs["fx"], params, fx_in, prefix="fx_")
+            dze = expert_rhs(model, z[:, my : my + e], drive_at(t))
             return de.concat([dzy, dze, dzx])
 
         for t, dt in zip(starts[k], dts[k]):
             z, _ = rk4_update(rhs, z, t, dt)
         zy, ze, zx = z[:, :my], z[:, my : my + e], z[:, my + e :]
         zy_lag = zy_start
-        y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, k + 1 : k + 2])
+        y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, k + 1 : k + 2], _mlp)
         ys.append(y_out)
         xs.append(x_out)
     return de.concat(ys), de.concat(xs).reshape(len(treatments), len(times), model.d_x)
@@ -212,17 +228,15 @@ def predict(model: HybridCpModel, x0, a0, y0, a_seq, times, treatment):
     return rollout(model, params, x0, a0, y0, a_seq, np.asarray(times, float), treatment)
 
 
-def _dataset_loss(model: HybridCpModel, tensors, units: list[UnitRecord]):
-    """Mean squared error of one batched rollout over the factual arms:
-    outcome and covariate errors, each averaged over the observed points
-    only. Works on tensors for training and on plain arrays for evaluation."""
+def _factual_batch(units: list[UnitRecord]):
+    """The factual arms of ``units`` as ``rollout``'s inputs after
+    ``params``, and the (unit, time) indices of the observed points,
+    unit-major, with their outcomes and covariates."""
     trajs = [u.factual for u in units]
     times = trajs[0].times
     if any(not np.array_equal(tr.times, times) for tr in trajs):
         raise ValueError("all units must share one time grid")
-    y_hat, x_hat = rollout(
-        model,
-        tensors,
+    inputs = (
         np.stack([tr.x[0] for tr in trajs]),
         [float(tr.a[0]) for tr in trajs],
         [float(tr.y[0]) for tr in trajs],
@@ -230,18 +244,128 @@ def _dataset_loss(model: HybridCpModel, tensors, units: list[UnitRecord]):
         times,
         [u.treatment_factual for u in units],
     )
-    # (unit, time) pairs of the observed points, unit-major
     obs = np.nonzero(np.stack([tr.observed for tr in trajs]))
-    y = np.stack([tr.y for tr in trajs])[obs]
-    x = np.stack([tr.x for tr in trajs])[obs]
+    return inputs, obs, np.stack([tr.y for tr in trajs])[obs], np.stack([tr.x for tr in trajs])[obs]
+
+
+def _mse(y_hat, x_hat, obs, y, x):
+    """Outcome and covariate squared errors, each averaged over the
+    observed points ``obs``."""
     dx = x_hat[obs] - x
     return ((y_hat[obs] - y) ** 2).sum() * (1.0 / y.size) + (dx * dx).sum() * (1.0 / x.size)
+
+
+def _dataset_loss(model: HybridCpModel, tensors, units: list[UnitRecord]):
+    """Mean squared error of one batched rollout over the factual arms:
+    outcome and covariate errors, each averaged over the observed points
+    only. On the tape given Tensor parameters (the reference for
+    ``_loss_and_grad``), plain arrays otherwise."""
+    inputs, *target = _factual_batch(units)
+    return _mse(*rollout(model, tensors, *inputs), *target)
+
+
+def _loss_and_grad(model: HybridCpModel, params: ParamSet, batch) -> tuple[float, dict]:
+    """``_dataset_loss`` over ``batch = _factual_batch(units)`` and its
+    parameter gradient, on arrays: one rollout that keeps every MLP call's
+    layer outputs, then the discrete adjoint of that rollout, which is the
+    exact gradient of the computed loss (discretise, then optimise).
+
+    The adjoint ``lam`` is the gradient of the loss with respect to the
+    packed state, walked from the last grid point to the first: each point
+    adds its readouts' gradients and the gradient of the delay buffer that
+    the next interval read; each RK4 substep z' = z + c (k1 + 2 k2 + 2 k3 +
+    k4), c = dt / 6, maps ``lam`` through the vector-Jacobian products
+    ``v`` of its four stages. A loss that is not finite gets no gradient.
+    """
+    inputs, obs, y, x = batch
+    kept = {name: [] for name in model.specs}  # each call's layer outputs, in call order
+    layers = {
+        name: [[params[f"{name}_{k}{i}"] for i in range(len(spec.activations))] for k in "Wb"]
+        for name, spec in model.specs.items()
+    }
+
+    def keep(spec, params, v, prefix):
+        name = prefix[:-1]  # "fy_" -> "fy"
+        kept[name].append(de.mlp_forward(spec, *layers[name], v))
+        return kept[name][-1][-1]
+
+    y_hat, x_hat = rollout(model, params, *inputs, _mlp=keep)
+    loss = float(_mse(y_hat, x_hat, obs, y, x))
+    if not np.isfinite(loss):
+        return loss, {}
+    g_y, g_x = np.zeros_like(y_hat), np.zeros_like(x_hat)
+    g_y[obs] = (2.0 / y.size) * (y_hat[obs] - y)
+    g_x[obs] = (2.0 / x.size) * (x_hat[obs] - x)
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+
+    def back(name, g, dx=True):
+        """Backpropagate ``g`` through the last kept call of MLP ``name``;
+        returns its input gradient."""
+        hs = kept[name].pop()
+        dWs, dbs, d_in = de.mlp_backward(model.specs[name], layers[name][0], hs, g, dx)
+        for i, (dW, db) in enumerate(zip(dWs, dbs)):
+            grads[f"{name}_W{i}"] += dW
+            grads[f"{name}_b{i}"] += db
+        return d_in
+
+    my, e = model.config.m_y, model.e_dim
+    ze_cols, zx_cols = slice(my, my + e), slice(my + e, None)
+
+    def read_back(lam, p):
+        d_gy = back("gy", g_y[:, p : p + 1])  # gy reads (z_e | z_y | z_x | a)
+        d_gx = back("gx", g_x[:, p])  # gx reads (z_x | a)
+        lam[:, :my] += d_gy[:, e : e + my]
+        lam[:, ze_cols] += d_gy[:, :e]
+        lam[:, zx_cols] += d_gy[:, e + my : -1] + d_gx[:, :-1]
+
+    def stage_back(g, drive, lag):
+        """The stage's vector-Jacobian product: ``g`` through fx, fy and the
+        expert; fx's gradient of the delay buffer goes into ``lag``."""
+        d_fx = back("fx", g[:, zx_cols])  # fx reads (z_x | zy_lag | a)
+        ze = kept["fy"][-1][0][:, ze_cols]  # fy reads (z | a)
+        v = back("fy", g[:, :my])[:, :-1]
+        v[:, zx_cols] += d_fx[:, : -1 - my]
+        lag += d_fx[:, -1 - my : -1]
+        jacobian = _expert_jacobian(model, ze, drive)
+        v[:, ze_cols] += np.einsum("...i,...ij->...j", g[:, ze_cols], jacobian)
+        return v
+
+    times, treatments = inputs[4:]
+    starts, dts, drive_at = _substeps(model, times, treatments)
+    lam = np.zeros((len(y_hat), my + e + model.config.m_x))
+    lag_grads = np.zeros((len(times), len(y_hat), my))  # per grid point read by fx
+    read_back(lam, len(times) - 1)
+    for k in reversed(range(len(times) - 1)):
+        lag = lag_grads[max(k - 1, 0)]  # interval k's fx reads z_y at this point
+        for t, dt in zip(starts[k][::-1], dts[k][::-1]):
+            c = dt / 6.0
+            v4 = stage_back(c * lam, drive_at(t + dt), lag)
+            v3 = stage_back(2 * c * lam + dt * v4, drive_at(t + 0.5 * dt), lag)
+            v2 = stage_back(2 * c * lam + (0.5 * dt) * v3, drive_at(t + 0.5 * dt), lag)
+            v1 = stage_back(c * lam + (0.5 * dt) * v2, drive_at(t), lag)
+            lam = lam + v1 + v2 + v3 + v4
+        lam[:, :my] += lag_grads[k]
+        read_back(lam, k)
+    # the encoders: z_e0 = normalize(softplus(geta)), z_y0 = gzeta(z_x0 | a0 | y0), z_x0 = gxi
+    raw = kept["geta"][-1][-1]
+    d_pos = lam[:, ze_cols]
+    if model.family == "SEIRM":  # z_e0 = pos * (N / total)
+        pos, n_pop = de.softplus(raw), model.expert_params.N
+        total = pos.sum(axis=-1, keepdims=True)
+        d_total = -(d_pos * pos).sum(axis=-1, keepdims=True) * n_pop / total**2
+        d_pos = d_pos * (n_pop / total) + d_total
+    back("geta", d_pos / (1.0 + np.exp(-raw)), dx=False)
+    d_zeta = back("gzeta", lam[:, :my])
+    back("gxi", lam[:, zx_cols] + d_zeta[:, : model.config.m_x], dx=False)
+    return loss, grads
 
 
 def train_hybrid(model: HybridCpModel, dataset: Dataset) -> tuple[HybridCpModel, list[float]]:
     """Fit the learned components to factual arms by MSE on observed points,
     with the optimiser settings of ``model.config``.
 
+    Each epoch's gradient is ``_loss_and_grad``'s closed-form adjoint on
+    arrays; the autodiff tape over ``_dataset_loss`` is its test reference.
     The mechanistic expert parameters are never touched.
     """
     if not dataset.units:
@@ -250,16 +374,13 @@ def train_hybrid(model: HybridCpModel, dataset: Dataset) -> tuple[HybridCpModel,
     params = model.params
     state = de.AdamState()
     losses: list[float] = []
-
-    def loss_fn(tensors):
-        return _dataset_loss(model, tensors, dataset.units)
-
+    batch = _factual_batch(dataset.units)
     for epoch in range(config.epochs):
-        record = de.value_and_grad(loss_fn, params)
-        if not np.isfinite(record.loss):
+        loss, grads = _loss_and_grad(model, params, batch)
+        if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at epoch {epoch}")
-        losses.append(record.loss)
-        params, state = de.adam_step(params, record.gradient, state, config.lr)
+        losses.append(loss)
+        params, state = de.adam_step(params, grads, state, config.lr)
     final = float(_dataset_loss(model, dict(params.items()), dataset.units))
     losses.append(final)
     trained = replace(model)

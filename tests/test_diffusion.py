@@ -225,7 +225,7 @@ def test_training_embeds_each_row_from_the_table_bitwise(monkeypatch, t_d, n_fre
     data = (rng.standard_normal((n, T)), rng.standard_normal((n, model.cond_dim)))
     args = (data[0], data[1], np.ones((n, T)), rng.uniform(0.5, 2.0, n), s)
     config = DiffusionTrainConfig(epochs=4, lr=1e-2, batch_size=10)
-    original = diffusion._batch_loss_fn
+    original = diffusion._batch_loss_and_grad
     seen = set()
 
     def checked(*a):
@@ -235,13 +235,64 @@ def test_training_embeds_each_row_from_the_table_bitwise(monkeypatch, t_d, n_fre
             seen.add(int(tau))
         return original(*a)
 
-    monkeypatch.setattr(diffusion, "_batch_loss_fn", checked)
+    monkeypatch.setattr(diffusion, "_batch_loss_and_grad", checked)
     trained, losses = train_diffusion(model, *args, config, seed=3)
     assert seen == set(range(1, t_d + 1)) or len(seen) > 20
-    monkeypatch.setattr(diffusion, "_batch_loss_fn", lambda *a: original(*a[:9]))
+    monkeypatch.setattr(diffusion, "_batch_loss_and_grad", lambda *a: original(*a[:9]))
     ref, ref_losses = train_diffusion(model, *args, config, seed=3)
     assert losses == ref_losses
     for name, value in ref.params.items():
+        np.testing.assert_array_equal(trained.params[name], value)
+
+
+def _tape_train_diffusion(model, y0_rows, cond_rows, mask_rows, weights, schedule, config, seed):
+    """``train_diffusion`` as it ran on the autodiff tape: each batch's loss
+    and gradient from ``value_and_grad`` over ``_batch_loss_fn``."""
+    from odeguide.diffusion import _batch_loss_fn
+
+    n, T = y0_rows.shape
+    rng = np.random.default_rng([seed, 13])
+    t_d = schedule.t_d
+    table = np.stack([de.timestep_embedding(k, t_d, model.n_freq) for k in range(1, t_d + 1)])
+    params, state, losses = model.params, de.AdamState(), []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            taus = rng.integers(1, t_d + 1, size=idx.size)
+            eps = rng.standard_normal((idx.size, T))
+            record = de.value_and_grad(
+                _batch_loss_fn, params, model, schedule, y0_rows[idx], cond_rows[idx],
+                mask_rows[idx], weights[idx], taus, eps, table[taus - 1],
+            )
+            params, state = de.adam_step(params, record.gradient, state, config.lr)
+            batch_losses.append(record.loss)
+        losses.append(sum(batch_losses) / len(batch_losses))
+    return params, losses
+
+
+@pytest.mark.parametrize(
+    "horizon,d_x,hidden,n,batch_size",
+    [(3, 1, (8,), 24, 10), (5, 2, (16, 16, 16), 37, 8), (15, 1, (64, 64, 64), 64, 64)],
+)
+def test_closed_form_training_equals_the_tape_bitwise(horizon, d_x, hidden, n, batch_size):
+    rng = np.random.default_rng(horizon)
+    model = make_denoiser(horizon=horizon, d_x=d_x, hidden=hidden, seed=1, n_freq=4)
+    s = make_schedule(t_d=20)
+    mask = (rng.uniform(size=(n, horizon)) < 0.7).astype(float)
+    args = (
+        rng.standard_normal((n, horizon)),
+        rng.standard_normal((n, model.cond_dim)),
+        mask,
+        rng.uniform(0.5, 3.0, n),
+        s,
+        DiffusionTrainConfig(epochs=5, lr=1e-2, batch_size=batch_size),
+    )
+    trained, losses = train_diffusion(model, *args, seed=4)
+    ref_params, ref_losses = _tape_train_diffusion(model, *args, seed=4)
+    assert losses == ref_losses
+    for name, value in ref_params.items():
         np.testing.assert_array_equal(trained.params[name], value)
 
 

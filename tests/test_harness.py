@@ -259,6 +259,8 @@ _COUNT_MINIMUM = {
     ("evaluation", "n_samples"): 2,
     ("hybrid", "n_substeps"): 1,
     ("hybrid", "epochs"): 1,
+    ("hybrid", "m_y"): 1,
+    ("hybrid", "m_x"): 1,
     ("diffusion", "epochs"): 1,
     ("diffusion", "batch_size"): 1,
     ("diffusion", "n_freq"): 1,
@@ -283,6 +285,17 @@ def test_config_rejects_one_evaluation_sample_when_loaded(tmp_path):
 def test_config_rejects_hidden_widths_that_are_not_counts(tmp_path, section, hidden):
     with pytest.raises(ValueError, match=f"{section}.hidden must be a list of integers >= 1"):
         _tiny_config(tmp_path, **{section: {"hidden": hidden}})
+
+
+@pytest.mark.parametrize("value", ["foo", "Tanh", "", None, 1, ["tanh"]])
+def test_config_rejects_an_activation_the_mlp_lacks_when_loaded(tmp_path, value):
+    with pytest.raises(ValueError, match=r"hybrid.activation must be one of \['identity', 'relu'"):
+        _tiny_config(tmp_path, hybrid={"activation": value})
+
+
+@pytest.mark.parametrize("value", ["identity", "relu", "sigmoid", "tanh"])
+def test_config_accepts_every_mlp_activation(tmp_path, value):
+    assert _tiny_config(tmp_path, hybrid={"activation": value}).hybrid["activation"] == value
 
 
 @pytest.mark.parametrize("value", [-1.0, 0, 0.0, 1, 1.0, 5.0, float("nan"), True, "0.2"])
@@ -368,11 +381,18 @@ def test_run_experiment_unknown_stage_rejected(tmp_path):
         run_experiment(_tiny_config(tmp_path), stop_after="deploy")
 
 
-def test_run_experiment_stage_failure_reports_stage(tmp_path):
-    hybrid = {"m_y": 2, "m_x": 2, "hidden": [4], "epochs": 2, "activation": "bogus"}
-    config = _tiny_config(tmp_path, hybrid=hybrid)
+def test_run_experiment_stage_failure_reports_stage(tmp_path, monkeypatch):
+    # the hybrid stage fails as a diverging training run does (a bad
+    # activation would fail earlier, when the config loads)
+    from odeguide import harness
+    from odeguide.diff_engine import TrainingError
+
+    def diverging(model, dataset):
+        raise TrainingError("loss diverged at epoch 0")
+
+    monkeypatch.setattr(harness, "train_hybrid", diverging)
     with pytest.raises(StageError, match="hybrid"):
-        run_experiment(config)
+        run_experiment(_tiny_config(tmp_path))
     # partial artifacts still persisted
     assert (tmp_path / "log.txt").exists()
     assert (tmp_path / "run_meta.json").exists()
@@ -691,16 +711,16 @@ def test_units_on_shifted_grids_fail_in_the_data_stage(tmp_path):
     assert "one time grid" in str(err.value)
 
 
-def _dataset_run(tmp_path, edit):
+def _dataset_run(tmp_path, edit, stop_after="data"):
     """A 6-unit dex dataset, edited by ``edit`` then written and read back,
-    run through the data stage."""
+    run through the stage ``stop_after``."""
     from odeguide.datagen import gen_dex_dataset, write_dataset
 
     ds = gen_dex_dataset(n_patients=6, seed=0, n_days=4)
     edit(ds.units)
     write_dataset(ds, tmp_path / "data")
     config = _tiny_config(tmp_path / "run", dataset={"path": str(tmp_path / "data")})
-    return run_experiment(config, stop_after="data")
+    return run_experiment(config, stop_after=stop_after)
 
 
 @pytest.mark.parametrize("field", ["y", "x"])
@@ -733,6 +753,20 @@ def test_data_stage_passes_non_finite_values_at_unobserved_points(tmp_path):
             f.x[~f.observed] = np.nan
 
     assert _dataset_run(tmp_path, edit) is None
+
+
+def test_propensity_stage_rejects_non_finite_weights_naming_the_unit(tmp_path):
+    # covariates at unobserved points reach the propensity fit; NaN there
+    # passes the data and hybrid stages but leaves no weight finite
+    def edit(units):
+        for u in units:
+            u.factual.x[~u.factual.observed] = np.nan
+
+    with pytest.raises(StageError, match=r"unit 'patient_00\d' has a non-finite IPTW weight") as err:
+        _dataset_run(tmp_path, edit, stop_after="propensity")
+    assert err.value.stage == "propensity"
+    meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
+    assert "mean_iptw_weight" not in meta
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,8 @@ from odeguide.expert_models import (
 from odeguide.hybrid_cp import (
     HybridCpConfig,
     _dataset_loss,
+    _factual_batch,
+    _loss_and_grad,
     expert_rhs,
     make_hybrid_model,
     normalize_expert_state,
@@ -413,6 +415,14 @@ def test_a_dex_sized_hybrid_loss_builds_at_most_1028_tape_nodes(monkeypatch):
     data = gen_dex_dataset(n_patients=10, seed=0, n_days=14)
     config = HybridCpConfig(m_y=4, m_x=4, hidden=(16, 16))
     model = make_hybrid_model("PKPD", PkpdParams(), d_x=1, config=config, seed=0)
+    created = _count_tape_nodes(monkeypatch)
+    de.value_and_grad(lambda t: _dataset_loss(model, t, data.units), model.params)
+    assert len(data.units) == 10 and data.units[0].factual.horizon == 15
+    assert len(created) <= 1028
+
+
+def _count_tape_nodes(monkeypatch):
+    """A list that grows by one with every Tensor constructed from now on."""
     created = []
     tensor_init = de.Tensor.__init__
 
@@ -421,9 +431,50 @@ def test_a_dex_sized_hybrid_loss_builds_at_most_1028_tape_nodes(monkeypatch):
         tensor_init(self, *args, **kwargs)
 
     monkeypatch.setattr(de.Tensor, "__init__", counting_init)
-    de.value_and_grad(lambda t: _dataset_loss(model, t, data.units), model.params)
-    assert len(data.units) == 10 and data.units[0].factual.horizon == 15
-    assert len(created) <= 1028
+    return created
+
+
+def test_training_builds_no_tape_node(monkeypatch):
+    from odeguide.diffusion import DiffusionTrainConfig, make_denoiser, make_schedule, train_diffusion
+
+    data = gen_dex_dataset(n_patients=3, seed=6, sigma=0.1, n_days=4, drop_measurements=True)
+    model = make_hybrid_model("PKPD", PkpdParams(), d_x=1, config=TINY, seed=0)
+    denoiser = make_denoiser(horizon=3, d_x=1, hidden=(4,), seed=0)
+    rows, cond = np.ones((5, 3)), np.ones((5, denoiser.cond_dim))
+    config = DiffusionTrainConfig(epochs=2, batch_size=2)
+    created = _count_tape_nodes(monkeypatch)
+    train_hybrid(model, data)
+    train_diffusion(denoiser, rows, cond, rows, np.ones(5), make_schedule(t_d=4), config)
+    assert created == []
+
+
+def _assert_adjoint_matches_the_tape(model, units):
+    """``_loss_and_grad``'s loss is bitwise ``_dataset_loss``'s, on the tape
+    and on arrays; every gradient is within 1e-12 of the tape's largest."""
+    loss, grads = _loss_and_grad(model, model.params, _factual_batch(units))
+    want = de.value_and_grad(lambda t: _dataset_loss(model, t, units), model.params)
+    assert loss == want.loss == float(_dataset_loss(model, dict(model.params.items()), units))
+    scale = max(np.max(np.abs(g)) for g in want.gradient.values())
+    assert sorted(grads) == sorted(want.gradient)
+    for name, g in want.gradient.items():
+        assert np.max(np.abs(grads[name] - g)) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("n_substeps", [1, 3])
+@pytest.mark.parametrize("case", sorted(CASES) + ["dex_full_model"])
+def test_adjoint_gradient_matches_the_tape(case, n_substeps):
+    model, units = CASES.get(case, _dex_full_model_case)()
+    model.config = replace(model.config, n_substeps=n_substeps)
+    _assert_adjoint_matches_the_tape(model, units)
+
+
+@pytest.mark.parametrize("activation", sorted(de._ACTIVATIONS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_adjoint_gradient_matches_the_tape_for_every_activation(case, activation):
+    model, units = CASES[case]()
+    config = replace(model.config, hidden=(4, 3), activation=activation, n_substeps=2)
+    model = make_hybrid_model(model.family, model.expert_params, model.d_x, config, seed=1)
+    _assert_adjoint_matches_the_tape(model, units)
 
 
 class _DrivePerCall:
