@@ -81,9 +81,14 @@ def _cmd_simulate(args) -> None:
     grid = TimeGrid(
         t0=spec.get("t0", 0.0), dt=spec["dt"], n_steps=spec["n_steps"]
     )
-    ode = ExpertOdeSpec(
-        family=family, params=params, init=np.asarray(spec["init"], float), treatment=treatment
-    )
+    message = "init must be one state, a flat list of numbers"
+    try:
+        init = np.asarray(spec["init"], float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{message} ({err})") from None
+    if init.ndim != 1:
+        raise ValueError(f"{message} (got shape {init.shape})")
+    ode = ExpertOdeSpec(family=family, params=params, init=init, treatment=treatment)
     traj = simulate_expert(ode, grid)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

@@ -224,12 +224,12 @@ def _accum(node: Tensor, grad: np.ndarray) -> None:
 
 
 def concat(parts: Sequence, axis: int = -1):
-    """Concatenate tensors/arrays along ``axis``; scalars count as 1-D. With
-    no Tensor among the parts the result is a plain array."""
+    """Concatenate tensors/arrays along ``axis``. With no Tensor among the
+    parts this is ``np.concatenate``; beside a Tensor, scalars count as 1-D."""
+    if not any(isinstance(p, Tensor) for p in parts):
+        return np.concatenate(parts, axis=axis)
     datas = [np.atleast_1d(p.data if isinstance(p, Tensor) else p) for p in parts]
     data = np.concatenate(datas, axis=axis)
-    if not any(isinstance(p, Tensor) for p in parts):
-        return data
     tensors = tuple(_as_tensor(p) for p in parts)
     bounds = np.cumsum([d.shape[axis] for d in datas])[:-1]
 

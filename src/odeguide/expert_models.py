@@ -13,14 +13,21 @@ contact rate beta_t for the epidemic models) is tabulated once per
 integration over every RK4 stage time by ``tabulate_drive``; each stage
 reads its (B,) row of that table. Each family's derivative is bound to its
 parameters (those that differ between rows as (B,) vectors) once per
-integration: SEIR-HD's as a few calls over (B, 10) column blocks, SEIRM's and
-PKPD's as per-compartment expressions on (B,) state columns. Every row
-equals its own one-row simulation bitwise.
+integration and evaluates over coefficient blocks: the rates that multiply
+one state column form one product (PKPD's five rates on z4, SEIRM's
+recovery and death rates on I), and SEIR-HD's compartment chain is a few
+calls over (B, 10) column blocks. Every entry keeps the operation order of
+the per-compartment expressions, so every row equals its own one-row
+simulation bitwise. A PKPD Hill power whose exponent is 1.0 is skipped, as
+``pow(x, 1.0)`` is ``x``; the others use C ``pow``. The hybrid predictor
+evaluates its expert with the same PKPD and SEIRM kernels, with numpy's
+power.
 
-The SEIRM and PKPD expressions are written with plain arithmetic so they
-evaluate on numpy floats, on arrays of rows and on tape Tensors.
-``seirm_jacobian`` and ``pkpd_jacobian`` give their closed-form Jacobians,
-which the hybrid predictor backpropagates through.
+``seirm_terms`` and ``pkpd_terms`` are the per-compartment expressions,
+written with plain arithmetic so they evaluate on numpy floats, on arrays of
+rows and on tape Tensors; they are the reference the kernels are tested
+against. ``seirm_jacobian`` and ``pkpd_jacobian`` give their closed-form
+Jacobians, which the hybrid predictor backpropagates through.
 """
 
 from __future__ import annotations
@@ -351,18 +358,86 @@ def pkpd_jacobian(state: np.ndarray, params: PkpdParams) -> np.ndarray:
     return jac
 
 
-def _derivative_fn(family: str, params):
+def _bound_power(power, exponent):
+    """``power(base, exponent)`` as a function of the base alone; the
+    identity where every exponent is 1.0, since ``pow(x, 1.0)`` is ``x``
+    bitwise, in C and in numpy alike."""
+    if np.all(np.equal(exponent, 1.0)):
+        return lambda base: base
+    return lambda base: power(base, exponent)
+
+
+def _seirm_block(p):
+    """``seirm_terms`` stacked on the last axis of the states, with the
+    recovery and death rates times I as one product."""
+    by_i = np.stack(np.broadcast_arrays(p.gamma, p.mu)).reshape(2, -1)
+    alpha, n_pop = np.asarray(p.alpha, float), np.asarray(p.N, float)
+
+    def seirm(x, beta_t):
+        if x.ndim != 2:
+            return seirm(x.reshape(-1, x.shape[-1]), np.reshape(beta_t, -1)).reshape(x.shape)
+        result = np.empty(x.shape)
+        out = result.T  # one row per compartment
+        s, e, i = x.T[:3]
+        infection = beta_t * s * i / n_pop
+        incubated = alpha * e
+        np.negative(infection, out=out[0])
+        np.subtract(infection, incubated, out=out[1])
+        np.multiply(by_i, i, out=out[3:])  # gamma i, mu i
+        np.subtract(incubated - out[3], out[4], out=out[2])
+        return result
+
+    return seirm
+
+
+def _pkpd_block(p, power):
+    """``pkpd_terms`` stacked on the last axis of the states, with every
+    rate that multiplies z4 in one product."""
+    by_z4 = np.stack(np.broadcast_arrays(p.k_IR, p.k_PF, p.k_DP, p.k_IIR, p.k_DC)).reshape(5, -1)
+    # as 0-d arrays: a ufunc takes them in less time than Python floats
+    k_O, E_max, k_Dex, k_3, k_1, neg_k_2, neg_k_3 = (
+        np.asarray(v, float) for v in (p.k_O, p.E_max, p.k_Dex, p.k_3, p.k_1, -p.k_2, -p.k_3)
+    )
+    hill_c = np.asarray(p.EC_50**p.h_P, float)
+    hill_power, dc_power = _bound_power(power, p.h_P), _bound_power(power, p.h_C)
+    full = p.full_model
+
+    def pkpd(x, z3_t):
+        if x.ndim != 2:
+            return pkpd(x.reshape(-1, x.shape[-1]), np.reshape(z3_t, -1)).reshape(x.shape)
+        result = np.empty(x.shape)
+        out = result.T  # one row per compartment
+        z1, z2, z3, z4 = x.T[:4]
+        ir, pf, dp, iir, dc = by_z4 * z4
+        z1c = np.maximum(z1, 0.0)  # negative immune response is unphysical
+        z1c_h = hill_power(z1c)
+        hill = E_max * z1c_h / (hill_c + z1c_h)
+        np.subtract(ir + pf * z1 - k_O * z1 + hill, k_Dex * z1c * z2, out=out[0])
+        np.add(neg_k_2 * z2, k_3 * (z3 + z3_t), out=out[1])
+        np.multiply(neg_k_3, z3, out=out[2])
+        if full:
+            dc = dc * dc_power(np.maximum(x[:, 4], 0.0))
+            np.multiply(k_1, z1, out=out[4])
+        np.subtract(dp - iir * z1, dc, out=out[3])
+        return result
+
+    return pkpd
+
+
+def _derivative_fn(family: str, params, power=_libm_power):
     """The family's derivative ``f(state, drive)`` over the last axis of a
     state or a batch, with ``params`` bound once and without the input
-    checks of the public right-hand sides."""
+    checks of the public right-hand sides. Each family evaluates over column
+    blocks, every entry in the operation order of its per-compartment
+    expressions, so trajectories keep their bits. ``power`` evaluates the
+    PKPD Hill powers."""
     if family == "SEIRM":
-        return lambda x, drive: np.array(seirm_terms(*_columns(x), params, drive)).T
+        return _seirm_block(params)
     if family == "PKPD":
-        return lambda x, drive: np.array(pkpd_terms(_columns(x), params, drive, _libm_power)).T
-    # SEIR-HD over column blocks. E, I_A, I_P, I_M, I_S, H_R and H_D
-    # (compartments 1-7) form a chain: each gains a share of an upstream exit
-    # flow and loses its own outflow. Every entry keeps the operation order of
-    # the per-compartment expressions, so trajectories keep their bits.
+        return _pkpd_block(params, power)
+    # SEIR-HD: E, I_A, I_P, I_M, I_S, H_R and H_D (compartments 1-7) form a
+    # chain: each gains a share of an upstream exit flow and loses its own
+    # outflow.
     p = params
     rates = np.stack(np.broadcast_arrays(
         p.alpha, p.gamma, p.rate_presym_exit, p.gamma, p.rate_severe_exit, p.gamma, p.rate_death

@@ -10,9 +10,10 @@ learned field, and the outcome field reads the packed state whole. Each unit's
 treatment reaches the expert as the (U, 1) drive of
 ``expert_models.make_drive``, tabulated off the tape once per rollout over
 every stage time: the dose plasma level for PKPD, the contact rate beta_t
-(from the unit's own mandate start) for SEIRM. On the tape the expert's
-right-hand side is one node per stage, evaluated on arrays, whose gradient
-is the product with its closed-form Jacobian. Training runs one rollout of
+(from the unit's own mandate start) for SEIRM. The expert's right-hand side
+is the simulations' block kernel, with numpy's power for the Hill terms; on
+the tape it is one node per stage, evaluated on arrays, whose gradient is
+the product with its closed-form Jacobian. Training runs one rollout of
 the whole training set on arrays, keeping every MLP call's layer outputs,
 and takes the gradient by the discrete adjoint of that rollout (the exact
 gradient of the computed loss); the tape over the same rollout is its test
@@ -24,7 +25,9 @@ share the call.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,11 +37,10 @@ from .diff_engine import MlpSpec, ParamSet, Tensor, TrainingError
 from .expert_models import (
     PkpdParams,
     SeirmParams,
+    _derivative_fn,
     make_drive,
     pkpd_jacobian,
-    pkpd_terms,
     seirm_jacobian,
-    seirm_terms,
     tabulate_drive,
 )
 from .ode_core import rk4_update
@@ -124,12 +126,25 @@ def encode_init(model: HybridCpModel, params, x0, a0, y0, _mlp=de.mlp_apply):
     return zx0, zy0, ze0
 
 
+def _drive_column(drive):
+    """A drive that broadcasts against one state column, (U, 1) or a
+    scalar, as one that broadcasts against one compartment, (U,)."""
+    return drive[..., 0] if np.ndim(drive) else drive
+
+
 def _expert_jacobian(model: HybridCpModel, z: np.ndarray, drive) -> np.ndarray:
     """d expert_rhs / d z, (..., e, e)."""
     p = model.expert_params
     if model.family == "SEIRM":
-        return seirm_jacobian(z, p, np.broadcast_to(drive, z[..., :1].shape)[..., 0])
+        return seirm_jacobian(z, p, _drive_column(drive))
     return pkpd_jacobian(z, p)
+
+
+@lru_cache(maxsize=16)
+def _expert_field(family: str, expert_params):
+    """The family's derivative kernel with the parameters bound, as
+    simulations evaluate it but with numpy's power for the Hill terms."""
+    return _derivative_fn(family, expert_params, operator.pow)
 
 
 def expert_rhs(model: HybridCpModel, ze, drive):
@@ -139,12 +154,8 @@ def expert_rhs(model: HybridCpModel, ze, drive):
     one tape node whose gradient is the product with the closed-form
     Jacobian."""
     z = ze.data if isinstance(ze, Tensor) else ze
-    cols = [z[..., k : k + 1] for k in range(model.e_dim)]
-    p = model.expert_params
-    if model.family == "SEIRM":
-        dze = np.concatenate(seirm_terms(*cols, p, drive), axis=-1)
-    else:
-        dze = np.concatenate(pkpd_terms(cols, p, drive), axis=-1)
+    field = _expert_field(model.family, model.expert_params)
+    dze = field(z, _drive_column(drive))
     vjp = lambda g: np.einsum("...i,...ij->...j", g, _expert_jacobian(model, z, drive))
     return de.custom_vjp(dze, ze, vjp)
 
@@ -220,12 +231,32 @@ def rollout(
     return de.concat(ys), de.concat(xs).reshape(len(treatments), len(times), model.d_x)
 
 
+def _bound_mlps(model: HybridCpModel, params, kept=None):
+    """``mlp_apply`` on plain arrays with every MLP's layers looked up once,
+    as ``rollout``'s ``_mlp``, and those layers as [Ws, bs] per MLP name.
+    With ``kept``, each call's layer outputs are appended to ``kept[name]``."""
+    layers = {
+        name: [[params[f"{name}_{k}{i}"] for i in range(len(spec.activations))] for k in "Wb"]
+        for name, spec in model.specs.items()
+    }
+
+    def forward(spec, params, v, prefix):
+        name = prefix[:-1]  # "fy_" -> "fy"
+        hs = de.mlp_forward(spec, *layers[name], v)
+        if kept is not None:
+            kept[name].append(hs)
+        return hs[-1]
+
+    return forward, layers
+
+
 def predict(model: HybridCpModel, x0, a0, y0, a_seq, times, treatment):
     """Deterministic point predictions of U units on the model's own
     parameters: ``rollout``'s arguments, with ``treatment`` one schedule per
     unit. Returns the outcome (U, T) and covariates (U, T, d_x) arrays."""
-    params = dict(model.params.items())
-    return rollout(model, params, x0, a0, y0, a_seq, np.asarray(times, float), treatment)
+    forward, _ = _bound_mlps(model, model.params)
+    times = np.asarray(times, float)
+    return rollout(model, model.params, x0, a0, y0, a_seq, times, treatment, _mlp=forward)
 
 
 def _factual_batch(units: list[UnitRecord]):
@@ -279,16 +310,7 @@ def _loss_and_grad(model: HybridCpModel, params: ParamSet, batch) -> tuple[float
     """
     inputs, obs, y, x = batch
     kept = {name: [] for name in model.specs}  # each call's layer outputs, in call order
-    layers = {
-        name: [[params[f"{name}_{k}{i}"] for i in range(len(spec.activations))] for k in "Wb"]
-        for name, spec in model.specs.items()
-    }
-
-    def keep(spec, params, v, prefix):
-        name = prefix[:-1]  # "fy_" -> "fy"
-        kept[name].append(de.mlp_forward(spec, *layers[name], v))
-        return kept[name][-1][-1]
-
+    keep, layers = _bound_mlps(model, params, kept)
     y_hat, x_hat = rollout(model, params, *inputs, _mlp=keep)
     loss = float(_mse(y_hat, x_hat, obs, y, x))
     if not np.isfinite(loss):
@@ -381,7 +403,9 @@ def train_hybrid(model: HybridCpModel, dataset: Dataset) -> tuple[HybridCpModel,
             raise TrainingError(f"loss diverged at epoch {epoch}")
         losses.append(loss)
         params, state = de.adam_step(params, grads, state, config.lr)
-    final = float(_dataset_loss(model, dict(params.items()), dataset.units))
+    inputs, *target = batch
+    forward, _ = _bound_mlps(model, params)
+    final = float(_mse(*rollout(model, params, *inputs, _mlp=forward), *target))
     losses.append(final)
     trained = replace(model)
     trained.params = params

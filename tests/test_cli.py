@@ -182,6 +182,28 @@ def test_simulate_bad_grid_fails_when_the_config_loads(tmp_path, capsys, grid, m
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize(
+    "init",
+    [[[10.0, 0.01, 0.01, 10.0], [8.0, 0.02, 0.0, 12.0]], [[10.0, 0.01], 0.01, 10.0]],
+    ids=["batch", "ragged"],
+)
+def test_simulate_rejects_an_init_that_is_not_one_state_before_writing(tmp_path, capsys, init):
+    spec = {
+        "family": "PKPD",
+        "params": {},
+        "init": init,
+        "treatment": {"kind": "dosing", "doses": [[1.0, 0.5]]},
+        "dt": 0.1,
+        "n_steps": 10,
+    }
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(spec))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert "init must be one state" in capsys.readouterr().err
+    assert not (out / "simulation.csv").exists()
+
+
 def test_case_study_command(tmp_path):
     regions = tmp_path / "regions.csv"
     pre = np.linspace(0.0, 1.0, 4)

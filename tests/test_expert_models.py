@@ -1,15 +1,18 @@
 import json
 import math
+import operator
+import struct
 from dataclasses import fields, replace
 from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odeguide import datagen
 from odeguide.expert_models import (
+    SEIRM_DIM,
     ExpertOdeSpec,
     PkpdParams,
     SeirhdParams,
@@ -571,11 +574,15 @@ def test_drive_table_equals_one_time_calls_at_every_rk4_stage_bitwise(case):
     assert np.array_equal(drive(times), np.hstack([drive(t) for t in times]))
 
 
-def _terms_array(family, params, state, drive):
-    cols = [state[..., k] for k in range(state.shape[-1])]
+def _stacked_terms(family, params, state, drive, power=_libm_power):
+    """The per-compartment expressions on (..., 1) state columns, joined on
+    the last axis: what simulations and the hybrid evaluated before the
+    block kernels."""
+    cols = [state[..., k : k + 1] for k in range(state.shape[-1])]
+    drive = np.asarray(drive, float)[..., None]
     if family == "SEIRM":
-        return np.stack(seirm_terms(*cols, params, drive), axis=-1)
-    return np.stack(pkpd_terms(cols, params, drive), axis=-1)
+        return np.concatenate(seirm_terms(*cols, params, drive), axis=-1)
+    return np.concatenate(pkpd_terms(cols, params, drive, power), axis=-1)
 
 
 # rows on both sides of each relu kink (z1 for PKPD, and z5 for the 5-dim model)
@@ -619,8 +626,8 @@ def test_jacobian_matches_central_differences(case):
         h = 1e-6 * max(1.0, np.max(np.abs(state[:, j])))
         step = np.zeros_like(state)
         step[:, j] = h
-        hi = _terms_array(family, params, state + step, drive)
-        lo = _terms_array(family, params, state - step, drive)
+        hi = _stacked_terms(family, params, state + step, drive)
+        lo = _stacked_terms(family, params, state - step, drive)
         numeric[..., j] = (hi - lo) / (2 * h)
     np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-8)
 
@@ -630,3 +637,108 @@ def test_pkpd_jacobian_takes_the_relu_slope_zero_at_the_kink():
     jac = pkpd_jacobian(np.array([0.0, 0.3, 0.1, 2.0, 0.0]), p)
     assert jac[0, 0] == p.k_PF * 2.0 - p.k_O
     assert jac[0, 1] == 0.0 and jac[3, 4] == 0.0
+
+
+# -- the PKPD and SEIRM block kernels against the stacked terms ---------------
+
+
+def _kernel_states(dim, rng):
+    """Rows on both sides of each relu kink, and signed zeros."""
+    state = rng.exponential(5.0, (6, dim))
+    state[0, 0] = -2.0
+    state[1, 0] = -0.0
+    state[2, 0] = 0.0
+    state[3, 1:] = -0.0
+    state[4] *= -1.0
+    if dim == 5:
+        state[0, 4] = -1.5
+        state[1, 4] = -0.0
+        state[2, 4] = 0.0
+    return state
+
+
+KERNEL_CASES = {
+    "PKPD-4": ("PKPD", PkpdParams()),
+    "PKPD-4-hill-1": ("PKPD", PkpdParams(h_P=1.0, k_Dex=0.8)),
+    "PKPD-5": ("PKPD", PkpdParams(full_model=True)),  # h_C = 1: no pow
+    "PKPD-5-hill": ("PKPD", PkpdParams(full_model=True, h_P=1.7, h_C=2.3)),
+    "PKPD-5-square": ("PKPD", PkpdParams(full_model=True, h_C=2.0)),
+    "SEIRM": ("SEIRM", SeirmParams(0.5, 0.3, 0.25, 0.02, 1000.0)),
+}
+
+
+@pytest.mark.parametrize("power", [_libm_power, operator.pow], ids=["libm", "numpy"])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_block_kernel_equals_the_stacked_terms_bitwise(case, power):
+    family, params = KERNEL_CASES[case]
+    dim = SEIRM_DIM if family == "SEIRM" else params.dim
+    state = _kernel_states(dim, np.random.default_rng(11))
+    drive = np.linspace(0.0, 0.9, len(state))
+    kernel = _derivative_fn(family, params, power)
+    got = kernel(state, drive)
+    assert got.shape == state.shape
+    assert got.tobytes() == _stacked_terms(family, params, state, drive, power).tobytes()
+    for r in range(len(state)):  # one (dim,) state, with a scalar drive
+        want = _stacked_terms(family, params, state[r], drive[r], power)
+        assert kernel(state[r], drive[r]).tobytes() == want.tobytes(), f"row {r}"
+    assert kernel(state, 0.4).tobytes() == _stacked_terms(family, params, state, 0.4, power).tobytes()
+
+
+PER_ROW_FIELDS = {
+    "PKPD-4": ("PKPD", PkpdParams(), ("k_IR", "k_PF", "k_O", "E_max", "EC_50", "h_P", "k_Dex",
+                                      "k_2", "k_3", "k_DP", "k_IIR", "k_DC")),
+    "PKPD-5": ("PKPD", PkpdParams(full_model=True), ("h_P", "h_C", "k_1", "k_DC", "k_IIR")),
+    "SEIRM": ("SEIRM", SeirmParams(0.5, 0.3, 0.25, 0.02, 1000.0), ("alpha", "gamma", "mu", "N")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_ROW_FIELDS))
+def test_block_kernel_with_per_row_parameters_equals_each_row_bitwise(case):
+    family, base, names = PER_ROW_FIELDS[case]
+    scales = (1.0, 1.3, 0.7, 1.0, 2.1, 1.15)  # rows 0 and 3 keep every exponent at its default
+    rows = tuple(replace(base, **{n: getattr(base, n) * f for n in names}) for f in scales)
+    state = _kernel_states(SEIRM_DIM if family == "SEIRM" else base.dim, np.random.default_rng(12))
+    drive = np.linspace(0.1, 0.6, len(rows))
+    got = _derivative_fn(family, _row_params(rows))(state, drive)
+    for r, params in enumerate(rows):
+        want = _stacked_terms(family, params, state[r], drive[r])
+        assert got[r].tobytes() == want.tobytes(), f"row {r}"
+
+
+def test_simulate_expert_with_per_row_pkpd_parameters_equals_the_reference_loop():
+    base = PkpdParams(full_model=True)
+    params = (base, replace(base, h_C=1.6, k_IR=0.2), replace(base, h_P=1.0, k_DC=0.3), base)
+    init = np.random.default_rng(13).exponential(4.0, (4, 5))
+    init[1, 0], init[2, 4], init[3, 4] = -1.0, -0.5, 0.0  # start below each relu kink
+    spec = ExpertOdeSpec(
+        family="PKPD", params=params, init=init, treatment=(DOSED, ONE_DOSE, UNDOSED, DOSED)
+    )
+    _assert_rows_match_reference(spec, TimeGrid(0.0, 0.05, 100))
+
+
+def test_dex_generator_rows_equal_reference(monkeypatch):
+    runs = []
+
+    def recording(spec, grid, *args):
+        runs.append((spec, grid))
+        return simulate_expert(spec, grid, *args)
+
+    monkeypatch.setattr(datagen, "simulate_expert", recording)
+    datagen.gen_dex_dataset(n_patients=2, seed=4, n_days=3)
+    ((spec, grid),) = runs
+    assert spec.init.shape == (4, 5) and spec.params.h_C == 1.0
+    _assert_rows_match_reference(spec, grid)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 0x7FEFFFFFFFFFFFFF))
+@example(0)  # +0.0
+@example(1)  # the smallest subnormal
+@example(0x000FFFFFFFFFFFFF)  # the largest subnormal
+@example(0x7FEFFFFFFFFFFFFF)  # the largest finite double
+@example(1 << 63)  # -0.0, which np.maximum(-0.0, 0.0) may return
+def test_pow_with_exponent_one_is_the_identity_bitwise(bits):
+    # the kernels skip a Hill power whose exponent is 1.0 on this property
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    assert struct.pack("<d", math.pow(x, 1.0)) == struct.pack("<d", x)
+    assert (np.array([x]) ** 1.0).tobytes() == np.array([x]).tobytes()

@@ -512,3 +512,12 @@ def test_rollout_drive_table_equals_a_drive_call_per_stage_bitwise(case, n_subst
     np.testing.assert_array_equal(y, y_ref)
     np.testing.assert_array_equal(x, x_ref)
     assert float(loss.data) == float(_dataset_loss(model, tensors, units).data)
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["dex_full_model"])
+def test_predict_equals_the_mlp_apply_rollout_bitwise(case):
+    model, units = CASES.get(case, _dex_full_model_case)()
+    inputs, *_ = _factual_batch(units)
+    want = hybrid_cp.rollout(model, dict(model.params.items()), *inputs)  # mlp_apply per call
+    got = predict(model, *inputs)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
