@@ -43,6 +43,7 @@ _PIPELINE_STOPS = {
 }
 
 _PARAM_CLASSES = {"SEIRM": SeirmParams, "SEIRHD": SeirhdParams, "PKPD": PkpdParams}
+_SIMULATE_REQUIRED = {"family", "init", "treatment", "dt", "n_steps"}
 
 
 def _resolve_seed(args, config_seed: int) -> int:
@@ -73,6 +74,12 @@ def _cmd_datagen(args) -> None:
 def _cmd_simulate(args) -> None:
     with open(args.config) as fh:
         spec = json.load(fh)
+    unknown = set(spec) - _SIMULATE_REQUIRED - {"params", "t0"}
+    if unknown:
+        raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
+    missing = _SIMULATE_REQUIRED - set(spec)
+    if missing:
+        raise ValueError(f"simulation config is missing required keys: {sorted(missing)}")
     family = spec["family"]
     if family not in _PARAM_CLASSES:
         raise ValueError(f"unknown family {family!r}")

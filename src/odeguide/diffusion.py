@@ -172,7 +172,8 @@ class PropensityModel:
 
     def prob_treated(self, x_t: np.ndarray, a_prev: float) -> float:
         feats = np.concatenate([np.atleast_1d(np.asarray(x_t, float)), [a_prev, 1.0]])
-        return float(1.0 / (1.0 + np.exp(-feats @ self.weights)))
+        with np.errstate(over="ignore"):  # 1 / (1 + inf) is the exact limit 0
+            return float(1.0 / (1.0 + np.exp(-feats @ self.weights)))
 
 
 _NEWTON_STEPS = 50  # at most; the fit stops once a step is below 1e-10
@@ -191,7 +192,8 @@ def fit_propensity(dataset: Dataset) -> PropensityModel:
     yv = np.asarray(labels)
     w = np.zeros(X.shape[1])
     for _ in range(_NEWTON_STEPS):
-        p = 1.0 / (1.0 + np.exp(-X @ w))
+        with np.errstate(over="ignore"):  # 1 / (1 + inf) is the exact limit 0
+            p = 1.0 / (1.0 + np.exp(-X @ w))
         grad = X.T @ (yv - p)
         W = p * (1.0 - p)
         H = (X * W[:, None]).T @ X + 1e-6 * np.eye(X.shape[1])

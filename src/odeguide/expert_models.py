@@ -270,25 +270,6 @@ def seirm_jacobian(state: np.ndarray, params: SeirmParams, beta_t) -> np.ndarray
     return jac
 
 
-def _check_contact_rate(beta_t) -> None:
-    if np.any(np.asarray(beta_t) < 0):
-        raise ValueError("beta_t must be nonnegative")
-
-
-def seirm_rhs(state: np.ndarray, t: float, params: SeirmParams, beta_t) -> np.ndarray:
-    """Derivative over the last axis of a state (5,) or a batch (B, 5);
-    ``beta_t`` and the parameters are scalars or (B,) vectors."""
-    _check_contact_rate(beta_t)
-    return _derivative_fn("SEIRM", params)(state, beta_t)
-
-
-def seirhd_rhs(state: np.ndarray, t: float, params: SeirhdParams, beta_t) -> np.ndarray:
-    """Derivative over the last axis of a state (10,) or a batch (B, 10);
-    ``beta_t`` and the parameters are scalars or (B,) vectors."""
-    _check_contact_rate(beta_t)
-    return _derivative_fn("SEIRHD", params)(state, beta_t)
-
-
 def hospital_inflow_rate(states: np.ndarray, params: SeirhdParams) -> np.ndarray:
     """Instantaneous admission rate into H_R + H_D (severe-case exits), for
     any array of states (compartments on the last axis)."""
@@ -322,16 +303,6 @@ def pkpd_terms(state: Sequence, params: PkpdParams, z3_t, power=operator.pow):
         return dz1, dz2, dz3, dz4, dz5
     dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4
     return dz1, dz2, dz3, dz4
-
-
-def pkpd_rhs(state: np.ndarray, t: float, params: PkpdParams, z3_t) -> np.ndarray:
-    """Derivative over the last axis of a state (dim,) or a batch (B, dim);
-    ``z3_t`` and the parameters are scalars or (B,) vectors."""
-    if state.shape[-1] != params.dim:
-        raise ValueError(
-            f"state dimension {state.shape[-1]} does not match model ({params.dim})"
-        )
-    return _derivative_fn("PKPD", params)(state, z3_t)
 
 
 def pkpd_jacobian(state: np.ndarray, params: PkpdParams) -> np.ndarray:
@@ -426,11 +397,10 @@ def _pkpd_block(p, power):
 
 def _derivative_fn(family: str, params, power=_libm_power):
     """The family's derivative ``f(state, drive)`` over the last axis of a
-    state or a batch, with ``params`` bound once and without the input
-    checks of the public right-hand sides. Each family evaluates over column
-    blocks, every entry in the operation order of its per-compartment
-    expressions, so trajectories keep their bits. ``power`` evaluates the
-    PKPD Hill powers."""
+    state (dim,) or a batch (B, dim), with ``params`` (scalars or (B,)
+    vectors) bound once. Each family evaluates over column blocks, every
+    entry in the operation order of its per-compartment expressions, so
+    trajectories keep their bits. ``power`` evaluates the PKPD Hill powers."""
     if family == "SEIRM":
         return _seirm_block(params)
     if family == "PKPD":
@@ -466,7 +436,11 @@ def _derivative_fn(family: str, params, power=_libm_power):
 # -- treatment coupling -------------------------------------------------
 
 
-def make_drive(family: str, params, treatments, decay_lambda: float = 0.005):
+# the contact rate's exponential decay rate under a mandate, per unit time
+DECAY_LAMBDA = 0.005
+
+
+def make_drive(family: str, params, treatments):
     """The treatment's input to the expert as ``drive(t) -> (B, 1)``, one row
     per schedule in ``treatments``; ``params`` is one parameter set or one
     per row. For a 1-D array of times ``drive`` returns (B, n_t), each entry
@@ -476,7 +450,7 @@ def make_drive(family: str, params, treatments, decay_lambda: float = 0.005):
     adds ``k_d * d * exp(k_3 * (t_i - t))`` once ``t > t_i``. Rows with fewer
     doses get empty slots that never start. SEIRM and SEIRHD: the contact
     rate, ``beta`` before the row's mandate start (or with no mandate) and
-    ``beta * exp(-decay_lambda * (t - start))`` from it on.
+    ``beta * exp(-DECAY_LAMBDA * (t - start))`` from it on.
     """
     p = _row_params(params)
     rows = len(treatments)
@@ -502,8 +476,8 @@ def make_drive(family: str, params, treatments, decay_lambda: float = 0.005):
         return plasma
     if family not in ("SEIRM", "SEIRHD"):
         raise ValueError(f"unknown family {family!r}")
-    if decay_lambda < 0 or np.any(np.asarray(p.beta) < 0):
-        raise ValueError("initial_beta and lambda must be nonnegative")
+    if np.any(np.asarray(p.beta) < 0):
+        raise ValueError("the contact rate beta must be nonnegative")
     start = np.array(
         [[np.inf if tr.mandate_start is None else tr.mandate_start] for tr in treatments]
     )
@@ -511,7 +485,7 @@ def make_drive(family: str, params, treatments, decay_lambda: float = 0.005):
 
     def contact_rate(t):
         elapsed = np.maximum(t - start, 0.0)  # exact where the mandate is on
-        return np.where(t < start, beta, beta * np.exp(-decay_lambda * elapsed))
+        return np.where(t < start, beta, beta * np.exp(-DECAY_LAMBDA * elapsed))
 
     return contact_rate
 
@@ -530,9 +504,7 @@ def tabulate_drive(drive, starts, dt) -> tuple[np.ndarray, dict]:
 # -- full simulation ----------------------------------------------------
 
 
-def simulate_expert(
-    spec: ExpertOdeSpec, grid: TimeGrid, decay_lambda: float = 0.005
-) -> OdeTrajectory:
+def simulate_expert(spec: ExpertOdeSpec, grid: TimeGrid) -> OdeTrajectory:
     """Integrate the mechanistic system with its treatment coupling. A
     (dim,) ``init`` gives states (n_steps + 1, dim); a (B, dim) batch is
     integrated in one RK4 call and gives (n_steps + 1, B, dim)."""
@@ -541,10 +513,8 @@ def simulate_expert(
     treatments = spec.treatment
     if not isinstance(treatments, tuple):
         treatments = (treatments,) * len(batch)
-    drive = make_drive(spec.family, spec.params, treatments, decay_lambda)
+    drive = make_drive(spec.family, spec.params, treatments)
     table, row = tabulate_drive(drive, grid.times[:-1], grid.dt)
-    if spec.family != "PKPD":
-        _check_contact_rate(table)
     derivative = _derivative_fn(spec.family, _row_params(spec.params))
 
     def rhs(state, t):

@@ -149,20 +149,6 @@ def grad_loss_f(y0_hat: np.ndarray, y0_factual, window: FactualWindow) -> np.nda
     return np.where(mask, 2.0 * (y0_hat - np.where(mask, y0_factual, 0.0)), 0.0)
 
 
-def guided_update(
-    y0_hat: np.ndarray,
-    grad_cf: np.ndarray,
-    grad_f: np.ndarray,
-    eta: float,
-    nu: float,
-) -> np.ndarray:
-    """Descend both guidance losses: y0_hat - eta * grad_cf - nu * grad_f."""
-    y0_hat = np.asarray(y0_hat, float)
-    if grad_cf.shape != y0_hat.shape or grad_f.shape != y0_hat.shape:
-        raise ValueError("gradient shapes must match the prediction")
-    return y0_hat - eta * grad_cf - nu * grad_f
-
-
 def make_guide_fn(
     y0_factual: np.ndarray,
     signals: ExpertGuidanceSignals,
@@ -172,7 +158,8 @@ def make_guide_fn(
     nu: float | np.ndarray | None = None,
 ):
     """Bind the guidance corrections into a ``guide_fn(y0_hat, tau)`` for
-    the sampler.
+    the sampler, which descends both guidance losses:
+    y0_hat - eta * grad_cf - nu * grad_f.
 
     ``eta`` and ``nu`` may be scalars or arrays that broadcast against the
     sampler's rows: an (R, 1) column gives each of R rows its own strength,
@@ -185,7 +172,7 @@ def make_guide_fn(
     def guide(y0_hat, tau):
         g_cf = grad_loss_cf(y0_hat, y0_factual, signals, config)
         g_f = grad_loss_f(y0_hat, y0_factual, window)
-        return guided_update(y0_hat, g_cf, g_f, eta, nu)
+        return y0_hat - eta * g_cf - nu * g_f
 
     return guide
 
@@ -208,8 +195,8 @@ def align_factual(
     if expert_f_sim.size == 0 or observed_f.size == 0:
         raise ValueError("alignment requires nonempty sequences")
     _, path = dtw(expert_f_sim, observed_f)
-    e = np.array([expert_f_sim[i] for i, _ in path])
-    o = np.array([observed_f[j] for _, j in path])
+    rows, cols = np.array(path).T
+    e, o = expert_f_sim[rows], observed_f[cols]
     if np.ptp(e) < 1e-12:
         scale, shift = 1.0, float(np.mean(o - e))
     else:
@@ -217,24 +204,19 @@ def align_factual(
         (scale, shift), *_ = np.linalg.lstsq(A, o, rcond=None)
         scale, shift = float(scale), float(shift)
     transform = AlignmentTransform(scale=scale, shift=shift, path=path)
-    aligned_f = _warp_to_grid(expert_f_sim, path, observed_f.size, scale, shift)
+    counts = np.bincount(cols)  # the path meets every observed point
+
+    def warp(series):
+        # each observed point takes the mean of the mapped points the path
+        # pairs with it, summed in path order
+        mapped = scale * series[rows] + shift
+        return np.bincount(cols, weights=mapped) / counts
+
+    aligned_f = warp(expert_f_sim)
     aligned_cf = None
     if expert_cf_sim is not None:
-        expert_cf_sim = np.asarray(expert_cf_sim, float).ravel()
-        aligned_cf = _warp_to_grid(expert_cf_sim, path, observed_f.size, scale, shift)
+        aligned_cf = warp(np.asarray(expert_cf_sim, float).ravel())
     return transform, aligned_f, aligned_cf
-
-
-def _warp_to_grid(
-    series: np.ndarray, path: list[tuple[int, int]], n_out: int, scale: float, shift: float
-) -> np.ndarray:
-    sums = np.zeros(n_out)
-    counts = np.zeros(n_out)
-    for i, j in path:
-        sums[j] += scale * series[i] + shift
-        counts[j] += 1
-    counts[counts == 0] = 1
-    return sums / counts
 
 
 # -- guidance strength selection ----------------------------------------

@@ -174,6 +174,8 @@ class ExperimentConfig:
             unknown = set(section) - allowed
             if unknown:
                 raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+        if not _is_count(self.seed, 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name, key, low in _COUNT_KEYS:
             value = (getattr(self, name) or {}).get(key, low)
             if not _is_count(value, low):
@@ -444,13 +446,13 @@ def _stage_data(config, state, out, meta):
     n_test = min(max(1, round(ev.get("test_fraction", 0.2) * n)), n - 1)
     perm = rng.permutation(n)
     state["test_units"] = [units[i] for i in perm[:n_test]]
-    state["train_units"] = [units[i] for i in perm[n_test:]]
-    state["dataset"] = dataset
+    train_units = [units[i] for i in perm[n_test:]]
+    state["train"] = Dataset(units=train_units, schema_version=1, seed=config.seed, config={})
     state["times"] = units[0].factual.times
     state["d_x"] = units[0].factual.d_x
     kind = dataset.config.get("kind", config.dataset.get("kind", "dex"))
     state["expert"] = _expert_setup(kind, config.expert)
-    meta["n_train"], meta["n_test"] = len(state["train_units"]), n_test
+    meta["n_train"], meta["n_test"] = len(train_units), n_test
 
 
 def _stage_hybrid(config, state, out, meta):
@@ -460,26 +462,19 @@ def _stage_hybrid(config, state, out, meta):
         cfg_kwargs["hidden"] = tuple(cfg_kwargs["hidden"])
     cfg = HybridCpConfig(**cfg_kwargs)
     model = make_hybrid_model(family, params, state["d_x"], cfg, seed=config.seed)
-    train_ds = Dataset(
-        units=state["train_units"], schema_version=1, seed=config.seed, config={}
-    )
-    model, losses = train_hybrid(model, train_ds)
+    model, losses = train_hybrid(model, state["train"])
     model.params.save(out / "checkpoints" / "hybrid.json")
     state["hybrid"] = model
     meta["hybrid_final_loss"] = losses[-1]
 
 
 def _stage_propensity(config, state, out, meta):
-    train_ds = Dataset(
-        units=state["train_units"], schema_version=1, seed=config.seed, config={}
-    )
-    prop = fit_propensity(train_ds)
-    state["weights"] = np.array(
-        [propensity_weight(prop, u) for u in state["train_units"]]
-    )
+    train_units = state["train"].units
+    prop = fit_propensity(state["train"])
+    state["weights"] = np.array([propensity_weight(prop, u) for u in train_units])
     finite = np.isfinite(state["weights"])
     if not finite.all():
-        unit = state["train_units"][int(np.argmin(finite))]
+        unit = train_units[int(np.argmin(finite))]
         raise ValueError(f"unit {unit.unit_id!r} has a non-finite IPTW weight")
     meta["mean_iptw_weight"] = float(state["weights"].mean())
 
@@ -501,7 +496,7 @@ def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False)
     when not ``guided``.
     """
     if "predictions" not in state:
-        every = state["train_units"] + state["test_units"]
+        every = state["train"].units + state["test_units"]
         pairs = [(u, side) for u in every for side in ("factual", "counterfactual")]
         trajs = [getattr(u, side) for u, side in pairs]
         y_all, x_all = predict(
@@ -537,7 +532,7 @@ def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False)
 
 
 def _stage_diffusion(config, state, out, meta):
-    train_units = state["train_units"]
+    train_units = state["train"].units
     y_obs = np.concatenate([u.factual.y[u.factual.observed] for u in train_units])
     state["y_scaler"] = Scaler.fit(y_obs)
     d_x = state["d_x"]
@@ -596,8 +591,7 @@ def _stage_select_eta(config, state, out, meta):
     if not g.get("select", False):
         state["eta"] = gcfg.eta
         return
-    n_val = min(g.get("n_val_units", 3), len(state["train_units"]))
-    val_units = state["train_units"][-n_val:]
+    val_units = state["train"].units[-g.get("n_val_units", 3):]  # all of them if fewer
     y_s = state["y_scaler"]
     target = np.concatenate(
         [

@@ -6,22 +6,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-
-REPORT_COLUMNS = [
-    "wasserstein1",
-    "rmse",
-    "pi_coverage_75",
-    "pi_coverage_90",
-    "pi_coverage_95",
-    "cate_rmse",
-    "calibration_score",
-    "pearson_corr",
-    "n_samples",
-    "n_units",
-]
 
 
 @dataclass
@@ -38,9 +25,7 @@ class MetricReport:
     n_units: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {k: getattr(self, k) for k in REPORT_COLUMNS}, sort_keys=True, indent=2
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def to_csv_row(self) -> str:
         buf = io.StringIO()
@@ -48,6 +33,9 @@ class MetricReport:
         writer.writerow(REPORT_COLUMNS)
         writer.writerow([repr(getattr(self, k)) for k in REPORT_COLUMNS])
         return buf.getvalue()
+
+
+REPORT_COLUMNS = [f.name for f in fields(MetricReport)]
 
 
 def wasserstein1(samples_a, samples_b) -> float:

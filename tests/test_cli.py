@@ -137,6 +137,33 @@ def test_simulate_misspelt_treatment_key_fails(tmp_path, capsys):
     assert "mandate_strat" in capsys.readouterr().err
 
 
+_PKPD_SIMULATION = {
+    "family": "PKPD",
+    "init": [10.0, 0.01, 0.01, 10.0],
+    "treatment": {"kind": "dosing", "doses": [[1.0, 0.5]]},
+    "dt": 0.1,
+    "n_steps": 3,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PKPD_SIMULATION))
+def test_simulate_names_a_missing_required_key(tmp_path, capsys, key):
+    spec = {k: v for k, v in _PKPD_SIMULATION.items() if k != key}
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(spec))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 1
+    assert f"missing required keys: [{key!r}]" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_names_an_unknown_key(tmp_path, capsys):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({**_PKPD_SIMULATION, "n_step": 3}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 1
+    assert "unknown simulation config keys: ['n_step']" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 @pytest.mark.parametrize(
     "treatment, message",
     [

@@ -168,6 +168,18 @@ def test_fit_propensity_recovers_treatment_signal():
     assert np.mean(probs_treated) > np.mean(probs_control)
 
 
+def test_propensity_fit_that_nearly_separates_does_not_overflow():
+    # the fit on these three patients drives logits past exp's range; the
+    # limit 1 / (1 + inf) = 0 is exact, so neither the fit nor the weights
+    # may raise under warnings-as-errors
+    data = gen_dex_dataset(n_patients=3, seed=3, n_days=3)
+    model = fit_propensity(data)
+    assert np.isfinite(model.weights).all()
+    weights = [propensity_weight(model, u) for u in data.units]
+    assert np.isfinite(weights).all()
+    assert PropensityModel(weights=np.array([0.0, 0.0, -1000.0])).prob_treated(0.0, 0.0) == 0.0
+
+
 def test_batch_loss_is_linear_in_weights():
     model = make_denoiser(horizon=3, d_x=1, hidden=(8,), seed=1)
     s = make_schedule(t_d=4)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from odeguide import datagen
 from odeguide.expert_models import (
+    DECAY_LAMBDA,
     SEIRM_DIM,
     ExpertOdeSpec,
     PkpdParams,
@@ -23,11 +24,8 @@ from odeguide.expert_models import (
     _row_params,
     make_drive,
     pkpd_jacobian,
-    pkpd_rhs,
     pkpd_terms,
-    seirhd_rhs,
     seirm_jacobian,
-    seirm_rhs,
     seirm_terms,
     simulate_expert,
     tabulate_drive,
@@ -40,43 +38,44 @@ def dex_plasma(t, schedule, k3):
     return make_drive("PKPD", PkpdParams(k_3=k3), (schedule,))(t)[0, 0]
 
 
-def beta_schedule(t, initial_beta, lam, mandate_start):
+def beta_schedule(t, initial_beta, mandate_start):
     """The epidemic drive of one mandate start at one time."""
     params = SeirmParams(beta=initial_beta, alpha=0.0, gamma=0.0, mu=0.0, N=1.0)
     sched = TreatmentSchedule(kind="binary_policy", mandate_start=mandate_start)
-    return make_drive("SEIRM", params, (sched,), lam)(t)[0, 0]
+    return make_drive("SEIRM", params, (sched,))(t)[0, 0]
 
 
 def test_seirm_no_infection_pressure():
     p = SeirmParams(beta=0.5, alpha=0.2, gamma=0.1, mu=0.05, N=1000)
-    out = seirm_rhs(np.array([1000.0, 0.0, 0.0, 0.0, 0.0]), 0.0, p, 0.5)
+    out = _derivative_fn("SEIRM", p)(np.array([1000.0, 0.0, 0.0, 0.0, 0.0]), 0.5)
     assert np.array_equal(out, np.zeros(5))
 
 
 def test_seirm_incubation_transfer():
     p = SeirmParams(beta=0.5, alpha=0.5, gamma=0.0, mu=0.0, N=1000)
-    out = seirm_rhs(np.array([0.0, 10.0, 0.0, 0.0, 0.0]), 0.0, p, 0.0)
+    out = _derivative_fn("SEIRM", p)(np.array([0.0, 10.0, 0.0, 0.0, 0.0]), 0.0)
     assert out[1] == pytest.approx(-5.0)
     assert out[2] == pytest.approx(5.0)
 
 
 def test_seirm_hand_computed_derivatives():
     p = SeirmParams(beta=0.5, alpha=0.2, gamma=0.1, mu=0.05, N=1000)
-    out = seirm_rhs(np.array([900.0, 50.0, 50.0, 0.0, 0.0]), 0.0, p, 0.5)
+    out = _derivative_fn("SEIRM", p)(np.array([900.0, 50.0, 50.0, 0.0, 0.0]), 0.5)
     assert np.allclose(out, [-22.5, 12.5, 2.5, 5.0, 2.5], atol=1e-12)
 
 
 def test_seirm_rejects_negative_contact_rate():
-    p = SeirmParams(beta=0.5, alpha=0.2, gamma=0.1, mu=0.05, N=1000)
-    with pytest.raises(ValueError):
-        seirm_rhs(np.zeros(5), 0.0, p, -0.1)
+    # the contact rate decays from beta, so a negative beta is the only way
+    # to a negative one, and SEIRM parameters refuse it
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        SeirmParams(beta=-0.1, alpha=0.2, gamma=0.1, mu=0.05, N=1000)
 
 
 def test_seirhd_no_infectious_only_incubation_decay():
     p = SeirhdParams(beta=0.5, alpha=0.3, delta=0.15, N=1000)
     state = np.zeros(10)
     state[1] = 10.0  # exposed only
-    out = seirhd_rhs(state, 0.0, p, 0.5)
+    out = _derivative_fn("SEIRHD", p)(state, 0.5)
     assert out[1] == pytest.approx(-3.0)
     assert np.all(out[6:] == 0.0)
 
@@ -88,7 +87,7 @@ def test_seirhd_no_infectious_only_incubation_decay():
 )
 def test_seirhd_derivatives_sum_to_zero(state, beta):
     p = SeirhdParams(beta=0.5, alpha=0.3, delta=0.15, N=1e5)
-    out = seirhd_rhs(np.array(state), 0.0, p, beta)
+    out = _derivative_fn("SEIRHD", p)(np.array(state), beta)
     assert abs(np.sum(out)) <= 1e-9 * max(1.0, np.max(np.abs(out)))
 
 
@@ -106,28 +105,28 @@ def test_seirhd_matches_finer_step_reference():
 
 
 def test_pkpd_zero_state_zero_derivative():
-    out = pkpd_rhs(np.zeros(4), 0.0, PkpdParams(), 0.0)
+    out = _derivative_fn("PKPD", PkpdParams())(np.zeros(4), 0.0)
     assert np.array_equal(out, np.zeros(4))
 
 
 def test_pkpd_drug_elimination_rate():
     p = PkpdParams(k_IR=0.0, k_PF=0.0, k_O=0.0, k_Dex=0.0, k_2=0.3, k_3=0.0,
                    k_DP=0.0, k_IIR=0.0, k_DC=0.0)
-    out = pkpd_rhs(np.array([0.0, 1.0, 0.0, 0.0]), 0.0, p, 0.0)
+    out = _derivative_fn("PKPD", p)(np.array([0.0, 1.0, 0.0, 0.0]), 0.0)
     assert out[1] == pytest.approx(-0.3)
 
 
 def test_pkpd_hand_computed_immune_derivative():
     p = PkpdParams(k_IR=1.0, k_PF=1.0, k_O=0.5, E_max=1.0, EC_50=1.0, h_P=1.0, k_Dex=0.0)
-    out = pkpd_rhs(np.array([1.0, 0.0, 0.0, 1.0]), 0.0, p, 0.0)
+    out = _derivative_fn("PKPD", p)(np.array([1.0, 0.0, 0.0, 1.0]), 0.0)
     assert out[0] == pytest.approx(2.0)
 
 
 def test_pkpd_full_model_dimension():
     assert PkpdParams().dim == 4
     assert PkpdParams(full_model=True).dim == 5
-    with pytest.raises(ValueError):
-        pkpd_rhs(np.zeros(5), 0.0, PkpdParams(), 0.0)
+    with pytest.raises(ValueError, match="dimension 4"):
+        ExpertOdeSpec(family="PKPD", params=PkpdParams(), init=np.zeros(5), treatment=UNDOSED)
 
 
 def test_param_from_dict_rejects_unknown_keys():
@@ -156,15 +155,15 @@ def test_dex_plasma_exponential_tail():
 
 def test_beta_schedule_constant_without_mandate():
     for t in (0.0, 10.0, 100.0):
-        assert beta_schedule(t, 0.5, 0.005, None) == 0.5
+        assert beta_schedule(t, 0.5, None) == 0.5
 
 
 def test_beta_schedule_at_mandate_start():
-    assert beta_schedule(15.0, 0.5, 0.005, 15.0) == 0.5
+    assert beta_schedule(15.0, 0.5, 15.0) == 0.5
 
 
 def test_beta_schedule_decay_value():
-    val = beta_schedule(25.0, 0.5, 0.005, 15.0)
+    val = beta_schedule(25.0, 0.5, 15.0)
     assert val == pytest.approx(0.5 * np.exp(-0.05), abs=1e-12)
     assert val == pytest.approx(0.47561, abs=1e-5)
 
@@ -334,12 +333,12 @@ def seirhd_terms(state: Sequence, params: SeirhdParams, beta_t):
     return ds, de, dia, dip, dim, dis, dhr, dhd, dr, dd
 
 
-def _reference_rhs(family, params, schedule, decay_lambda=0.005):
+def _reference_rhs(family, params, schedule):
     def rhs(state, t):
         if family == "PKPD":
             z3_t = _reference_dex_plasma(t, schedule, params.k_3)
             return np.array(pkpd_terms(state, params, z3_t))
-        bt = _reference_beta(t, params.beta, decay_lambda, schedule.mandate_start)
+        bt = _reference_beta(t, params.beta, DECAY_LAMBDA, schedule.mandate_start)
         if family == "SEIRM":
             return np.array(seirm_terms(*state, params, bt))
         return np.array(seirhd_terms(state, params, bt))
@@ -451,7 +450,7 @@ def test_seirhd_block_derivative_equals_reference_bitwise(field, beta_row):
 def test_seirhd_block_derivative_of_one_state_and_one_row_equals_reference_bitwise():
     state = np.random.default_rng(8).exponential(1e4, 10)
     want = np.array(seirhd_terms(state, SEIRHD_BASE, 0.35)).tobytes()
-    assert seirhd_rhs(state, 0.0, SEIRHD_BASE, 0.35).tobytes() == want
+    assert _derivative_fn("SEIRHD", SEIRHD_BASE)(state, 0.35).tobytes() == want
     one_row = _derivative_fn("SEIRHD", _row_params((SEIRHD_BASE,)))(state[None], np.array([0.35]))
     assert one_row.shape == (1, 10) and one_row[0].tobytes() == want
 
@@ -510,21 +509,27 @@ def test_drive_equals_scalar_reference_at_dose_and_mandate_times():
     p = SeirmParams(beta=0.5, alpha=0.3, gamma=0.25, mu=0.02, N=1000.0)
     starts = (None, 0.0, 15.0, 3.0)
     mandates = tuple(TreatmentSchedule(kind="binary_policy", mandate_start=m) for m in starts)
-    beta = make_drive("SEIRM", p, mandates, 0.05)
+    beta = make_drive("SEIRM", p, mandates)
     for t in times:
         got = plasma(t)
         assert got.shape == (3, 1)
         want = [_reference_dex_plasma(t, s, k3) for s in schedules]
         assert np.array_equal(got[:, 0], want), t
-        want = [_reference_beta(t, p.beta, 0.05, m) for m in starts]
+        want = [_reference_beta(t, p.beta, DECAY_LAMBDA, m) for m in starts]
         assert np.array_equal(beta(t)[:, 0], want), t
 
 
-def test_drive_rejects_mismatched_schedules_and_negative_decay():
+def test_drive_rejects_mismatched_schedules_and_negative_contact_rate():
     with pytest.raises(ValueError, match="dosing"):
         make_drive("PKPD", PkpdParams(), (TreatmentSchedule(kind="binary_policy"),))
-    with pytest.raises(ValueError, match="nonnegative"):
-        make_drive("SEIRM", SeirmParams(0.5, 0.3, 0.25, 0.02, 1000.0), (UNDOSED,), -1.0)
+    # SEIR-HD parameters take any beta; the drive refuses a negative one,
+    # and a simulation fails there, before it integrates
+    p = SeirhdParams(beta=-0.1, alpha=0.3, delta=0.15, N=1e5)
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        make_drive("SEIRHD", p, (MANDATES[0],))
+    spec = ExpertOdeSpec(family="SEIRHD", params=p, init=np.full(10, 1e4), treatment=MANDATES[0])
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        simulate_expert(spec, TimeGrid(0.0, 0.1, 5))
 
 
 def test_batched_nonfinite_row_names_step_and_row():
@@ -562,7 +567,7 @@ DRIVE_CASES = {
 @pytest.mark.parametrize("case", sorted(DRIVE_CASES))
 def test_drive_table_equals_one_time_calls_at_every_rk4_stage_bitwise(case):
     family, params, treatments = DRIVE_CASES[case]
-    drive = make_drive(family, params, treatments, 0.05)
+    drive = make_drive(family, params, treatments)
     grid = TimeGrid(0.0, 0.05, 80)
     table, row = tabulate_drive(drive, grid.times[:-1], grid.dt)
     stage_times = []

@@ -11,7 +11,6 @@ from odeguide.guidance import (
     align_factual,
     grad_loss_cf,
     grad_loss_f,
-    guided_update,
     loss_cf,
     loss_f,
     make_guide_fn,
@@ -137,13 +136,16 @@ def test_grad_loss_f_matches_finite_differences():
 
 def test_guided_update_formula_and_zero_strength_identity():
     y = np.array([1.0, -2.0, 0.5])
-    g_cf = np.array([0.1, 0.2, 0.3])
-    g_f = np.array([1.0, 0.0, -1.0])
-    out = guided_update(y, g_cf, g_f, eta=2.0, nu=0.5)
+    y0_f = np.array([0.5, 0.5, 0.0])
+    signals = _signals([0.2, -0.1, 0.3], [0.0, 0.4, 0.1])
+    window = FactualWindow(mask=np.array([True, True, False]))
+    config = GuidanceConfig()
+    g_cf = grad_loss_cf(y, y0_f, signals, config)
+    g_f = grad_loss_f(y, y0_f, window)
+    out = make_guide_fn(y0_f, signals, window, config, eta=2.0, nu=0.5)(y, 1)
     np.testing.assert_allclose(out, y - 2.0 * g_cf - 0.5 * g_f)
-    np.testing.assert_array_equal(guided_update(y, g_cf, g_f, 0.0, 0.0), y)
-    with pytest.raises(ValueError, match="shapes"):
-        guided_update(y, np.zeros(2), g_f, 1.0, 1.0)
+    zero = make_guide_fn(y0_f, signals, window, config, eta=0.0, nu=0.0)(y, 1)
+    np.testing.assert_array_equal(zero, y)
 
 
 def test_make_guide_fn_zero_strengths_is_bitwise_identity():
@@ -164,8 +166,8 @@ def test_guided_update_descends_the_relation_loss():
     signals = _signals(rng.standard_normal(6), rng.standard_normal(6))
     config = GuidanceConfig()
     before = float(loss_cf(y0_hat, y0_f, signals, config))
-    g = grad_loss_cf(y0_hat, y0_f, signals, config)
-    stepped = guided_update(y0_hat, g, np.zeros(6), eta=1e-3, nu=0.0)
+    window = FactualWindow(mask=np.zeros(6, bool))
+    stepped = make_guide_fn(y0_f, signals, window, config, eta=1e-3, nu=0.0)(y0_hat, 1)
     after = float(loss_cf(stepped, y0_f, signals, config))
     assert after < before
 
@@ -215,6 +217,20 @@ def test_align_reduces_mismatch_under_noise():
     rmse_aligned = np.sqrt(np.mean((aligned - obs) ** 2))
     rmse_raw = np.sqrt(np.mean((sim - obs) ** 2))
     assert rmse_aligned < rmse_raw
+
+
+def test_align_warp_equals_the_path_loop_bitwise():
+    # a longer simulation than observation, so observed points meet several
+    # path steps; each aligned point sums its mapped values in path order
+    rng = np.random.default_rng(9)
+    sim, obs, cf = rng.standard_normal(40), rng.standard_normal(13), rng.standard_normal(40)
+    transform, aligned_f, aligned_cf = align_factual(sim, obs, cf)
+    for series, aligned in ((sim, aligned_f), (cf, aligned_cf)):
+        sums, counts = np.zeros(obs.size), np.zeros(obs.size)
+        for i, j in transform.path:
+            sums[j] += transform.scale * series[i] + transform.shift
+            counts[j] += 1
+        assert (sums / counts).tobytes() == aligned.tobytes()
 
 
 def test_align_rejects_empty_input():

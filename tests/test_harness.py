@@ -255,6 +255,12 @@ def test_config_rejects_bad_validation_counts(tmp_path, key, value):
         _tiny_config(tmp_path, guidance={"select": True, key: value})
 
 
+@pytest.mark.parametrize("value", ["3", True, -1, 1.5])
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer_when_loaded(tmp_path, value):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        _tiny_config(tmp_path, seed=value)
+
+
 _COUNT_MINIMUM = {
     ("evaluation", "n_samples"): 2,
     ("hybrid", "n_substeps"): 1,
