@@ -9,6 +9,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,20 +47,21 @@ _PARAM_CLASSES = {"SEIRM": SeirmParams, "SEIRHD": SeirhdParams, "PKPD": PkpdPara
 _SIMULATE_REQUIRED = {"family", "init", "treatment", "dt", "n_steps"}
 
 
-def _resolve_seed(args, config_seed: int) -> int:
-    """Config seed < --seed flag < ODEGUIDE_SEED environment variable."""
-    seed = config_seed
+def _resolve_seed(args, config):
+    """``config`` with the seed of config < --seed flag < ODEGUIDE_SEED
+    environment variable, checked as when the config loads."""
+    seed = config.seed
     if args.seed is not None:
         seed = args.seed
     env = os.environ.get("ODEGUIDE_SEED")
     if env is not None:
         seed = int(env)
-    return seed
+    return replace(config, seed=seed)
 
 
 def _experiment_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config)
-    config.seed = _resolve_seed(args, config.seed)
+    config = _resolve_seed(args, config)
     if args.out is not None:
         config.out_dir = args.out
     return config
@@ -114,7 +116,7 @@ def _cmd_pipeline(args) -> None:
 
 def _cmd_case_study(args) -> None:
     config = CaseStudyConfig.from_file(args.config)
-    config.seed = _resolve_seed(args, config.seed)
+    config = _resolve_seed(args, config)
     rows = case_study(config)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

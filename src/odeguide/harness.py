@@ -63,6 +63,7 @@ from .metrics import (
 )
 from .ode_core import TimeGrid
 
+_DTW_BLOCK_PAIRS = 512  # case-study (test region, candidate) pairs per dtw_cost call
 STAGE_ORDER = ("data", "hybrid", "propensity", "diffusion", "select-eta", "sample", "evaluate")
 
 
@@ -718,40 +719,48 @@ class CaseStudyRow:
 
 def load_regions(path) -> list[RegionSeries]:
     """Parse the (region, week, deaths_per_capita, hospitalizations, policy)
-    CSV into per-region series ordered by week. Every region must list each
-    week once, and the same weeks as the first region."""
-    rows: dict[str, list] = {}
+    CSV, columns in any order, into per-region series ordered by week. Every
+    region must list each week once, and the same weeks as the first region."""
+    columns = ("region", "week", "deaths_per_capita", "hospitalizations", "policy")
+    rows: dict[str, list[int]] = {}  # region -> its row numbers, in file order
+    weeks, deaths, hosp, policies = [], [], [], []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            week, policy = int(rec["week"]), int(rec["policy"])
+        reader = csv.reader(fh)
+        # an empty file has no header either; it fails below for having no rows
+        at = {name: k for k, name in enumerate(next(reader, columns))}
+        ir, iw, i_d, ih, ip = (at[c] for c in columns)
+        for rec in filter(None, reader):  # blank lines hold no row
+            week, policy = int(rec[iw]), int(rec[ip])
             if policy not in (0, 1):
                 raise ValueError(
-                    f"region {rec['region']!r} has policy {policy} in week {week}; "
+                    f"region {rec[ir]!r} has policy {policy} in week {week}; "
                     "policy must be 0 or 1"
                 )
-            rows.setdefault(rec["region"], []).append(
-                (week, float(rec["deaths_per_capita"]), float(rec["hospitalizations"]), policy)
-            )
+            rows.setdefault(rec[ir], []).append(len(weeks))
+            weeks.append(week)
+            policies.append(policy)
+            deaths.append(float(rec[i_d]))
+            hosp.append(float(rec[ih]))
     if not rows:
         raise ValueError("region file contains no rows")
+    deaths, hosp, policies = np.array(deaths), np.array(hosp), np.array(policies)
     out = []
     grid = None
-    for region, recs in rows.items():
-        recs.sort()
-        weeks = [r[0] for r in recs]
-        if weeks != grid:
-            if len(set(weeks)) < len(weeks):
+    for region, idx in rows.items():
+        idx.sort(key=weeks.__getitem__)
+        region_weeks = [weeks[k] for k in idx]
+        if region_weeks != grid:
+            if len(set(region_weeks)) < len(region_weeks):
                 raise ValueError(f"region {region!r} lists a week more than once")
             if grid is not None:
                 raise ValueError(f"region {region!r} does not have the weeks of region {first!r}")
-            grid, first = weeks, region
-        deaths = np.array([r[1] for r in recs])
-        hospitalizations = np.array([r[2] for r in recs])
-        finite = np.isfinite(deaths) & np.isfinite(hospitalizations)
+            grid, first = region_weeks, region
+        series = RegionSeries(region, deaths[idx], hosp[idx], policies[idx])
+        finite = np.isfinite(series.deaths) & np.isfinite(series.hospitalizations)
         if not finite.all():
-            week = recs[int(np.argmin(finite))][0]
+            week = region_weeks[int(np.argmin(finite))]
             raise ValueError(f"region {region!r} has a non-finite value in week {week}")
-        out.append(RegionSeries(region, deaths, hospitalizations, np.array([r[3] for r in recs])))
+        out.append(series)
     return out
 
 
@@ -792,40 +801,26 @@ def case_study(
             raise ValueError(f"unknown test regions: {missing}")
     w = config.train_weeks
     pre = np.stack([r.deaths[:w] for r in regions])
+    dominant = {r.region: _dominant_policy(r, w) for r in regions}
+    per = max(1, _DTW_BLOCK_PAIRS // len(regions))
+    blocks = [test_names[s : s + per] for s in range(0, len(test_names), per)]
+    costs = [c for b in blocks for c in dtw_cost(np.stack([by_name[t].deaths[:w] for t in b]), pre)]
     results = []
-    for name in test_names:
-        costs = dtw_cost(by_name[name].deaths[:w], pre).tolist()
-        dists = sorted((c, r.region) for c, r in zip(costs, regions) if r.region != name)
+    for name, row in zip(test_names, costs):
+        dists = sorted((c, r.region) for c, r in zip(row.tolist(), regions) if r.region != name)
         neighbors = [by_name[r] for _, r in dists[: config.k_neighbors]]
-        strong = [n for n in neighbors if _dominant_policy(n, w) == 1]
-        weak = [n for n in neighbors if _dominant_policy(n, w) == 0]
+        strong = [n for n in neighbors if dominant[n.region] == 1]
+        weak = [n for n in neighbors if dominant[n.region] == 0]
+        proxy = model_wd = None
+        if strong and weak:
+            strong_mean = np.mean([n.deaths[w:] for n in strong], axis=0)
+            weak_mean = np.mean([n.deaths[w:] for n in weak], axis=0)
+            proxy = wasserstein1(strong_mean, weak_mean)
+            if model_fn is not None:
+                model_wd = wasserstein1(model_fn(name, 1), model_fn(name, 0))
+        skipped = None if strong and weak else "no policy-diverse neighbors"
         neighbor_names = [n.region for n in neighbors]
-        if not strong or not weak:
-            results.append(
-                CaseStudyRow(
-                    region=name,
-                    proxy_wd=None,
-                    model_wd=None,
-                    skipped="no policy-diverse neighbors",
-                    neighbors=neighbor_names,
-                )
-            )
-            continue
-        strong_mean = np.mean([n.deaths[w:] for n in strong], axis=0)
-        weak_mean = np.mean([n.deaths[w:] for n in weak], axis=0)
-        proxy = wasserstein1(strong_mean, weak_mean)
-        model_wd = None
-        if model_fn is not None:
-            model_wd = wasserstein1(model_fn(name, 1), model_fn(name, 0))
-        results.append(
-            CaseStudyRow(
-                region=name,
-                proxy_wd=proxy,
-                model_wd=model_wd,
-                skipped=None,
-                neighbors=neighbor_names,
-            )
-        )
+        results.append(CaseStudyRow(name, proxy, model_wd, skipped, neighbor_names))
     return results
 
 

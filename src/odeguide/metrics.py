@@ -107,34 +107,46 @@ def pearson(a, b) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def _dtw_wavefront(a: np.ndarray, B: np.ndarray, table=None) -> np.ndarray:
-    """DTW costs of ``a`` (n,) against each row of ``B`` (R, m), filled one
-    anti-diagonal i + j = d at a time for all rows: a cell depends only on
-    the two diagonals before it. Diagonals are stored by i = 0..n, inf off
-    the table; a given (n+1, m+1) ``table`` (R = 1) receives each one."""
-    n, (R, m) = a.size, B.shape
+def _dtw_wavefront(A: np.ndarray, B: np.ndarray, table=None) -> np.ndarray:
+    """(Q, R) DTW costs of the rows of ``A`` (Q, n) against the rows of ``B``
+    (R, m), filled one anti-diagonal i + j = d at a time for all pairs: a
+    cell depends only on the two diagonals before it. A diagonal is an
+    (n+1, Q, R) array indexed by i, inf off the table. Three buffers rotate:
+    each diagonal's step (the min of its cells' predecessors) overwrites the
+    oldest, which then holds the next diagonal; of that band's stale
+    neighbours only i = lo - 1 is read later, so it alone is reset to inf.
+    A given (n+1, m+1) ``table`` (Q = R = 1) receives each diagonal."""
+    (Q, n), (R, m) = A.shape, B.shape
     if n == 0 or m == 0:
         raise ValueError("dtw requires nonempty sequences")
-    prev2 = np.full((R, n + 1), np.inf)
-    prev2[:, 0] = 0.0
-    prev1 = np.full((R, n + 1), np.inf)
+    a = np.ascontiguousarray(A.T)[:, :, None]
+    b = np.ascontiguousarray(B[:, ::-1].T)[:, None, :]  # reversed: a band meets b in order
+    prev2, prev1, cur = (np.full((n + 1, Q, R), np.inf) for _ in range(3))
+    prev2[0] = 0.0
     for d in range(2, n + m + 1):
         lo, hi = max(1, d - m), min(n, d - 1)
-        step = np.minimum(prev2[:, lo - 1 : hi], prev1[:, lo - 1 : hi])
-        np.minimum(step, prev1[:, lo : hi + 1], out=step)
-        cur = np.full((R, n + 1), np.inf)
-        # cells (i, d - i) for i = lo..hi meet B columns d-lo-1 down to d-hi-1
-        cur[:, lo : hi + 1] = np.abs(a[lo - 1 : hi] - B[:, d - hi - 1 : d - lo][:, ::-1]) + step
+        step = prev2[lo - 1 : hi]
+        np.minimum(step, prev1[lo - 1 : hi], out=step)
+        np.minimum(step, prev1[lo : hi + 1], out=step)
+        # cells (i, d - i) for i = lo..hi meet reversed rows m-d+lo..m-d+hi
+        band = cur[lo : hi + 1]
+        np.subtract(a[lo - 1 : hi], b[m - d + lo : m - d + hi + 1], out=band)
+        np.abs(band, out=band)
+        band += step
+        cur[lo - 1] = np.inf
         if table is not None:  # cell (i, d - i) is flat index i * m + d
-            table.flat[lo * m + d : hi * m + d + 1 : m] = cur[0, lo : hi + 1]
-        prev2, prev1 = prev1, cur
-    return prev1[:, n]
+            table.flat[lo * m + d : hi * m + d + 1 : m] = band[:, 0, 0]
+        prev2, prev1, cur = prev1, cur, prev2
+    return prev1[n].copy()
 
 
 def dtw_cost(a, B) -> np.ndarray:
-    """Optimal DTW cost of ``a`` (n,) against each row of ``B`` (R, m): (R,)
-    costs equal to ``dtw(a, B[r])[0]``, without paths, in O(R·n) memory."""
-    return _dtw_wavefront(np.asarray(a, dtype=float).ravel(), np.asarray(B, dtype=float))
+    """Optimal DTW costs against each row of ``B`` (R, m), equal to
+    ``dtw(a, B[r])[0]``, without paths: (R,) for a 1-D ``a`` (n,), (Q, R)
+    for a batch ``a`` (Q, n), in O(Q·R·n) memory."""
+    a = np.asarray(a, dtype=float)
+    costs = _dtw_wavefront(a if a.ndim == 2 else a.reshape(1, -1), np.asarray(B, dtype=float))
+    return costs if a.ndim == 2 else costs[0]
 
 
 def dtw(a, b) -> tuple[float, list[tuple[int, int]]]:
@@ -148,7 +160,7 @@ def dtw(a, b) -> tuple[float, list[tuple[int, int]]]:
     n, m = a.size, b.size
     acc = np.full((n + 1, m + 1), np.inf)
     acc[0, 0] = 0.0
-    _dtw_wavefront(a, b[None, :], acc)
+    _dtw_wavefront(a[None, :], b[None, :], acc)
     path = [(n - 1, m - 1)]
     i, j = n, m
     while (i, j) != (1, 1):

@@ -95,6 +95,22 @@ def test_seed_flag_and_env_precedence(tmp_path, monkeypatch):
     assert (out_flag / "factual.csv").read_bytes() != (out_other / "factual.csv").read_bytes()
 
 
+def _override_seed(argv, monkeypatch, via_env):
+    if via_env:
+        monkeypatch.setenv("ODEGUIDE_SEED", "-1")
+        return argv
+    return argv + ["--seed", "-1"]
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_run_bad_seed_override_fails_when_the_config_loads(tmp_path, capsys, monkeypatch, via_env):
+    config = _write_config(tmp_path)
+    argv = _override_seed(["run", "--config", str(config)], monkeypatch, via_env)
+    assert main(argv) == 1
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_writes_trajectory(tmp_path):
     spec = {
         "family": "PKPD",
@@ -270,4 +286,17 @@ def test_case_study_bad_config_fails_before_reading_regions(tmp_path, capsys):
     out = tmp_path / "cs_out"
     assert main(["case-study", "--config", str(config), "--out", str(out)]) == 1
     assert "test_regions" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_case_study_bad_seed_override_fails_before_reading_regions(
+    tmp_path, capsys, monkeypatch, via_env
+):
+    config = tmp_path / "cs.json"
+    config.write_text(json.dumps({"region_csv": str(tmp_path / "absent.csv")}))
+    out = tmp_path / "cs_out"
+    argv = ["case-study", "--config", str(config), "--out", str(out)]
+    assert main(_override_seed(argv, monkeypatch, via_env)) == 1
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()

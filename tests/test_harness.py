@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from odeguide import harness
 from odeguide.harness import (
     CaseStudyConfig,
     ExperimentConfig,
@@ -17,7 +18,7 @@ from odeguide.harness import (
     run_experiment,
     write_case_study_csv,
 )
-from odeguide.metrics import dtw, wasserstein1
+from odeguide.metrics import dtw, dtw_cost, wasserstein1
 
 
 def _tiny_config(out_dir, **overrides):
@@ -579,6 +580,11 @@ def test_case_study_validation(tmp_path):
         case_study(CaseStudyConfig(region_csv=str(path), train_weeks=8, test_regions=["weak_0"]))
 
 
+def test_case_study_with_no_test_regions_scores_none(tmp_path):
+    path = _planted_regions(tmp_path)
+    assert case_study(CaseStudyConfig(region_csv=str(path), train_weeks=4, test_regions=[])) == []
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -657,17 +663,7 @@ def test_load_regions_rejects_a_policy_other_than_0_or_1(tmp_path, policy):
         load_regions(path)
 
 
-def test_case_study_matches_per_pair_dtw_reference(tmp_path):
-    rng = np.random.default_rng(5)
-    w, k = 5, 4
-    series = {f"r{i}": (rng.normal(size=2 * w), [0] * w + [i % 2] * w) for i in range(9)}
-    path = tmp_path / "regions.csv"
-    _write_regions(path, series)
-    config = CaseStudyConfig(
-        region_csv=str(path), train_weeks=w, k_neighbors=k, test_regions="random:3", seed=2
-    )
-    rows = case_study(config)
-    assert len(rows) == 3
+def _assert_matches_per_pair_dtw_reference(rows, series, w, k):
     for row in rows:
         deaths, _ = series[row.region]
         dists = sorted(
@@ -686,6 +682,88 @@ def test_case_study_matches_per_pair_dtw_reference(tmp_path):
         else:
             assert row.proxy_wd is None
     assert any(row.proxy_wd is not None for row in rows)
+
+
+@pytest.mark.parametrize("text", ["", "region,week,deaths_per_capita,hospitalizations,policy\n\n"])
+def test_load_regions_rejects_a_file_without_rows(tmp_path, text):
+    path = tmp_path / "regions.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="region file contains no rows"):
+        load_regions(path)
+
+
+def test_case_study_matches_per_pair_dtw_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    w, k = 5, 4
+    series = {f"r{i}": (rng.normal(size=2 * w), [0] * w + [i % 2] * w) for i in range(9)}
+    path = tmp_path / "regions.csv"
+    _write_regions(path, series)
+    config = CaseStudyConfig(
+        region_csv=str(path), train_weeks=w, k_neighbors=k, test_regions="random:3", seed=2
+    )
+    rows = case_study(config)
+    assert len(rows) == 3
+    _assert_matches_per_pair_dtw_reference(rows, series, w, k)
+
+
+def test_case_study_matches_per_pair_dtw_reference_across_blocks(tmp_path, monkeypatch):
+    # 200 regions leave room for 2 test regions per DTW block: 7 take 4 blocks
+    rng = np.random.default_rng(6)
+    w, k = 5, 4
+    series = {f"r{i:03d}": (rng.normal(size=2 * w), [0] * w + [i % 2] * w) for i in range(200)}
+    path = tmp_path / "regions.csv"
+    _write_regions(path, series)
+    config = CaseStudyConfig(
+        region_csv=str(path), train_weeks=w, k_neighbors=k, test_regions="random:7", seed=3
+    )
+    blocks = []
+
+    def recording_dtw_cost(a, B):
+        blocks.append(a.shape[0] * B.shape[0])
+        return dtw_cost(a, B)
+
+    monkeypatch.setattr(harness, "dtw_cost", recording_dtw_cost)
+    rows = case_study(config)
+    assert len(rows) == 7
+    assert len(blocks) >= 3 and max(blocks) <= harness._DTW_BLOCK_PAIRS
+    _assert_matches_per_pair_dtw_reference(rows, series, w, k)
+
+
+def test_load_regions_reads_columns_by_header_name(tmp_path):
+    rng = np.random.default_rng(7)
+    records = [
+        {
+            "region": region,
+            "week": str(week),
+            "deaths_per_capita": repr(float(rng.normal())),
+            "hospitalizations": repr(float(rng.normal())),
+            "policy": str(int(week >= 2)),
+            "note": "x",
+        }
+        for region in ("plain", "Springfield, IL", '"quoted"')
+        for week in (3, 0, 2, 1)
+    ]
+
+    def write(name, columns):
+        path = tmp_path / name
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, columns, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(records)
+        return load_regions(path)
+
+    base = write("base.csv", ["region", "week", "deaths_per_capita", "hospitalizations", "policy"])
+    assert [r.region for r in base] == ["plain", "Springfield, IL", '"quoted"']
+    permuted = write("permuted.csv", ["policy", "hospitalizations", "region", "week", "deaths_per_capita"])
+    extra = write("extra.csv", ["week", "note", "region", "policy", "deaths_per_capita", "hospitalizations"])
+    for other in (permuted, extra):
+        assert [r.region for r in other] == [r.region for r in base]
+        for got, want in zip(other, base):
+            for name in ("deaths", "hospitalizations", "policy"):
+                assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    np.testing.assert_array_equal(base[1].policy, [0, 0, 1, 1])
+    by_week = sorted((int(r["week"]), float(r["deaths_per_capita"])) for r in records[4:8])
+    assert base[1].deaths.tolist() == [d for _, d in by_week]
 
 
 def test_case_study_csv_output(tmp_path):

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odeguide.metrics import (
@@ -217,6 +217,38 @@ def test_dtw_cost_equals_dtw_bitwise():
         costs = dtw_cost(a, B)
         assert costs.shape == (B.shape[0],)
         assert costs.tolist() == [dtw(a, b)[0] for b in B]
+
+
+_DTW_VALUES = st.integers(0, 2).map(float) | st.floats(-10, 10)
+
+
+@st.composite
+def _dtw_batches(draw):
+    """(Q, n) queries and (R, m) candidates, 1 <= n, m <= 12. Small integers
+    make equal costs and tied predecessors common."""
+    n, m, Q, R = (draw(st.integers(1, hi)) for hi in (12, 12, 4, 4))
+
+    def matrix(rows, cols):
+        row = st.lists(_DTW_VALUES, min_size=cols, max_size=cols)
+        return np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+    return matrix(Q, n), matrix(R, m)
+
+
+@given(_dtw_batches())
+@example((np.array([[1.0]]), np.array([[2.0], [0.0]])))  # n = m = 1
+@example((np.array([[0.5]]), np.array([[0.0, 1.0, 2.0, 3.0]])))  # n = 1
+@example((np.array([[0.0, 1.0, 2.0], [2.0, 2.0, 0.0]]), np.array([[1.0]])))  # m = 1
+@settings(max_examples=100, deadline=None)
+def test_batched_dtw_cost_equals_dtw_per_pair_bitwise(batch):
+    A, B = batch
+    costs = dtw_cost(A, B)
+    assert costs.shape == (A.shape[0], B.shape[0])
+    assert costs.tolist() == [[dtw(a, b)[0] for b in B] for a in A]
+    for a, row in zip(A, costs):
+        single = dtw_cost(a, B)
+        assert single.shape == (B.shape[0],)
+        assert single.tolist() == row.tolist()
 
 
 def test_dtw_cost_empty_rejected():
