@@ -55,7 +55,10 @@ def _resolve_seed(args, config):
         seed = args.seed
     env = os.environ.get("ODEGUIDE_SEED")
     if env is not None:
-        seed = int(env)
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"ODEGUIDE_SEED: seed must be an integer >= 0, got {env!r}") from None
     return replace(config, seed=seed)
 
 

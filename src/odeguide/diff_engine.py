@@ -21,6 +21,7 @@ is the reference those gradients are tested against, and what
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -288,29 +289,16 @@ class ParamSet:
     # -- lossless serialization ----------------------------------------
 
     def to_json(self) -> str:
-        payload = {
-            k: {"shape": list(v.shape), "values": v.ravel().tolist()}
-            for k, v in self._arrays.items()
-        }
+        """Each array as its shape and the base64 of its little-endian float64 bytes."""
+        raw = {k: base64.b64encode(v.astype("<f8").tobytes()).decode() for k, v in self._arrays.items()}
+        payload = {k: {"shape": list(v.shape), "float64_le": raw[k]} for k, v in self._arrays.items()}
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ParamSet":
         payload = json.loads(text)
-        arrays = {
-            k: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            for k, entry in payload.items()
-        }
-        return cls(arrays)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "ParamSet":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        raw = {k: np.frombuffer(base64.b64decode(e["float64_le"]), "<f8") for k, e in payload.items()}
+        return cls({k: raw[k].astype(np.float64).reshape(e["shape"]) for k, e in payload.items()})
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ode_core import OdeTrajectory, TimeGrid, integrate
+from .ode_core import OdeTrajectory, TimeGrid, integrate, sorted_unique
 
 SEIRM_DIM = 5
 SEIRHD_DIM = 10
@@ -497,7 +497,7 @@ def tabulate_drive(drive, starts, dt) -> tuple[np.ndarray, dict]:
     them. Returns the (n_t, B) table and a dict from each stage time to its
     row, so that a stage reads its drive as ``table[row[t]]``."""
     starts = np.asarray(starts, float)
-    times = np.unique(np.concatenate([starts, starts + 0.5 * dt, starts + dt]))
+    times = sorted_unique(np.concatenate([starts, starts + 0.5 * dt, starts + dt]))
     return np.ascontiguousarray(drive(times).T), {t: k for k, t in enumerate(times.tolist())}
 
 

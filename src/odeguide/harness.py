@@ -53,13 +53,13 @@ from .guidance import (
 from .hybrid_cp import HybridCpConfig, make_hybrid_model, predict, train_hybrid
 from .metrics import (
     MetricReport,
-    calibration_score,
     cate_rmse,
     dtw,  # unused here; benchmarks/spans.py wraps harness.dtw
     dtw_cost,
+    interval_scores,
     pearson,
-    pi_coverage,
     wasserstein1,
+    wasserstein1_rows,
 )
 from .ode_core import TimeGrid
 
@@ -301,16 +301,6 @@ def _unit_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
 
-def _per_time_wasserstein(ensembles: list[np.ndarray], truths: list[np.ndarray]) -> float:
-    T = truths[0].size
-    vals = []
-    for t in range(T):
-        gen = np.concatenate([e[:, t] for e in ensembles])
-        true = np.array([tr[t] for tr in truths])
-        vals.append(wasserstein1(gen, true))
-    return float(np.mean(vals))
-
-
 def evaluate_ensembles(
     ensembles: list[np.ndarray], units: list[UnitRecord]
 ) -> MetricReport:
@@ -336,17 +326,15 @@ def evaluate_ensembles(
     truth_cat = np.concatenate(truths)
     rmse = float(np.sqrt(np.mean((mean_cat - truth_cat) ** 2)))
     corr = pearson(mean_cat, truth_cat)
-    cov = {
-        lvl: float(np.mean([pi_coverage(e, t, lvl) for e, t in zip(ensembles, truths)]))
-        for lvl in (0.75, 0.90, 0.95)
-    }
-    calib = float(np.mean([calibration_score(e, t) for e, t in zip(ensembles, truths)]))
+    per_unit = [interval_scores(e, t) for e, t in zip(ensembles, truths)]
+    cov75, cov90, cov95, calib = (float(np.mean(unit_scores)) for unit_scores in zip(*per_unit))
+    pooled = np.concatenate([e.T for e in ensembles], axis=1)  # (T, units x samples)
     return MetricReport(
-        wasserstein1=_per_time_wasserstein(ensembles, truths),
+        wasserstein1=float(np.mean(wasserstein1_rows(pooled, np.stack(truths, axis=1)))),
         rmse=rmse,
-        pi_coverage_75=cov[0.75],
-        pi_coverage_90=cov[0.90],
-        pi_coverage_95=cov[0.95],
+        pi_coverage_75=cov75,
+        pi_coverage_90=cov90,
+        pi_coverage_95=cov95,
         cate_rmse=cate_rmse(np.concatenate(effects_est), np.concatenate(effects_true)),
         calibration_score=calib,
         pearson_corr=corr,
@@ -359,10 +347,10 @@ def _write_ensembles_csv(path: Path, unit_ids, times, ensembles) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit_id", "sample_id", "t", "y"])
+        stamps = [repr(float(t)) for t in times]
         for uid, ens in zip(unit_ids, ensembles):
-            for s in range(ens.shape[0]):
-                for k, t in enumerate(times):
-                    writer.writerow([uid, s, repr(float(t)), repr(float(ens[s, k]))])
+            rows = enumerate(ens.tolist())
+            writer.writerows([uid, s, t, repr(y)] for s, r in rows for t, y in zip(stamps, r))
 
 
 def _content_hash(config: ExperimentConfig) -> str:
@@ -464,7 +452,7 @@ def _stage_hybrid(config, state, out, meta):
     cfg = HybridCpConfig(**cfg_kwargs)
     model = make_hybrid_model(family, params, state["d_x"], cfg, seed=config.seed)
     model, losses = train_hybrid(model, state["train"])
-    model.params.save(out / "checkpoints" / "hybrid.json")
+    (out / "checkpoints" / "hybrid.json").write_text(model.params.to_json())
     state["hybrid"] = model
     meta["hybrid_final_loss"] = losses[-1]
 
@@ -562,7 +550,7 @@ def _stage_diffusion(config, state, out, meta):
         DiffusionTrainConfig(**diff),
         seed=config.seed,
     )
-    denoiser.params.save(out / "checkpoints" / "denoiser.json")
+    (out / "checkpoints" / "denoiser.json").write_text(denoiser.params.to_json())
     state["denoiser"] = denoiser
     meta["diffusion_final_loss"] = losses[-1]
 
@@ -717,30 +705,51 @@ class CaseStudyRow:
     neighbors: list
 
 
+# each column of the region file and its parse, in the order ``load_regions``
+# reads them from a row
+_REGION_FIELDS = {
+    "week": int, "policy": int, "region": str, "deaths_per_capita": float, "hospitalizations": float
+}
+
+
+def _bad_field(rec: list[str], at: dict[str, int]) -> str:
+    """Why a region row's parse raised: the first field it lacks or cannot parse."""
+    for name, parse in _REGION_FIELDS.items():
+        try:
+            parse(rec[at[name]])
+        except IndexError:
+            return f"no column {name!r}: the row ends after field {len(rec)}"
+        except ValueError as err:
+            return f"column {name!r}: {err}"
+
+
 def load_regions(path) -> list[RegionSeries]:
     """Parse the (region, week, deaths_per_capita, hospitalizations, policy)
     CSV, columns in any order, into per-region series ordered by week. Every
     region must list each week once, and the same weeks as the first region."""
-    columns = ("region", "week", "deaths_per_capita", "hospitalizations", "policy")
     rows: dict[str, list[int]] = {}  # region -> its row numbers, in file order
     weeks, deaths, hosp, policies = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         # an empty file has no header either; it fails below for having no rows
-        at = {name: k for k, name in enumerate(next(reader, columns))}
-        ir, iw, i_d, ih, ip = (at[c] for c in columns)
+        at = {name: k for k, name in enumerate(next(reader, _REGION_FIELDS))}
+        iw, ip, ir, i_d, ih = (at[c] for c in _REGION_FIELDS)
         for rec in filter(None, reader):  # blank lines hold no row
-            week, policy = int(rec[iw]), int(rec[ip])
+            try:  # a row that fails here is diagnosed only then, off the loop's path
+                week, policy, region = int(rec[iw]), int(rec[ip]), rec[ir]
+                if policy in (0, 1):  # else the policy check below speaks first
+                    deaths.append(float(rec[i_d]))
+                    hosp.append(float(rec[ih]))
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}:{reader.line_num}: {_bad_field(rec, at)}") from None
             if policy not in (0, 1):
                 raise ValueError(
-                    f"region {rec[ir]!r} has policy {policy} in week {week}; "
+                    f"region {region!r} has policy {policy} in week {week}; "
                     "policy must be 0 or 1"
                 )
-            rows.setdefault(rec[ir], []).append(len(weeks))
+            rows.setdefault(region, []).append(len(weeks))
             weeks.append(week)
             policies.append(policy)
-            deaths.append(float(rec[i_d]))
-            hosp.append(float(rec[ih]))
     if not rows:
         raise ValueError("region file contains no rows")
     deaths, hosp, policies = np.array(deaths), np.array(hosp), np.array(policies)

@@ -50,6 +50,13 @@ class OdeTrajectory:
             raise ValueError("states length must be n_steps + 1")
 
 
+def sorted_unique(values) -> np.ndarray:
+    """``np.unique`` of a 1-D array of non-NaN values (such as stage times),
+    without the ``numpy.ma`` import it costs."""
+    s = np.sort(values)
+    return s[np.concatenate([np.ones(min(s.size, 1), bool), s[1:] != s[:-1]])]
+
+
 def _first_bad_row(values: np.ndarray) -> str:
     """' in row r' for the first non-finite row of a batch, '' for one state."""
     if values.ndim < 2:

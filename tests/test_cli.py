@@ -131,6 +131,20 @@ def test_simulate_writes_trajectory(tmp_path):
     assert float(rows[0]["z_1"]) == 10.0
 
 
+@pytest.mark.parametrize("command", ["run", "case-study"])
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_a_seed_variable_that_is_not_an_integer_names_itself(tmp_path, capsys, monkeypatch, command, value):
+    config = _write_config(tmp_path)
+    if command == "case-study":
+        config = tmp_path / "cs.json"
+        config.write_text(json.dumps({"region_csv": str(tmp_path / "absent.csv")}))
+    monkeypatch.setenv("ODEGUIDE_SEED", value)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"ODEGUIDE_SEED: seed must be an integer >= 0, got {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_unknown_family_fails(tmp_path, capsys):
     config = tmp_path / "sim.json"
     config.write_text(json.dumps({"family": "LOTKA", "init": [], "treatment": {"kind": "dosing"}, "dt": 0.1, "n_steps": 1}))

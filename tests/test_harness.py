@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -729,6 +732,51 @@ def test_case_study_matches_per_pair_dtw_reference_across_blocks(tmp_path, monke
     _assert_matches_per_pair_dtw_reference(rows, series, w, k)
 
 
+def _write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["region", "week", "deaths_per_capita", "hospitalizations", "policy"])
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        (["b", "0", "1.0"], ":3: no column 'policy': the row ends after field 3"),
+        (["b"], ":3: no column 'week': the row ends after field 1"),
+        (["b", "x", "1.0", "0", "0"], ":3: column 'week': invalid literal for int() with base 10: 'x'"),
+        (["b", "0", "1.0", "0", "yes"], ":3: column 'policy': invalid literal for int() with base 10: 'yes'"),
+        (["b", "0", "1,5", "0", "0"], ":3: column 'deaths_per_capita': could not convert string to float: '1,5'"),
+        (["b", "0", "1.0", "", "0"], ":3: column 'hospitalizations': could not convert string to float: ''"),
+    ],
+)
+def test_load_regions_names_the_line_and_column_of_a_malformed_row(tmp_path, bad_row, message):
+    path = tmp_path / "regions.csv"
+    _write_rows(path, [["a", "0", "1.0", "0", "0"], bad_row, ["a", "1", "1.0", "0", "0"]])
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}{message}')}$"):
+        load_regions(path)
+
+
+@pytest.mark.parametrize("value", ["x", ""])
+def test_load_regions_checks_a_rows_policy_before_its_values(tmp_path, value):
+    path = tmp_path / "regions.csv"
+    _write_rows(path, [["a", "0", "1.0", "0", "0"], ["b", "0", value, value, "2"]])
+    with pytest.raises(ValueError, match="^region 'b' has policy 2 in week 0; policy must be 0 or 1$"):
+        load_regions(path)
+
+
+def test_load_regions_counts_file_lines_past_blank_and_quoted_multiline_rows(tmp_path):
+    path = tmp_path / "regions.csv"
+    path.write_text(
+        "region,week,deaths_per_capita,hospitalizations,policy\n"
+        '"two\nlines",0,1.0,0,0\n'
+        "\n"
+        "c,0,oops,0,0\n"
+    )
+    with pytest.raises(ValueError, match=":5: column 'deaths_per_capita': .*'oops'"):
+        load_regions(path)
+
+
 def test_load_regions_reads_columns_by_header_name(tmp_path):
     rng = np.random.default_rng(7)
     records = [
@@ -862,3 +910,34 @@ def test_data_stage_rejects_a_grid_shorter_than_the_propensity_history(tmp_path,
     with pytest.raises(StageError, match=f"grid has {n_times} points; the propensity model needs 3") as err:
         run_experiment(config, stop_after="data")
     assert err.value.stage == "data"
+
+
+_NO_MASKED_ARRAYS = """
+import json, sys
+from odeguide.harness import CaseStudyConfig, ExperimentConfig, case_study, run_experiment
+kind, arg = sys.argv[1:]
+if kind == "run":
+    run_experiment(ExperimentConfig.from_file(arg))
+else:
+    case_study(CaseStudyConfig(**json.loads(arg)))
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("kind", ["run", "case_study"])
+def test_a_run_and_a_case_study_never_import_numpy_ma(tmp_path, kind):
+    # numpy.ma costs a fresh process about 19 ms and 0.5 MB and nothing reads it
+    if kind == "run":
+        guidance = {"eta_candidates": [0.0, 0.01], "nu": 0.01, "select": True, "n_val_units": 2}
+        arg = tmp_path / "config.json"
+        arg.write_text(_tiny_config(tmp_path / "out", guidance=guidance).to_json())
+    else:
+        regions = str(_planted_regions(tmp_path))
+        arg = json.dumps({"region_csv": regions, "train_weeks": 4, "k_neighbors": 4, "test_regions": ["weak_0"]})
+    src = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS, kind, str(arg)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"

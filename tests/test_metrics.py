@@ -9,15 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odeguide.metrics import (
+    CALIBRATION_LEVELS,
     MetricReport,
     REPORT_COLUMNS,
-    calibration_score,
     cate_rmse,
     dtw,
     dtw_cost,
+    interval_scores,
     pearson,
-    pi_coverage,
+    sorted_quantiles,
     wasserstein1,
+    wasserstein1_rows,
 )
 
 
@@ -73,15 +75,18 @@ def test_wasserstein_unequal_matches_monte_carlo_coupling():
 def test_pi_coverage_hand_example():
     samples = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     truth = np.array([1.5, 10.0])
-    assert pi_coverage(samples, truth, 0.9) == pytest.approx(0.5)
-    assert pi_coverage(samples, truth, 0.5) == pytest.approx(0.5)
+    # 1.5 is the median, inside every interval; 10 lies outside all of them,
+    # so coverage is 0.5 at each level and the calibration gap is |0.5 - level|
+    cov75, cov90, cov95, calib = interval_scores(samples, truth)
+    assert (cov75, cov90, cov95) == (0.5, 0.5, 0.5)
+    assert calib == pytest.approx(np.mean(np.abs(0.5 - CALIBRATION_LEVELS)))
 
 
 def test_pi_coverage_validation():
     with pytest.raises(ValueError, match="ensemble"):
-        pi_coverage(np.zeros((1, 3)), np.zeros(3), 0.9)
-    with pytest.raises(ValueError, match="level"):
-        pi_coverage(np.zeros((3, 2)), np.zeros(2), 1.0)
+        interval_scores(np.zeros((1, 3)), np.zeros(3))
+    with pytest.raises(ValueError, match="ensemble"):
+        interval_scores(np.zeros(3), np.zeros(3))
 
 
 def test_calibration_score_hand_example():
@@ -89,15 +94,78 @@ def test_calibration_score_hand_example():
     # so the mean gap over levels 0, 0.1, ..., 1 is mean(1, 0.9, ..., 0) = 0.5
     samples = np.array([[0.0], [1.0]])
     truth = np.array([0.5])
-    assert calibration_score(samples, truth) == pytest.approx(0.5)
+    assert interval_scores(samples, truth) == (1.0, 1.0, 1.0, pytest.approx(0.5))
 
 
 def test_calibration_score_bounds():
     rng = np.random.default_rng(2)
     samples = rng.standard_normal((50, 8))
     truth = rng.standard_normal(8)
-    score = calibration_score(samples, truth)
+    score = interval_scores(samples, truth)[3]
     assert 0.0 <= score <= 1.0
+
+
+# the 28 quantile levels of one report: the 0.75, 0.9 and 0.95 intervals and
+# the 11 calibration levels, each a lower and an upper tail
+_LEVELS = np.array([0.75, 0.90, 0.95, *CALIBRATION_LEVELS])
+_REPORT_QS = np.concatenate([(1 - _LEVELS) / 2, 1 - (1 - _LEVELS) / 2])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sorted_quantiles_equal_np_quantile_bitwise(n):
+    # half-integers from a small range: every column has ties
+    samples = np.random.default_rng(n).integers(-4, 5, size=(n, 7)) / 2
+    samples[:, 0] = np.random.default_rng(n).normal(size=n)
+    ordered = np.sort(samples, axis=0)
+    for q in [0.0, 0.05, 0.5, 0.95, 1.0, *_REPORT_QS]:
+        expected = np.quantile(samples, float(q), axis=0)
+        assert sorted_quantiles(ordered, [q])[0].tobytes() == expected.tobytes()
+    expected = np.quantile(samples, _REPORT_QS, axis=0)
+    assert sorted_quantiles(ordered, _REPORT_QS).tobytes() == expected.tobytes()
+
+
+def test_sorted_quantiles_give_nan_for_a_column_holding_one():
+    samples = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 1.0]])
+    out = sorted_quantiles(np.sort(samples, axis=0), [0.0, 0.5, 1.0])
+    assert np.isnan(out[:, 0]).all()
+    assert out[:, 1].tolist() == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("n", [2, 9, 40])
+def test_interval_scores_equal_np_quantile_scoring_bitwise(n):
+    rng = np.random.default_rng(n)
+    samples, truth = rng.normal(size=(n, 30)), rng.normal(size=30)
+
+    def covered(level):
+        lo = np.quantile(samples, (1 - level) / 2, axis=0)
+        hi = np.quantile(samples, 1 - (1 - level) / 2, axis=0)
+        return float(np.mean((truth >= lo) & (truth <= hi)))
+
+    calib = float(np.mean([abs(covered(lv) - lv) for lv in CALIBRATION_LEVELS]))
+    assert interval_scores(samples, truth) == (covered(0.75), covered(0.90), covered(0.95), calib)
+
+
+def _w1_reference(a, b):
+    """W1 of two 1-D samples, one pair at a time, with numpy's union1d."""
+    a, b = np.sort(a), np.sort(b)
+    n, m = a.size, b.size
+    if n == m:
+        return float(np.mean(np.abs(a - b)))
+    edges = np.union1d(np.arange(1, n + 1) / n, np.arange(1, m + 1) / m)
+    widths = np.diff(np.concatenate([[0.0], edges]))
+    mids = edges - widths / 2
+    ia = np.minimum((mids * n).astype(int), n - 1)
+    ib = np.minimum((mids * m).astype(int), m - 1)
+    return float(np.sum(widths * np.abs(a[ia] - b[ib])))
+
+
+@pytest.mark.parametrize("m", [4, 21, 30])
+def test_wasserstein1_rows_equal_the_one_pair_reference_bitwise(m):
+    rng = np.random.default_rng(m)
+    a, b = rng.normal(size=(52, 21)), rng.normal(size=(52, m))
+    expected = [_w1_reference(x, y) for x, y in zip(a, b)]
+    assert wasserstein1_rows(a, b).tolist() == expected
+    assert [wasserstein1(x, y) for x, y in zip(a, b)] == expected
 
 
 def test_cate_rmse():

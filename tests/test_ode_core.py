@@ -11,6 +11,7 @@ from odeguide.ode_core import (
     integrate,
     rk4_step,
     rk4_update,
+    sorted_unique,
 )
 
 
@@ -208,3 +209,14 @@ def test_rk4_update_tape_gradient_matches_central_differences():
         step[idx] = h
         fd[idx] = (loss(state + step) - loss(state - step)) / (2 * h)
     np.testing.assert_allclose(z.grad, fd, rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [2.0], [3.0, 1.0, 3.0, 3.0, -1.0, 1.0], [0.5] * 4, np.arange(10.0)[::-1], [np.inf, -np.inf, 1.0, np.inf]],
+)
+def test_sorted_unique_equals_np_unique(values):
+    values = np.asarray(values, float)
+    out = sorted_unique(values)
+    assert out.dtype == np.unique(values).dtype
+    assert out.tobytes() == np.unique(values).tobytes()
