@@ -58,7 +58,9 @@ def _resolve_seed(args, config):
         try:
             seed = int(env)
         except ValueError:
-            raise ValueError(f"ODEGUIDE_SEED: seed must be an integer >= 0, got {env!r}") from None
+            seed = env
+        if isinstance(seed, str) or seed < 0:
+            raise ValueError(f"ODEGUIDE_SEED: seed must be an integer >= 0, got {seed!r}")
     return replace(config, seed=seed)
 
 

@@ -200,9 +200,6 @@ class Tensor:
             if back is not None and node.grad is not None:
                 back(node.grad)
 
-    def __repr__(self):
-        return f"Tensor({self.data!r})"
-
 
 class _Constant(Tensor):
     """A non-Tensor operand: backward neither computes nor stores its gradient."""
@@ -509,9 +506,43 @@ def grad_check(f, params: ParamSet, eps: float = 1e-5, *inputs) -> float:
     return worst
 
 
-def timestep_embedding(tau: int, t_max: int, n_freq: int = 8) -> np.ndarray:
-    """Sinusoidal features of tau/t_max at ``n_freq`` geometric frequencies."""
+N_FREQ = 8  # geometric frequencies of ``timestep_embedding``
+
+
+def timestep_embedding(tau: int, t_max: int) -> np.ndarray:
+    """Sinusoidal features of tau/t_max at ``N_FREQ`` geometric frequencies."""
     frac = tau / t_max
-    freqs = 2.0 ** np.arange(n_freq)
+    freqs = 2.0 ** np.arange(N_FREQ)
     angles = np.pi * frac * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)])
+
+
+# -- settings checks: each settings object runs these on its own fields when
+# it is built; ``name`` is the field as a config spells it, "section.key"
+
+
+def _is_count(value, low: int) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int) and value >= low
+
+
+def check_count(name: str, value, low: int = 1) -> None:
+    if not _is_count(value, low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_rate(name: str, value, high: float = float("inf")) -> None:
+    """A real number in the open interval (0, ``high``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < high:
+        raise ValueError(f"{name} must lie in (0, {high}), got {value!r}")
+
+
+def check_widths(name: str, value) -> tuple[int, ...]:
+    """Hidden-layer widths, a list of integers >= 1, as a tuple."""
+    if not isinstance(value, (list, tuple)) or not all(_is_count(w, 1) for w in value):
+        raise ValueError(f"{name} must be a list of integers >= 1, got {value!r}")
+    return tuple(value)
+
+
+def check_activation(name: str, value) -> None:
+    if not isinstance(value, str) or value not in _ACTIVATIONS:
+        raise ValueError(f"{name} must be one of {sorted(_ACTIVATIONS)}, got {value!r}")

@@ -19,7 +19,6 @@ class DiffusionSchedule:
     alpha: np.ndarray
     alpha_bar: np.ndarray
     loss_weights: np.ndarray
-    lambda_const: float
 
     def alpha_bar_at(self, tau: int) -> float:
         """Cumulative alpha with the convention alpha_bar_0 = 1."""
@@ -32,7 +31,6 @@ def make_schedule(
     t_d: int = 50,
     beta_start: float = 1e-4,
     beta_end: float = 0.1,
-    lambda_const: float = 1.0,
 ) -> DiffusionSchedule:
     if not (0 < beta_start <= beta_end < 1):
         raise ValueError("require 0 < beta_start <= beta_end < 1")
@@ -41,14 +39,9 @@ def make_schedule(
     beta = np.linspace(beta_start, beta_end, t_d)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
-    loss_weights = lambda_const * alpha * (1.0 - alpha_bar) / beta**2
+    loss_weights = alpha * (1.0 - alpha_bar) / beta**2
     return DiffusionSchedule(
-        t_d=t_d,
-        beta=beta,
-        alpha=alpha,
-        alpha_bar=alpha_bar,
-        loss_weights=loss_weights,
-        lambda_const=lambda_const,
+        t_d=t_d, beta=beta, alpha=alpha, alpha_bar=alpha_bar, loss_weights=loss_weights
     )
 
 
@@ -112,22 +105,34 @@ class DenoiserModel:
     d_x: int
     spec: MlpSpec = None
     params: ParamSet = None
-    n_freq: int = 8
 
     @property
     def cond_dim(self) -> int:
         return self.horizon * (2 + self.d_x)
 
 
+@dataclass(frozen=True)
+class DiffusionTrainConfig:
+    epochs: int = 200
+    lr: float = 1e-3
+    batch_size: int = 64
+    hidden: tuple[int, ...] = (64, 64, 64)
+
+    def __post_init__(self):
+        de.check_count("diffusion.epochs", self.epochs)
+        de.check_count("diffusion.batch_size", self.batch_size)
+        de.check_rate("diffusion.lr", self.lr)
+        object.__setattr__(self, "hidden", de.check_widths("diffusion.hidden", self.hidden))
+
+
 def make_denoiser(
     horizon: int,
     d_x: int,
-    hidden: tuple[int, ...] = (64, 64, 64),
+    hidden: tuple[int, ...] = DiffusionTrainConfig.hidden,
     seed: int = 0,
-    n_freq: int = 8,
 ) -> DenoiserModel:
-    model = DenoiserModel(horizon=horizon, d_x=d_x, n_freq=n_freq)
-    n_in = horizon + 2 * n_freq + model.cond_dim
+    model = DenoiserModel(horizon=horizon, d_x=d_x)
+    n_in = horizon + 2 * de.N_FREQ + model.cond_dim
     model.spec = MlpSpec.make(n_in, horizon, hidden, act="relu")
     rng = np.random.default_rng([seed, 11])
     model.params = ParamSet(de.init_mlp_params(model.spec, rng, prefix="den_"))
@@ -150,8 +155,8 @@ def _predict_y0(model, params, y_tau, tau, t_d, cond_vec):
     """
     y_tau, cond_vec = np.asarray(y_tau, float), np.asarray(cond_vec, float)
     Ws, bs = ([params[f"den_{k}{i}"] for i in range(len(model.spec.activations))] for k in "Wb")
-    W_y, W_e, W_c = np.split(Ws[0], [model.horizon, model.horizon + 2 * model.n_freq])
-    emb = de.timestep_embedding(tau, t_d, model.n_freq)[None]
+    W_y, W_e, W_c = np.split(Ws[0], [model.horizon, model.horizon + 2 * de.N_FREQ])
+    emb = de.timestep_embedding(tau, t_d)[None]
     fixed = de._rows(emb, W_e) + de._rows(cond_vec.reshape(-1, W_c.shape[0]), W_c)
     noisy = de._rows(y_tau.reshape(-1, model.horizon), W_y).reshape(*y_tau.shape[:-1], -1)
     pre = noisy + fixed.reshape(*cond_vec.shape[:-1], -1) + bs[0]
@@ -223,13 +228,6 @@ def propensity_weight(model: PropensityModel, unit: UnitRecord) -> float:
 # -- training -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffusionTrainConfig:
-    epochs: int = 200
-    lr: float = 1e-3
-    batch_size: int = 64
-
-
 def train_diffusion(
     model: DenoiserModel,
     y0_rows: np.ndarray,
@@ -257,7 +255,7 @@ def train_diffusion(
         raise ValueError("training set must be nonempty")
     rng = np.random.default_rng([seed, 13])
     t_d = schedule.t_d  # row tau - 1 of the table embeds step tau
-    table = np.stack([de.timestep_embedding(k, t_d, model.n_freq) for k in range(1, t_d + 1)])
+    table = np.stack([de.timestep_embedding(k, t_d) for k in range(1, t_d + 1)])
     params = model.params
     state = de.AdamState()
     losses: list[float] = []
@@ -298,7 +296,7 @@ def _noised_inputs(model, schedule, y0, cond, taus, eps, embeds):
     abar = schedule.alpha_bar[taus - 1]
     y_tau = np.sqrt(abar)[:, None] * y0 + np.sqrt(1.0 - abar)[:, None] * eps
     if embeds is None:  # no table rows given: embed each row's tau here
-        embeds = np.stack([de.timestep_embedding(int(t), schedule.t_d, model.n_freq) for t in taus])
+        embeds = np.stack([de.timestep_embedding(int(t), schedule.t_d) for t in taus])
     return y_tau, np.concatenate([y_tau, embeds, cond], axis=1)
 
 

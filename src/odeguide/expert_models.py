@@ -23,21 +23,17 @@ simulation bitwise. A PKPD Hill power whose exponent is 1.0 is skipped, as
 evaluates its expert with the same PKPD and SEIRM kernels, with numpy's
 power.
 
-``seirm_terms`` and ``pkpd_terms`` are the per-compartment expressions,
-written with plain arithmetic so they evaluate on numpy floats, on arrays of
-rows and on tape Tensors; they are the reference the kernels are tested
-against. ``seirm_jacobian`` and ``pkpd_jacobian`` give their closed-form
-Jacobians, which the hybrid predictor backpropagates through.
+``seirm_jacobian`` and ``pkpd_jacobian`` give the closed-form Jacobians of
+the SEIRM and PKPD derivatives, which the hybrid predictor backpropagates
+through.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import operator
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -245,19 +241,8 @@ def _libm_power(base, exponent) -> np.ndarray:
     return np.fromiter(powers, float, base.size).reshape(base.shape)
 
 
-def seirm_terms(s, e, i, r, m, params: SeirmParams, beta_t):
-    """Per-compartment derivative expressions (generic arithmetic)."""
-    infection = beta_t * s * i / params.N
-    ds = -infection
-    de = infection - params.alpha * e
-    di = params.alpha * e - params.gamma * i - params.mu * i
-    dr = params.gamma * i
-    dm = params.mu * i
-    return ds, de, di, dr, dm
-
-
 def seirm_jacobian(state: np.ndarray, params: SeirmParams, beta_t) -> np.ndarray:
-    """d seirm_terms / d state, (..., 5, 5) for states (..., 5); ``beta_t``
+    """d SEIRM derivative / d state, (..., 5, 5) for states (..., 5); ``beta_t``
     broadcasts against one compartment."""
     s, _, i, _, _ = _columns(state)
     jac = np.zeros(state.shape + (SEIRM_DIM,))
@@ -276,37 +261,8 @@ def hospital_inflow_rate(states: np.ndarray, params: SeirhdParams) -> np.ndarray
     return params.rate_severe_exit * states[..., 5]
 
 
-def pkpd_terms(state: Sequence, params: PkpdParams, z3_t, power=operator.pow):
-    """Immune/drug derivative expressions; ``z3_t`` is the dosing signal
-    added to the plasma state when it feeds lung-tissue uptake, and
-    ``power`` evaluates the two Hill powers."""
-    if params.full_model:
-        z1, z2, z3, z4, z5 = state
-    else:
-        z1, z2, z3, z4 = state
-    z1c = np.maximum(z1, 0.0)  # negative immune response is unphysical
-    z1c_h = power(z1c, params.h_P)
-    hill = params.E_max * z1c_h / (params.EC_50**params.h_P + z1c_h)
-    dz1 = (
-        params.k_IR * z4
-        + params.k_PF * z4 * z1
-        - params.k_O * z1
-        + hill
-        - params.k_Dex * z1c * z2
-    )
-    dz2 = -params.k_2 * z2 + params.k_3 * (z3 + z3_t)
-    dz3 = -params.k_3 * z3
-    if params.full_model:
-        z5c = np.maximum(z5, 0.0)
-        dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4 * power(z5c, params.h_C)
-        dz5 = params.k_1 * z1
-        return dz1, dz2, dz3, dz4, dz5
-    dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4
-    return dz1, dz2, dz3, dz4
-
-
 def pkpd_jacobian(state: np.ndarray, params: PkpdParams) -> np.ndarray:
-    """d pkpd_terms / d state, (..., dim, dim) for states (..., dim). Each
+    """d PKPD derivative / d state, (..., dim, dim) for states (..., dim). Each
     relu's slope is ``z > 0``, as on the autodiff tape; the drive enters
     additively, so the Jacobian does not depend on it."""
     p = params
@@ -339,8 +295,8 @@ def _bound_power(power, exponent):
 
 
 def _seirm_block(p):
-    """``seirm_terms`` stacked on the last axis of the states, with the
-    recovery and death rates times I as one product."""
+    """The SEIRM derivative of states on the last axis, with the recovery
+    and death rates times I as one product."""
     by_i = np.stack(np.broadcast_arrays(p.gamma, p.mu)).reshape(2, -1)
     alpha, n_pop = np.asarray(p.alpha, float), np.asarray(p.N, float)
 
@@ -362,8 +318,8 @@ def _seirm_block(p):
 
 
 def _pkpd_block(p, power):
-    """``pkpd_terms`` stacked on the last axis of the states, with every
-    rate that multiplies z4 in one product."""
+    """The PKPD derivative of states on the last axis, with every rate that
+    multiplies z4 in one product."""
     by_z4 = np.stack(np.broadcast_arrays(p.k_IR, p.k_PF, p.k_DP, p.k_IIR, p.k_DC)).reshape(5, -1)
     # as 0-d arrays: a ufunc takes them in less time than Python floats
     k_O, E_max, k_Dex, k_3, k_1, neg_k_2, neg_k_3 = (

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diff_engine import concat
+from .diff_engine import check_count, concat
 from .metrics import dtw, pearson
 
 
@@ -25,6 +25,9 @@ class GuidanceConfig:
     eta_candidates: tuple[float, ...] = (0.0, 10.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0)
     use_value: bool = True
     use_direction: bool = True
+    select: bool = False  # pick eta from eta_candidates by a validation sweep
+    n_val_units: int = 3  # the sweep's units: the last train units, all if fewer
+    n_val_samples: int = 10  # ensemble members per sweep unit
 
     def __post_init__(self):
         if not self.eta_candidates:
@@ -34,6 +37,11 @@ class GuidanceConfig:
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
                 raise ValueError(f"guidance.{name} must be a finite nonnegative number, got {v!r}")
         object.__setattr__(self, "eta_candidates", tuple(float(v) for v in self.eta_candidates))
+        for key in ("select", "use_value", "use_direction"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(f"guidance.{key} must be true or false, got {getattr(self, key)!r}")
+        for key in ("n_val_units", "n_val_samples"):
+            check_count(f"guidance.{key}", getattr(self, key))
 
 
 @dataclass

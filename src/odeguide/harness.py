@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .datagen import (
     read_dataset,
     synthetic_census,
 )
-from .diff_engine import _ACTIVATIONS
+from .diff_engine import check_count, check_rate
 from .diffusion import (
     ConditioningContext,
     DiffusionTrainConfig,
@@ -106,52 +105,19 @@ _SECTION_KEYS = {
     "dataset": set().union(*_DATASET_KEYS.values()),
     "expert": None,  # validated by the parameter dataclasses
     "hybrid": {f.name for f in fields(HybridCpConfig)},
-    "schedule": {"t_d", "beta_start", "beta_end", "lambda_const"},
-    "diffusion": {"epochs", "lr", "batch_size", "hidden", "n_freq"},
-    "guidance": {
-        "eta",
-        "nu",
-        "eta_candidates",
-        "use_value",
-        "use_direction",
-        "select",
-        "n_val_units",
-        "n_val_samples",
-    },
+    "schedule": {"t_d", "beta_start", "beta_end"},
+    "diffusion": {f.name for f in fields(DiffusionTrainConfig)},
+    "guidance": {f.name for f in fields(GuidanceConfig)},
     "evaluation": {"n_samples", "test_fraction"},
 }
-# counts that must be integers >= a minimum, as (section, key, minimum);
-# evaluation needs two samples per unit for an interval
-_COUNT_KEYS = (
-    ("guidance", "n_val_units", 1),
-    ("guidance", "n_val_samples", 1),
-    ("evaluation", "n_samples", 2),
-    ("hybrid", "epochs", 1),
-    ("hybrid", "n_substeps", 1),
-    ("hybrid", "m_y", 1),
-    ("hybrid", "m_x", 1),
-    ("diffusion", "epochs", 1),
-    ("diffusion", "batch_size", 1),
-    ("diffusion", "n_freq", 1),
-    ("schedule", "t_d", 1),
-)
-# switches that must be true or false
-_GUIDANCE_FLAGS = ("select", "use_value", "use_direction")
-# real numbers that must lie in the open interval (0, high), as (section, key, high)
-_OPEN_INTERVAL_KEYS = (
-    ("evaluation", "test_fraction", 1),
-    ("hybrid", "lr", math.inf),
-    ("diffusion", "lr", math.inf),
-)
-
-
-def _is_count(value, low: int) -> bool:
-    return not isinstance(value, bool) and isinstance(value, int) and value >= low
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; every hyperparameter default is overridable."""
+    """Everything a run needs; every hyperparameter default is overridable.
+    Loading builds ``hybrid_config``, ``diffusion_config``,
+    ``diffusion_schedule`` and ``guidance_config`` (None without guidance),
+    each of which checks its own fields; the sections stay as given."""
 
     dataset: dict
     out_dir: str
@@ -175,38 +141,15 @@ class ExperimentConfig:
             unknown = set(section) - allowed
             if unknown:
                 raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-        if not _is_count(self.seed, 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        for name, key, low in _COUNT_KEYS:
-            value = (getattr(self, name) or {}).get(key, low)
-            if not _is_count(value, low):
-                raise ValueError(f"{name}.{key} must be an integer >= {low}, got {value!r}")
-        for name in ("hybrid", "diffusion"):
-            hidden = getattr(self, name).get("hidden", [])
-            if not isinstance(hidden, (list, tuple)) or not all(_is_count(w, 1) for w in hidden):
-                raise ValueError(f"{name}.hidden must be a list of integers >= 1, got {hidden!r}")
-        activation = self.hybrid.get("activation", "tanh")
-        if not isinstance(activation, str) or activation not in _ACTIVATIONS:
-            choices = sorted(_ACTIVATIONS)
-            raise ValueError(f"hybrid.activation must be one of {choices}, got {activation!r}")
-        for name, key, high in _OPEN_INTERVAL_KEYS:
-            section = getattr(self, name)
-            if key not in section:
-                continue
-            value = section[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < high:
-                raise ValueError(f"{name}.{key} must lie in (0, {high}), got {value!r}")
-        # make_schedule's own checks, on one step (t_d is checked as a count)
-        make_schedule(**{**self.schedule, "t_d": 1})
-        for key in _GUIDANCE_FLAGS:
-            value = (self.guidance or {}).get(key, False)
-            if not isinstance(value, bool):
-                raise ValueError(f"guidance.{key} must be true or false, got {value!r}")
-        # built once, here, so that a bad strength fails when the config loads
-        g = self.guidance
-        self.guidance_config = None if g is None else GuidanceConfig(
-            **{f.name: g[f.name] for f in fields(GuidanceConfig) if f.name in g}
-        )
+        check_count("seed", self.seed, 0)
+        # evaluation needs two samples per unit for an interval
+        check_count("evaluation.n_samples", self.evaluation.get("n_samples", 2), 2)
+        check_rate("evaluation.test_fraction", self.evaluation.get("test_fraction", 0.2), 1)
+        check_count("schedule.t_d", self.schedule.get("t_d", 1))  # before make_schedule uses it
+        self.hybrid_config = HybridCpConfig(**self.hybrid)
+        self.diffusion_config = DiffusionTrainConfig(**self.diffusion)
+        self.diffusion_schedule = make_schedule(**self.schedule)
+        self.guidance_config = None if self.guidance is None else GuidanceConfig(**self.guidance)
         source = "path" if "path" in self.dataset else self.dataset.get("kind")
         if source not in ("path", "dex", "covid"):  # a tuple: ``kind`` may be unhashable
             raise ValueError("dataset needs a 'path' or a 'kind' of 'dex' or 'covid'")
@@ -430,9 +373,8 @@ def _stage_data(config, state, out, meta):
             raise ValueError(f"unit {u.unit_id!r} has an unobserved first factual point")
         if not (np.isfinite(f.y[f.observed]).all() and np.isfinite(f.x[f.observed]).all()):
             raise ValueError(f"unit {u.unit_id!r} has a non-finite factual y or x at an observed point")
-    ev = config.evaluation
     rng = np.random.default_rng([config.seed, 23])
-    n_test = min(max(1, round(ev.get("test_fraction", 0.2) * n)), n - 1)
+    n_test = min(max(1, round(config.evaluation.get("test_fraction", 0.2) * n)), n - 1)
     perm = rng.permutation(n)
     state["test_units"] = [units[i] for i in perm[:n_test]]
     train_units = [units[i] for i in perm[n_test:]]
@@ -446,11 +388,7 @@ def _stage_data(config, state, out, meta):
 
 def _stage_hybrid(config, state, out, meta):
     family, params, _, _ = state["expert"]
-    cfg_kwargs = dict(config.hybrid)
-    if "hidden" in cfg_kwargs:
-        cfg_kwargs["hidden"] = tuple(cfg_kwargs["hidden"])
-    cfg = HybridCpConfig(**cfg_kwargs)
-    model = make_hybrid_model(family, params, state["d_x"], cfg, seed=config.seed)
+    model = make_hybrid_model(family, params, state["d_x"], config.hybrid_config, seed=config.seed)
     model, losses = train_hybrid(model, state["train"])
     (out / "checkpoints" / "hybrid.json").write_text(model.params.to_json())
     state["hybrid"] = model
@@ -531,12 +469,8 @@ def _stage_diffusion(config, state, out, meta):
         )
         for j in range(d_x)
     ]
-    sched_kwargs = dict(config.schedule)
-    state["schedule"] = make_schedule(**sched_kwargs)
-    horizon = state["times"].size
-    diff = dict(config.diffusion)
-    net = {k: diff.pop(k) for k in ("hidden", "n_freq") if k in diff}
-    denoiser = make_denoiser(horizon, d_x, seed=config.seed, **net)
+    cfg = config.diffusion_config
+    denoiser = make_denoiser(state["times"].size, d_x, cfg.hidden, seed=config.seed)
     y0_rows = np.stack([state["y_scaler"].transform(u.factual.y) for u in train_units])
     cond, _ = _unit_inputs(state, train_units, "factual")
     mask_rows = np.stack([u.factual.observed.astype(float) for u in train_units])
@@ -546,8 +480,8 @@ def _stage_diffusion(config, state, out, meta):
         cond.vector(),
         mask_rows,
         state["weights"],
-        state["schedule"],
-        DiffusionTrainConfig(**diff),
+        config.diffusion_schedule,
+        cfg,
         seed=config.seed,
     )
     (out / "checkpoints" / "denoiser.json").write_text(denoiser.params.to_json())
@@ -566,21 +500,17 @@ def _stacked_samples(config, state, units, key, n_samples, eta=None, nu=None) ->
         signals, window, y_f = guidance
         guide = make_guide_fn(y_f, signals, window, config.guidance_config, eta=eta, nu=nu)
     seeds = [_unit_seed(config.seed, key, i) for i in range(len(units))]
-    return sample(state["denoiser"], cond, state["schedule"], n_samples, seeds, guide).samples
+    return sample(state["denoiser"], cond, config.diffusion_schedule, n_samples, seeds, guide).samples
 
 
 def _stage_select_eta(config, state, out, meta):
     sweep_path = out / "eta_sweep.csv"
     sweep_path.write_text("eta,correlation\n")
-    if config.guidance is None:
-        state["eta"] = None
-        return
-    g = config.guidance
     gcfg = config.guidance_config
-    if not g.get("select", False):
-        state["eta"] = gcfg.eta
+    if gcfg is None or not gcfg.select:
+        state["eta"] = None if gcfg is None else gcfg.eta
         return
-    val_units = state["train"].units[-g.get("n_val_units", 3):]  # all of them if fewer
+    val_units = state["train"].units[-gcfg.n_val_units :]  # all of them if fewer
     y_s = state["y_scaler"]
     target = np.concatenate(
         [
@@ -595,7 +525,7 @@ def _stage_select_eta(config, state, out, meta):
     # one stacked reverse pass: validation units x candidates
     etas = sorted(gcfg.eta_candidates)
     column = np.asarray(etas, float)[:, None, None, None]
-    ens = _stacked_samples(config, state, val_units, 41, g.get("n_val_samples", 10), column, gcfg.nu)
+    ens = _stacked_samples(config, state, val_units, 41, gcfg.n_val_samples, column, gcfg.nu)
 
     def sampler(eta, _seed):
         # select_eta hands back config.seed, which the pass above used;
@@ -669,9 +599,7 @@ class CaseStudyConfig:
 
     def __post_init__(self):
         for name, low in (("train_weeks", 1), ("k_neighbors", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_count(name, getattr(self, name), low)
         if isinstance(self.test_regions, str):
             head, _, count = self.test_regions.partition(":")
             if head != "random" or not count.isdecimal() or int(count) < 1:
@@ -733,7 +661,10 @@ def load_regions(path) -> list[RegionSeries]:
         reader = csv.reader(fh)
         # an empty file has no header either; it fails below for having no rows
         at = {name: k for k, name in enumerate(next(reader, _REGION_FIELDS))}
-        iw, ip, ir, i_d, ih = (at[c] for c in _REGION_FIELDS)
+        try:
+            iw, ip, ir, i_d, ih = (at[c] for c in _REGION_FIELDS)
+        except KeyError as err:
+            raise ValueError(f"{path}: the header has no column {err.args[0]!r}") from None
         for rec in filter(None, reader):  # blank lines hold no row
             try:  # a row that fails here is diagnosed only then, off the loop's path
                 week, policy, region = int(rec[iw]), int(rec[ip]), rec[ir]

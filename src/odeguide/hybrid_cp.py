@@ -52,9 +52,15 @@ class HybridCpConfig:
     m_x: int = 8
     hidden: tuple[int, ...] = (32, 32)
     activation: str = "tanh"
-    n_substeps: int = 1  # RK4 substeps per data-grid interval
     lr: float = 0.01
     epochs: int = 50
+
+    def __post_init__(self):
+        for key in ("m_y", "m_x", "epochs"):
+            de.check_count(f"hybrid.{key}", getattr(self, key))
+        object.__setattr__(self, "hidden", de.check_widths("hybrid.hidden", self.hidden))
+        de.check_activation("hybrid.activation", self.activation)
+        de.check_rate("hybrid.lr", self.lr)
 
 
 @dataclass
@@ -167,15 +173,14 @@ def readout(model: HybridCpModel, params, zy, zx, ze, a_t, _mlp=de.mlp_apply):
     return y, x
 
 
-def _substeps(model: HybridCpModel, times: np.ndarray, treatments):
-    """Every RK4 substep's start and size, as (T - 1, n_sub) arrays, and
-    the (U, 1) drive at a stage time, tabulated once over every stage."""
-    n_sub = model.config.n_substeps
-    dts = np.repeat(np.diff(times)[:, None] / n_sub, n_sub, axis=1)
-    starts = times[:-1, None] + np.arange(n_sub) * dts
+def _drive_table(model: HybridCpModel, times: np.ndarray, treatments):
+    """Each grid interval's size, the step of its one RK4 update, and the
+    (U, 1) drive at a stage time of those steps, tabulated once over every
+    stage."""
+    dts = np.diff(times)
     drive = make_drive(model.family, model.expert_params, treatments)
-    table, row = tabulate_drive(drive, starts.ravel(), dts.ravel())
-    return starts, dts, lambda t: table[row[t], :, None]
+    table, row = tabulate_drive(drive, times[:-1], dts)
+    return dts, lambda t: table[row[t], :, None]
 
 
 def rollout(
@@ -200,7 +205,7 @@ def rollout(
     a_seq = np.asarray(a_seq, float)
     if a_seq.shape[1] != len(times):
         raise ValueError("treatment sequence must cover the grid")
-    starts, dts, drive_at = _substeps(model, times, treatments)
+    dts, drive_at = _drive_table(model, times, treatments)
     my, e = model.config.m_y, model.e_dim
 
     zx, zy, ze = encode_init(model, params, x0, a0, y0, _mlp)
@@ -221,8 +226,7 @@ def rollout(
             dze = expert_rhs(model, z[:, my : my + e], drive_at(t))
             return de.concat([dzy, dze, dzx])
 
-        for t, dt in zip(starts[k], dts[k]):
-            z, _ = rk4_update(rhs, z, t, dt)
+        z, _ = rk4_update(rhs, z, times[k], dts[k])
         zy, ze, zx = z[:, :my], z[:, my : my + e], z[:, my + e :]
         zy_lag = zy_start
         y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, k + 1 : k + 2], _mlp)
@@ -304,9 +308,10 @@ def _loss_and_grad(model: HybridCpModel, params: ParamSet, batch) -> tuple[float
     The adjoint ``lam`` is the gradient of the loss with respect to the
     packed state, walked from the last grid point to the first: each point
     adds its readouts' gradients and the gradient of the delay buffer that
-    the next interval read; each RK4 substep z' = z + c (k1 + 2 k2 + 2 k3 +
-    k4), c = dt / 6, maps ``lam`` through the vector-Jacobian products
-    ``v`` of its four stages. A loss that is not finite gets no gradient.
+    the next interval read; each interval's RK4 step z' = z + c (k1 + 2 k2 +
+    2 k3 + k4), c = dt / 6, maps ``lam`` through the vector-Jacobian
+    products ``v`` of its four stages. A loss that is not finite gets no
+    gradient.
     """
     inputs, obs, y, x = batch
     kept = {name: [] for name in model.specs}  # each call's layer outputs, in call order
@@ -353,19 +358,19 @@ def _loss_and_grad(model: HybridCpModel, params: ParamSet, batch) -> tuple[float
         return v
 
     times, treatments = inputs[4:]
-    starts, dts, drive_at = _substeps(model, times, treatments)
+    dts, drive_at = _drive_table(model, times, treatments)
     lam = np.zeros((len(y_hat), my + e + model.config.m_x))
     lag_grads = np.zeros((len(times), len(y_hat), my))  # per grid point read by fx
     read_back(lam, len(times) - 1)
     for k in reversed(range(len(times) - 1)):
         lag = lag_grads[max(k - 1, 0)]  # interval k's fx reads z_y at this point
-        for t, dt in zip(starts[k][::-1], dts[k][::-1]):
-            c = dt / 6.0
-            v4 = stage_back(c * lam, drive_at(t + dt), lag)
-            v3 = stage_back(2 * c * lam + dt * v4, drive_at(t + 0.5 * dt), lag)
-            v2 = stage_back(2 * c * lam + (0.5 * dt) * v3, drive_at(t + 0.5 * dt), lag)
-            v1 = stage_back(c * lam + (0.5 * dt) * v2, drive_at(t), lag)
-            lam = lam + v1 + v2 + v3 + v4
+        t, dt = times[k], dts[k]
+        c = dt / 6.0
+        v4 = stage_back(c * lam, drive_at(t + dt), lag)
+        v3 = stage_back(2 * c * lam + dt * v4, drive_at(t + 0.5 * dt), lag)
+        v2 = stage_back(2 * c * lam + (0.5 * dt) * v3, drive_at(t + 0.5 * dt), lag)
+        v1 = stage_back(c * lam + (0.5 * dt) * v2, drive_at(t), lag)
+        lam = lam + v1 + v2 + v3 + v4
         lam[:, :my] += lag_grads[k]
         read_back(lam, k)
     # the encoders: z_e0 = normalize(softplus(geta)), z_y0 = gzeta(z_x0 | a0 | y0), z_x0 = gxi

@@ -1,0 +1,51 @@
+"""Per-compartment SEIRM and PKPD derivative expressions, written with plain
+arithmetic so that they evaluate on numpy floats, on arrays of rows and on
+tape Tensors: the reference that the block kernels of ``expert_models`` and
+their closed-form Jacobians are tested against."""
+
+import operator
+from typing import Sequence
+
+import numpy as np
+
+from odeguide.expert_models import PkpdParams, SeirmParams
+
+
+def seirm_terms(s, e, i, r, m, params: SeirmParams, beta_t):
+    """Per-compartment derivative expressions (generic arithmetic)."""
+    infection = beta_t * s * i / params.N
+    ds = -infection
+    de = infection - params.alpha * e
+    di = params.alpha * e - params.gamma * i - params.mu * i
+    dr = params.gamma * i
+    dm = params.mu * i
+    return ds, de, di, dr, dm
+
+
+def pkpd_terms(state: Sequence, params: PkpdParams, z3_t, power=operator.pow):
+    """Immune/drug derivative expressions; ``z3_t`` is the dosing signal
+    added to the plasma state when it feeds lung-tissue uptake, and
+    ``power`` evaluates the two Hill powers."""
+    if params.full_model:
+        z1, z2, z3, z4, z5 = state
+    else:
+        z1, z2, z3, z4 = state
+    z1c = np.maximum(z1, 0.0)  # negative immune response is unphysical
+    z1c_h = power(z1c, params.h_P)
+    hill = params.E_max * z1c_h / (params.EC_50**params.h_P + z1c_h)
+    dz1 = (
+        params.k_IR * z4
+        + params.k_PF * z4 * z1
+        - params.k_O * z1
+        + hill
+        - params.k_Dex * z1c * z2
+    )
+    dz2 = -params.k_2 * z2 + params.k_3 * (z3 + z3_t)
+    dz3 = -params.k_3 * z3
+    if params.full_model:
+        z5c = np.maximum(z5, 0.0)
+        dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4 * power(z5c, params.h_C)
+        dz5 = params.k_1 * z1
+        return dz1, dz2, dz3, dz4, dz5
+    dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4
+    return dz1, dz2, dz3, dz4

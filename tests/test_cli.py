@@ -102,12 +102,17 @@ def _override_seed(argv, monkeypatch, via_env):
     return argv + ["--seed", "-1"]
 
 
+def _negative_seed_error(via_env):
+    """The variable names itself; the flag's message stays as it was."""
+    return f"error: {'ODEGUIDE_SEED: ' if via_env else ''}seed must be an integer >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("via_env", [False, True])
 def test_run_bad_seed_override_fails_when_the_config_loads(tmp_path, capsys, monkeypatch, via_env):
     config = _write_config(tmp_path)
     argv = _override_seed(["run", "--config", str(config)], monkeypatch, via_env)
     assert main(argv) == 1
-    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert capsys.readouterr().err == _negative_seed_error(via_env)
     assert not (tmp_path / "out").exists()
 
 
@@ -143,6 +148,29 @@ def test_a_seed_variable_that_is_not_an_integer_names_itself(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert f"ODEGUIDE_SEED: seed must be an integer >= 0, got {value!r}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_seirhd_writes_ten_states_that_keep_the_population(tmp_path):
+    n_pop = 1000.0
+    spec = {
+        "family": "SEIRHD",
+        "params": {"beta": 0.6, "alpha": 0.4, "delta": 0.3, "N": n_pop},
+        "init": [n_pop - 10.0, 6.0, 4.0] + [0.0] * 7,
+        "treatment": {"kind": "binary_policy", "mandate_start": 1.0},
+        "dt": 0.1,
+        "n_steps": 30,
+    }
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(spec))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "simulation.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 31
+    assert list(rows[0]) == ["t"] + [f"z_{j}" for j in range(1, 11)]
+    states = np.array([[float(r[f"z_{j}"]) for j in range(1, 11)] for r in rows])
+    assert np.all(np.abs(states.sum(axis=1) - n_pop) <= 1e-9 * n_pop)
+    assert not np.array_equal(states[0], states[-1])
 
 
 def test_simulate_unknown_family_fails(tmp_path, capsys):
@@ -312,5 +340,5 @@ def test_case_study_bad_seed_override_fails_before_reading_regions(
     out = tmp_path / "cs_out"
     argv = ["case-study", "--config", str(config), "--out", str(out)]
     assert main(_override_seed(argv, monkeypatch, via_env)) == 1
-    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert capsys.readouterr().err == _negative_seed_error(via_env)
     assert not out.exists()

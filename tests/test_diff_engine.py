@@ -296,7 +296,7 @@ def test_adam_two_steps_decrease_quadratic():
 
 
 def test_timestep_embedding_shape_and_range():
-    emb = timestep_embedding(7, 50, n_freq=8)
+    emb = timestep_embedding(7, 50)
     assert emb.shape == (16,)
     assert np.all(np.abs(emb) <= 1.0)
 

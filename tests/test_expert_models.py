@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expert_terms import pkpd_terms, seirm_terms
 from odeguide import datagen
 from odeguide.expert_models import (
     DECAY_LAMBDA,
@@ -24,9 +25,7 @@ from odeguide.expert_models import (
     _row_params,
     make_drive,
     pkpd_jacobian,
-    pkpd_terms,
     seirm_jacobian,
-    seirm_terms,
     simulate_expert,
     tabulate_drive,
 )

@@ -46,6 +46,9 @@ def test_config_rejects_unknown_keys():
     # the hybrid's contact rate decays at the rate the data and the guidance use
     with pytest.raises(ValueError, match="unknown hybrid keys"):
         ExperimentConfig(dataset={"kind": "dex"}, out_dir="x", hybrid={"decay_lambda": 0.01})
+    for section, key in (("hybrid", "n_substeps"), ("schedule", "lambda_const"), ("diffusion", "n_freq")):
+        with pytest.raises(ValueError, match=rf"unknown {section} keys: \['{key}'\]"):
+            ExperimentConfig(dataset={"kind": "dex"}, out_dir="x", **{section: {key: 1}})
     with pytest.raises(ValueError, match="'path' or a 'kind'"):
         ExperimentConfig(dataset={"kind": "mnist"}, out_dir="x")
 
@@ -267,13 +270,11 @@ def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer_when_loaded(tmp
 
 _COUNT_MINIMUM = {
     ("evaluation", "n_samples"): 2,
-    ("hybrid", "n_substeps"): 1,
     ("hybrid", "epochs"): 1,
     ("hybrid", "m_y"): 1,
     ("hybrid", "m_x"): 1,
     ("diffusion", "epochs"): 1,
     ("diffusion", "batch_size"): 1,
-    ("diffusion", "n_freq"): 1,
 }
 
 
@@ -443,6 +444,18 @@ def test_run_experiment_guided_writes_ablation(tmp_path):
     assert report is not None
     assert (tmp_path / "report_unguided.json").exists()
     assert (tmp_path / "ensembles_unguided.csv").exists()
+
+
+def test_an_expert_override_reaches_the_guided_ensembles(tmp_path):
+    """A dex run whose expert's drug does nothing (k_Dex = 0) finishes, and
+    its guided ensembles differ from those of the default expert."""
+    guidance = {"eta": 0.05, "nu": 0.01, "select": False}
+    ensembles = []
+    for name, expert in (("default", {}), ("no_drug", {"k_Dex": 0.0})):
+        config = _tiny_config(tmp_path / name, guidance=guidance, expert=expert)
+        assert run_experiment(config) is not None
+        ensembles.append((tmp_path / name / "ensembles.csv").read_text())
+    assert ensembles[0] != ensembles[1]
 
 
 def test_zero_strength_guidance_matches_unguided_report(tmp_path):
@@ -692,6 +705,15 @@ def test_load_regions_rejects_a_file_without_rows(tmp_path, text):
     path = tmp_path / "regions.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match="region file contains no rows"):
+        load_regions(path)
+
+
+@pytest.mark.parametrize("rows", ["", "r0,0,1.0,0.0\n"])
+def test_load_regions_names_the_file_and_the_column_its_header_lacks(tmp_path, rows):
+    """Checked before the rows, so a header-only file fails on the header."""
+    path = tmp_path / "regions.csv"
+    path.write_text("region,week,deaths_per_capita,hospitalizations\n" + rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: the header has no column')} 'policy'$"):
         load_regions(path)
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from expert_terms import seirm_terms
 from odeguide import diff_engine as de
 from odeguide import hybrid_cp
 from odeguide.datagen import gen_covid_dataset, gen_dex_dataset
@@ -11,7 +12,6 @@ from odeguide.expert_models import (
     SeirmParams,
     TreatmentSchedule,
     make_drive,
-    seirm_terms,
 )
 from odeguide.hybrid_cp import (
     HybridCpConfig,
@@ -201,21 +201,18 @@ def _reference_rollout(model, params, traj, treatment):
     y, x = read(zy, zx, ze, a[0])
     ys, xs = [y], [x]
     zy_lag = zy
-    n_sub = model.config.n_substeps
     for k in range(len(times) - 1):
         zy_start = zy
-        dt = (times[k + 1] - times[k]) / n_sub
-        for s in range(n_sub):
-            t = times[k] + s * dt
-            state = (zy, zx, ze)
-            k1 = rhs(*state, zy_lag, a[k], t)
-            k2 = rhs(*(z + 0.5 * dt * d for z, d in zip(state, k1)), zy_lag, a[k], t + 0.5 * dt)
-            k3 = rhs(*(z + 0.5 * dt * d for z, d in zip(state, k2)), zy_lag, a[k], t + 0.5 * dt)
-            k4 = rhs(*(z + dt * d for z, d in zip(state, k3)), zy_lag, a[k], t + dt)
-            zy, zx, ze = (
-                z + dt / 6.0 * (d1 + 2 * d2 + 2 * d3 + d4)
-                for z, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
-            )
+        t, dt = times[k], times[k + 1] - times[k]
+        state = (zy, zx, ze)
+        k1 = rhs(*state, zy_lag, a[k], t)
+        k2 = rhs(*(z + 0.5 * dt * d for z, d in zip(state, k1)), zy_lag, a[k], t + 0.5 * dt)
+        k3 = rhs(*(z + 0.5 * dt * d for z, d in zip(state, k2)), zy_lag, a[k], t + 0.5 * dt)
+        k4 = rhs(*(z + dt * d for z, d in zip(state, k3)), zy_lag, a[k], t + dt)
+        zy, zx, ze = (
+            z + dt / 6.0 * (d1 + 2 * d2 + 2 * d3 + d4)
+            for z, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
+        )
         zy_lag = zy_start
         y, x = read(zy, zx, ze, a[k + 1])
         ys.append(y)
@@ -460,11 +457,9 @@ def _assert_adjoint_matches_the_tape(model, units):
         assert np.max(np.abs(grads[name] - g)) <= 1e-12 * scale, name
 
 
-@pytest.mark.parametrize("n_substeps", [1, 3])
 @pytest.mark.parametrize("case", sorted(CASES) + ["dex_full_model"])
-def test_adjoint_gradient_matches_the_tape(case, n_substeps):
+def test_adjoint_gradient_matches_the_tape(case):
     model, units = CASES.get(case, _dex_full_model_case)()
-    model.config = replace(model.config, n_substeps=n_substeps)
     _assert_adjoint_matches_the_tape(model, units)
 
 
@@ -472,7 +467,7 @@ def test_adjoint_gradient_matches_the_tape(case, n_substeps):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_adjoint_gradient_matches_the_tape_for_every_activation(case, activation):
     model, units = CASES[case]()
-    config = replace(model.config, hidden=(4, 3), activation=activation, n_substeps=2)
+    config = replace(model.config, hidden=(4, 3), activation=activation)
     model = make_hybrid_model(model.family, model.expert_params, model.d_x, config, seed=1)
     _assert_adjoint_matches_the_tape(model, units)
 
@@ -493,14 +488,12 @@ class _SameTime(dict):
         return t
 
 
-@pytest.mark.parametrize("n_substeps", [1, 3])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_rollout_drive_table_equals_a_drive_call_per_stage_bitwise(case, n_substeps, monkeypatch):
+def test_rollout_drive_table_equals_a_drive_call_per_stage_bitwise(case, monkeypatch):
     model, units = CASES[case]()
-    model.config = replace(model.config, n_substeps=n_substeps)
     tensors = {k: de.Tensor(v) for k, v in model.params.items()}
     times = units[0].factual.times
-    # an irregular grid: substep sizes differ between intervals
+    # an irregular grid: step sizes differ between intervals
     for u in units:
         u.factual.times = times + 0.37 * np.arange(len(times)) ** 1.5
     y, x = _predict_arm(model, units, "factual")
