@@ -32,10 +32,12 @@ def make_schedule(
     beta_start: float = 1e-4,
     beta_end: float = 0.1,
 ) -> DiffusionSchedule:
+    de.check_count("schedule.t_d", t_d)
+    for name, value in (("beta_start", beta_start), ("beta_end", beta_end)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"schedule.{name} must be a number, got {value!r}")
     if not (0 < beta_start <= beta_end < 1):
         raise ValueError("require 0 < beta_start <= beta_end < 1")
-    if t_d < 1:
-        raise ValueError("t_d must be >= 1")
     beta = np.linspace(beta_start, beta_end, t_d)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)

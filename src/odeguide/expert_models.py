@@ -43,11 +43,20 @@ SEIRM_DIM = 5
 SEIRHD_DIM = 10
 
 
-def _from_flat_dict(cls, data: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+def _from_flat_dict(cls, data: dict, section: str):
+    """``cls`` from a config ``section``: every key one of its fields, the
+    value of a ``float`` field a number and of a ``bool`` field true or false."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    for key, value in data.items():
+        flag = types[key] == "bool"
+        if types[key] in ("float", "bool") and (
+            isinstance(value, bool) != flag or not isinstance(value, (int, float))
+        ):
+            kind = "true or false" if flag else "a number"
+            raise ValueError(f"{section}.{key} must be {kind}, got {value!r}")
     return cls(**data)
 
 
@@ -67,8 +76,8 @@ class SeirmParams:
                 raise ValueError(f"{name} must be nonnegative")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SeirmParams":
-        return _from_flat_dict(cls, data)
+    def from_dict(cls, data: dict, section: str = "params") -> "SeirmParams":
+        return _from_flat_dict(cls, data, section)
 
 
 @dataclass(frozen=True)
@@ -98,8 +107,8 @@ class SeirhdParams:
                 raise ValueError(f"{f.name} must be nonnegative")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SeirhdParams":
-        return _from_flat_dict(cls, data)
+    def from_dict(cls, data: dict, section: str = "params") -> "SeirhdParams":
+        return _from_flat_dict(cls, data, section)
 
 
 @dataclass(frozen=True)
@@ -131,8 +140,8 @@ class PkpdParams:
         return 5 if self.full_model else 4
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PkpdParams":
-        return _from_flat_dict(cls, data)
+    def from_dict(cls, data: dict, section: str = "params") -> "PkpdParams":
+        return _from_flat_dict(cls, data, section)
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,7 @@ class TreatmentSchedule:
         """Inverse of ``to_dict``; omitted keys take the field defaults."""
         data = dict(data)
         data["doses"] = tuple((float(t), float(d)) for t, d in data.get("doses", ()))
-        return _from_flat_dict(cls, data)
+        return _from_flat_dict(cls, data, "treatment")
 
 
 @dataclass(frozen=True)

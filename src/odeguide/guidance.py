@@ -30,6 +30,8 @@ class GuidanceConfig:
     n_val_samples: int = 10  # ensemble members per sweep unit
 
     def __post_init__(self):
+        if not isinstance(self.eta_candidates, (list, tuple)):
+            raise ValueError(f"guidance.eta_candidates must be a list, got {self.eta_candidates!r}")
         if not self.eta_candidates:
             raise ValueError("eta_candidates must be nonempty")
         named = [("eta", self.eta), ("nu", self.nu)]

@@ -61,6 +61,7 @@ from .metrics import (
     wasserstein1_rows,
 )
 from .ode_core import TimeGrid
+from .regions import load_regions  # benchmarks/spans.py wraps harness.load_regions
 
 _DTW_BLOCK_PAIRS = 512  # case-study (test region, candidate) pairs per dtw_cost call
 STAGE_ORDER = ("data", "hybrid", "propensity", "diffusion", "select-eta", "sample", "evaluate")
@@ -145,7 +146,6 @@ class ExperimentConfig:
         # evaluation needs two samples per unit for an interval
         check_count("evaluation.n_samples", self.evaluation.get("n_samples", 2), 2)
         check_rate("evaluation.test_fraction", self.evaluation.get("test_fraction", 0.2), 1)
-        check_count("schedule.t_d", self.schedule.get("t_d", 1))  # before make_schedule uses it
         self.hybrid_config = HybridCpConfig(**self.hybrid)
         self.diffusion_config = DiffusionTrainConfig(**self.diffusion)
         self.diffusion_schedule = make_schedule(**self.schedule)
@@ -156,7 +156,9 @@ class ExperimentConfig:
         extra = set(self.dataset) - _DATASET_KEYS[source]
         if extra:
             raise ValueError(f"dataset keys {sorted(extra)} do not apply to a {source!r} dataset")
-        if source == "path" and not Path(self.dataset["path"]).exists():
+        if source != "path":  # a stored dataset names its kind only when read
+            _expert_setup(source, self.expert)
+        elif not Path(self.dataset["path"]).exists():
             raise FileNotFoundError(f"dataset path {self.dataset['path']} does not exist")
 
     @classmethod
@@ -199,11 +201,11 @@ def _expert_setup(kind: str, overrides: dict):
     """Expert family, parameters, a canonical initial state for guidance
     simulations, and the mechanistic solver step."""
     if kind == "dex":
-        params = PkpdParams.from_dict({**overrides}) if overrides else PkpdParams()
+        params = PkpdParams.from_dict(overrides, "expert")
         init = np.array([10.0, 0.01, 0.01, 10.0])
         return "PKPD", params, init, DEX_SOLVER_DT
     defaults = {"beta": 0.5, "alpha": 0.3, "gamma": 0.25, "mu": 0.02, "N": 1000.0}
-    params = SeirmParams.from_dict({**defaults, **overrides})
+    params = SeirmParams.from_dict({**defaults, **overrides}, "expert")
     n = params.N
     init = np.array(
         [n - n * (0.0015 + 0.0024 + 5e-7 + 1e-7), n * 0.0015, n * 0.0024, n * 5e-7, n * 1e-7]
@@ -617,14 +619,6 @@ class CaseStudyConfig:
 
 
 @dataclass
-class RegionSeries:
-    region: str
-    deaths: np.ndarray
-    hospitalizations: np.ndarray
-    policy: np.ndarray
-
-
-@dataclass
 class CaseStudyRow:
     region: str
     proxy_wd: float | None
@@ -633,86 +627,7 @@ class CaseStudyRow:
     neighbors: list
 
 
-# each column of the region file and its parse, in the order ``load_regions``
-# reads them from a row
-_REGION_FIELDS = {
-    "week": int, "policy": int, "region": str, "deaths_per_capita": float, "hospitalizations": float
-}
-
-
-def _bad_field(rec: list[str], at: dict[str, int]) -> str:
-    """Why a region row's parse raised: the first field it lacks or cannot parse."""
-    for name, parse in _REGION_FIELDS.items():
-        try:
-            parse(rec[at[name]])
-        except IndexError:
-            return f"no column {name!r}: the row ends after field {len(rec)}"
-        except ValueError as err:
-            return f"column {name!r}: {err}"
-
-
-def load_regions(path) -> list[RegionSeries]:
-    """Parse the (region, week, deaths_per_capita, hospitalizations, policy)
-    CSV, columns in any order, into per-region series ordered by week. Every
-    region must list each week once, and the same weeks as the first region."""
-    rows: dict[str, list[int]] = {}  # region -> its row numbers, in file order
-    weeks, deaths, hosp, policies = [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        # an empty file has no header either; it fails below for having no rows
-        at = {name: k for k, name in enumerate(next(reader, _REGION_FIELDS))}
-        try:
-            iw, ip, ir, i_d, ih = (at[c] for c in _REGION_FIELDS)
-        except KeyError as err:
-            raise ValueError(f"{path}: the header has no column {err.args[0]!r}") from None
-        for rec in filter(None, reader):  # blank lines hold no row
-            try:  # a row that fails here is diagnosed only then, off the loop's path
-                week, policy, region = int(rec[iw]), int(rec[ip]), rec[ir]
-                if policy in (0, 1):  # else the policy check below speaks first
-                    deaths.append(float(rec[i_d]))
-                    hosp.append(float(rec[ih]))
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}:{reader.line_num}: {_bad_field(rec, at)}") from None
-            if policy not in (0, 1):
-                raise ValueError(
-                    f"region {region!r} has policy {policy} in week {week}; "
-                    "policy must be 0 or 1"
-                )
-            rows.setdefault(region, []).append(len(weeks))
-            weeks.append(week)
-            policies.append(policy)
-    if not rows:
-        raise ValueError("region file contains no rows")
-    deaths, hosp, policies = np.array(deaths), np.array(hosp), np.array(policies)
-    out = []
-    grid = None
-    for region, idx in rows.items():
-        idx.sort(key=weeks.__getitem__)
-        region_weeks = [weeks[k] for k in idx]
-        if region_weeks != grid:
-            if len(set(region_weeks)) < len(region_weeks):
-                raise ValueError(f"region {region!r} lists a week more than once")
-            if grid is not None:
-                raise ValueError(f"region {region!r} does not have the weeks of region {first!r}")
-            grid, first = region_weeks, region
-        series = RegionSeries(region, deaths[idx], hosp[idx], policies[idx])
-        finite = np.isfinite(series.deaths) & np.isfinite(series.hospitalizations)
-        if not finite.all():
-            week = region_weeks[int(np.argmin(finite))]
-            raise ValueError(f"region {region!r} has a non-finite value in week {week}")
-        out.append(series)
-    return out
-
-
-def _dominant_policy(series: RegionSeries, train_weeks: int) -> int:
-    """Majority policy over the post-period weeks (ties count as weak)."""
-    post = series.policy[train_weeks:]
-    return int(np.sum(post) * 2 > post.size)
-
-
-def case_study(
-    config: CaseStudyConfig, model_fn=None
-) -> list[CaseStudyRow]:
+def case_study(config: CaseStudyConfig, model_fn=None) -> list[CaseStudyRow]:
     """Compare neighbor-derived and model-derived policy-effect sizes.
 
     Per test region: elastic-alignment distance over the first
@@ -727,40 +642,46 @@ def case_study(
     regions = load_regions(config.region_csv)
     if not config.train_weeks < regions[0].deaths.size:
         raise ValueError("train_weeks must be smaller than the series length")
-    by_name = {r.region: r for r in regions}
+    row_of = {r.region: i for i, r in enumerate(regions)}
+    names = sorted(row_of)
     if isinstance(config.test_regions, str):
         n = int(config.test_regions.partition(":")[2])
         rng = np.random.default_rng([config.seed, 31])
-        names = sorted(by_name)
         picks = rng.permutation(len(names))[: min(n, len(names))]
         test_names = [names[i] for i in sorted(picks)]
     else:
         test_names = list(config.test_regions)
-        missing = [t for t in test_names if t not in by_name]
+        missing = [t for t in test_names if t not in row_of]
         if missing:
             raise ValueError(f"unknown test regions: {missing}")
-    w = config.train_weeks
+    w, k = config.train_weeks, config.k_neighbors
     pre = np.stack([r.deaths[:w] for r in regions])
-    dominant = {r.region: _dominant_policy(r, w) for r in regions}
+    post = np.stack([r.policy[w:] for r in regions])
+    dominant = (post.sum(axis=1) * 2 > post.shape[1]).tolist()  # majority policy, a tie weak
+    name_rank = np.argsort([row_of[n] for n in names])  # breaks equal costs by name
+    tests = [row_of[t] for t in test_names]
     per = max(1, _DTW_BLOCK_PAIRS // len(regions))
-    blocks = [test_names[s : s + per] for s in range(0, len(test_names), per)]
-    costs = [c for b in blocks for c in dtw_cost(np.stack([by_name[t].deaths[:w] for t in b]), pre)]
-    results = []
-    for name, row in zip(test_names, costs):
-        dists = sorted((c, r.region) for c, r in zip(row.tolist(), regions) if r.region != name)
-        neighbors = [by_name[r] for _, r in dists[: config.k_neighbors]]
-        strong = [n for n in neighbors if dominant[n.region] == 1]
-        weak = [n for n in neighbors if dominant[n.region] == 0]
-        proxy = model_wd = None
-        if strong and weak:
-            strong_mean = np.mean([n.deaths[w:] for n in strong], axis=0)
-            weak_mean = np.mean([n.deaths[w:] for n in weak], axis=0)
-            proxy = wasserstein1(strong_mean, weak_mean)
+    ranked = []
+    for s in range(0, len(tests), per):
+        costs = dtw_cost(pre[tests[s : s + per]], pre)
+        # each test region's k + 1 nearest regions, itself among them or not
+        ranked += np.lexsort((np.broadcast_to(name_rank, costs.shape), costs))[:, : k + 1].tolist()
+    results, means = [], []
+    for name, i, row in zip(test_names, tests, ranked):
+        near = [j for j in row if j != i][:k]
+        groups = [[regions[j].deaths[w:] for j in near if dominant[j] == p] for p in (True, False)]
+        model_wd = skipped = None
+        if all(groups):  # the strong and the weak neighbors' mean post-period curves
+            means.append([np.mean(g, axis=0) for g in groups])
             if model_fn is not None:
                 model_wd = wasserstein1(model_fn(name, 1), model_fn(name, 0))
-        skipped = None if strong and weak else "no policy-diverse neighbors"
-        neighbor_names = [n.region for n in neighbors]
-        results.append(CaseStudyRow(name, proxy, model_wd, skipped, neighbor_names))
+        else:
+            skipped = "no policy-diverse neighbors"
+        results.append(CaseStudyRow(name, None, model_wd, skipped, [regions[j].region for j in near]))
+    if means:
+        proxies = wasserstein1_rows(*np.transpose(means, (1, 0, 2)))
+        for row, proxy in zip([r for r in results if r.skipped is None], proxies.tolist()):
+            row.proxy_wd = proxy
     return results
 
 
@@ -769,11 +690,5 @@ def write_case_study_csv(rows: list[CaseStudyRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["region", "proxy_wd", "model_wd", "skipped"])
         for row in rows:
-            writer.writerow(
-                [
-                    row.region,
-                    "" if row.proxy_wd is None else repr(row.proxy_wd),
-                    "" if row.model_wd is None else repr(row.model_wd),
-                    row.skipped or "",
-                ]
-            )
+            wds = ["" if wd is None else repr(wd) for wd in (row.proxy_wd, row.model_wd)]
+            writer.writerow([row.region, *wds, row.skipped or ""])

@@ -66,6 +66,39 @@ def test_config_rejects_dataset_keys_its_source_does_not_read(dataset, key, sour
         ExperimentConfig(dataset=dataset, out_dir="x")
 
 
+@pytest.mark.parametrize(
+    "kind, expert, message",
+    [
+        ("dex", {"bogus": 1}, r"^unknown expert keys: \['bogus'\]$"),
+        ("covid", {"k_Dex": 1.0}, r"^unknown expert keys: \['k_Dex'\]$"),
+        ("dex", {"k_Dex": "a"}, "^expert.k_Dex must be a number, got 'a'$"),
+        ("dex", {"full_model": 1}, "^expert.full_model must be true or false, got 1$"),
+        ("covid", {"beta": None}, "^expert.beta must be a number, got None$"),
+        ("covid", {"N": 0.0}, "^population N must be positive$"),
+    ],
+)
+def test_config_checks_the_expert_section_when_loaded(kind, expert, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(dataset={"kind": kind}, out_dir="x", expert=expert)
+
+
+def test_config_takes_a_covid_expert_rate_over_the_harness_defaults():
+    config = ExperimentConfig(dataset={"kind": "covid"}, out_dir="x", expert={"gamma": 0.3})
+    assert config.expert == {"gamma": 0.3}
+
+
+def test_a_stored_datasets_expert_section_is_checked_in_the_data_stage(tmp_path):
+    """A stored dataset names its expert family only when it is read."""
+    from odeguide.datagen import gen_dex_dataset, write_dataset
+
+    write_dataset(gen_dex_dataset(n_patients=3, seed=0, n_days=4), tmp_path / "data")
+    dataset = {"path": str(tmp_path / "data")}
+    config = _tiny_config(tmp_path / "run", dataset=dataset, expert={"bogus": 1})
+    with pytest.raises(StageError, match=r"unknown expert keys: \['bogus'\]") as err:
+        run_experiment(config)
+    assert err.value.stage == "data"
+
+
 def test_config_missing_dataset_path_rejected(tmp_path):
     with pytest.raises(FileNotFoundError):
         ExperimentConfig(dataset={"path": str(tmp_path / "nope")}, out_dir="x")
@@ -329,6 +362,8 @@ def test_config_rejects_a_test_fraction_outside_0_1(tmp_path, value):
         ("schedule", {"t_d": 5, "beta_end": 1.5}, "beta_start <= beta_end < 1"),
         ("schedule", {"t_d": 5, "beta_start": 0.9, "beta_end": 0.5}, "beta_start <= beta_end"),
         ("schedule", {"t_d": 5, "beta_start": 0.0}, "0 < beta_start"),
+        ("schedule", {"t_d": 5, "beta_start": "x"}, "schedule.beta_start must be a number, got 'x'"),
+        ("schedule", {"t_d": 5, "beta_end": None}, "schedule.beta_end must be a number, got None"),
     ],
 )
 def test_config_rejects_bad_learning_rates_and_schedules_when_loaded(tmp_path, section, value, message):
@@ -355,6 +390,7 @@ def test_config_accepts_integral_learning_rates_and_the_default_schedule(tmp_pat
         ({"select": 1}, "guidance.select must be true or false, got 1"),
         ({"use_value": 0}, "guidance.use_value must be true or false, got 0"),
         ({"use_direction": None}, "guidance.use_direction must be true or false, got None"),
+        ({"eta_candidates": 5}, "guidance.eta_candidates must be a list, got 5"),
     ],
 )
 def test_config_rejects_bad_guidance_when_loaded(tmp_path, guidance, message):
@@ -728,6 +764,24 @@ def test_case_study_matches_per_pair_dtw_reference(tmp_path):
     )
     rows = case_study(config)
     assert len(rows) == 3
+    _assert_matches_per_pair_dtw_reference(rows, series, w, k)
+
+
+def test_case_study_breaks_equal_costs_by_name(tmp_path):
+    """Every pre-period is the same, so every candidate costs 0 and only
+    their names, listed out of order, rank them."""
+    rng = np.random.default_rng(8)
+    w, k = 4, 3
+    names = ["r5", "r2", "r7", "r0", "r3", "r6", "r1", "r4"]
+    series = {
+        n: (np.concatenate([np.ones(w), rng.normal(size=w)]), [0] * w + [i % 2] * w)
+        for i, n in enumerate(names)
+    }
+    path = tmp_path / "regions.csv"
+    _write_regions(path, series)
+    config = CaseStudyConfig(region_csv=str(path), train_weeks=w, k_neighbors=k, test_regions=names)
+    rows = case_study(config)
+    assert rows[0].neighbors == ["r0", "r1", "r2"] and rows[3].neighbors == ["r1", "r2", "r3"]
     _assert_matches_per_pair_dtw_reference(rows, series, w, k)
 
 
