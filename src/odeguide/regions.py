@@ -74,11 +74,14 @@ def load_regions(path) -> list[RegionSeries]:
         code = defaultdict(count().__next__)  # region -> its number, in order of appearance
         dtype = [(c, "f8" if p is float else "i8") for c, p in _REGION_FIELDS.items()]
         try:
-            with warnings.catch_warnings():  # a file without rows fails below
+            with warnings.catch_warnings():
+                # a file without rows fails below; an older numpy reads an
+                # integer field such as "1.0" through float, with only a warning
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
                 t = np.loadtxt(
                     fh, dtype, comments=None, delimiter=",", usecols=cols, ndmin=1, quotechar='"',
-                    converters={at["region"]: code.__getitem__},
+                    converters={at["region"]: code.__getitem__}, encoding=None,
                 )
         except ValueError as err:
             _raise_first_bad_row(fh, at, path, err)

@@ -82,9 +82,11 @@ def test_config_checks_the_expert_section_when_loaded(kind, expert, message):
         ExperimentConfig(dataset={"kind": kind}, out_dir="x", expert=expert)
 
 
-def test_config_takes_a_covid_expert_rate_over_the_harness_defaults():
-    config = ExperimentConfig(dataset={"kind": "covid"}, out_dir="x", expert={"gamma": 0.3})
-    assert config.expert == {"gamma": 0.3}
+def test_a_covid_expert_rate_overrides_only_its_own_harness_default():
+    ExperimentConfig(dataset={"kind": "covid"}, out_dir="x", expert={"gamma": 0.3})
+    family, params, _, _ = harness._expert_setup("covid", {"gamma": 0.3})
+    assert family == "SEIRM"
+    assert (params.beta, params.alpha, params.gamma, params.mu, params.N) == (0.5, 0.3, 0.3, 0.02, 1000.0)
 
 
 def test_a_stored_datasets_expert_section_is_checked_in_the_data_stage(tmp_path):

@@ -16,7 +16,7 @@ from odeguide.harness import load_regions
 
 COLUMNS = ["region", "week", "deaths_per_capita", "hospitalizations", "policy"]
 # a lone "\r" is left out: the csv module leaves it unquoted under LF endings
-NAMES = st.lists(st.sampled_from([*'ab Z,"\n\t#;é', "\r\n"]), max_size=5).map("".join)
+NAMES = st.lists(st.sampled_from([*'ab Z,"\n\t#;é東', "\r\n"]), max_size=5).map("".join)
 
 
 def _outcome(load, path):
@@ -145,6 +145,21 @@ def test_load_regions_rejects_numbers_outside_numpys_syntax(tmp_path, row, numpy
         csv.writer(fh).writerows([COLUMNS, row])
     assert len(region_reference.load_regions(path)) == 1  # the row-by-row reading took them
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {numpy_message}')}"):
+        load_regions(path)
+
+
+def test_load_regions_reads_names_as_text_and_weeks_as_integers(tmp_path):
+    """Names outside Latin-1 come back as ``str``, and a week written as a
+    float fails naming its line, as in the row-by-row reading."""
+    path = tmp_path / "regions.csv"
+    rows = [["東京", "0", "1.0", "0", "0"], ["Zürich", "0", "2.0", "1", "0"]]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([COLUMNS, *rows])
+    assert [s.region for s in load_regions(path)] == ["東京", "Zürich"]
+    with open(path, "a", newline="") as fh:
+        csv.writer(fh).writerow(["東京", "1.0", "1.0", "0", "0"])
+    message = f"{path}:4: column 'week': invalid literal for int() with base 10: '1.0'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_regions(path)
 
 
