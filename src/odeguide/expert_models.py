@@ -43,9 +43,18 @@ SEIRM_DIM = 5
 SEIRHD_DIM = 10
 
 
+class ParamRangeError(ValueError):
+    """A parameter outside its range; ``key`` names the field."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 def _from_flat_dict(cls, data: dict, section: str):
     """``cls`` from a config ``section``: every key one of its fields, the
-    value of a ``float`` field a number and of a ``bool`` field true or false."""
+    value of a ``float`` field a finite number and of a ``bool`` field true
+    or false. Every error names the key as ``<section>.<key>``."""
     types = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(types)
     if unknown:
@@ -57,7 +66,12 @@ def _from_flat_dict(cls, data: dict, section: str):
         ):
             kind = "true or false" if flag else "a number"
             raise ValueError(f"{section}.{key} must be {kind}, got {value!r}")
-    return cls(**data)
+        if types[key] == "float" and isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{section}.{key} must be finite, got {value!r}")
+    try:
+        return cls(**data)
+    except ParamRangeError as err:
+        raise ValueError(f"{section}.{err.key}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -70,10 +84,10 @@ class SeirmParams:
 
     def __post_init__(self):
         if self.N <= 0:
-            raise ValueError("population N must be positive")
+            raise ParamRangeError("N", "population N must be positive")
         for name in ("beta", "alpha", "gamma", "mu"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise ParamRangeError(name, f"{name} must be nonnegative")
 
     @classmethod
     def from_dict(cls, data: dict, section: str = "params") -> "SeirmParams":
@@ -101,10 +115,10 @@ class SeirhdParams:
 
     def __post_init__(self):
         if self.N <= 0:
-            raise ValueError("population N must be positive")
+            raise ParamRangeError("N", "population N must be positive")
         for f in fields(self):
             if f.name != "beta" and getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be nonnegative")
+                raise ParamRangeError(f.name, f"{f.name} must be nonnegative")
 
     @classmethod
     def from_dict(cls, data: dict, section: str = "params") -> "SeirhdParams":
@@ -131,9 +145,9 @@ class PkpdParams:
 
     def __post_init__(self):
         if self.EC_50 <= 0:
-            raise ValueError("EC_50 must be positive")
+            raise ParamRangeError("EC_50", "EC_50 must be positive")
         if self.h_P < 1:
-            raise ValueError("h_P must be >= 1")
+            raise ParamRangeError("h_P", "h_P must be >= 1")
 
     @property
     def dim(self) -> int:

@@ -54,7 +54,7 @@ from .metrics import (
     MetricReport,
     cate_rmse,
     dtw,  # unused here; benchmarks/spans.py wraps harness.dtw
-    dtw_cost,
+    dtw_nearest,
     interval_scores,
     pearson,
     wasserstein1,
@@ -63,7 +63,6 @@ from .metrics import (
 from .ode_core import TimeGrid
 from .regions import load_regions  # benchmarks/spans.py wraps harness.load_regions
 
-_DTW_BLOCK_PAIRS = 512  # case-study (test region, candidate) pairs per dtw_cost call
 STAGE_ORDER = ("data", "hybrid", "propensity", "diffusion", "select-eta", "sample", "evaluate")
 
 
@@ -660,12 +659,8 @@ def case_study(config: CaseStudyConfig, model_fn=None) -> list[CaseStudyRow]:
     dominant = (post.sum(axis=1) * 2 > post.shape[1]).tolist()  # majority policy, a tie weak
     name_rank = np.argsort([row_of[n] for n in names])  # breaks equal costs by name
     tests = [row_of[t] for t in test_names]
-    per = max(1, _DTW_BLOCK_PAIRS // len(regions))
-    ranked = []
-    for s in range(0, len(tests), per):
-        costs = dtw_cost(pre[tests[s : s + per]], pre)
-        # each test region's k + 1 nearest regions, itself among them or not
-        ranked += np.lexsort((np.broadcast_to(name_rank, costs.shape), costs))[:, : k + 1].tolist()
+    # each test region's k + 1 nearest regions, itself among them or not
+    ranked = dtw_nearest(pre[tests], pre, k + 1, name_rank).tolist()
     results, means = [], []
     for name, i, row in zip(test_names, tests, ranked):
         near = [j for j in row if j != i][:k]

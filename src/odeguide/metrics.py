@@ -39,6 +39,8 @@ class MetricReport:
 
 REPORT_COLUMNS = [f.name for f in fields(MetricReport)]
 CALIBRATION_LEVELS = np.linspace(0.0, 1.0, 11)
+_DTW_BLOCK_PAIRS = 512  # (A row, B row) pairs per DTW wavefront call
+_ROUNDING = 2.0**-50  # 8 unit roundoffs (2**-53): the DTW bounds' rounding margin per summed term
 
 
 def sorted_quantiles(s: np.ndarray, q) -> np.ndarray:
@@ -112,21 +114,23 @@ def pearson(a, b) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def _dtw_wavefront(A: np.ndarray, B: np.ndarray, table=None) -> np.ndarray:
-    """(Q, R) DTW costs of the rows of ``A`` (Q, n) against the rows of ``B``
-    (R, m), filled one anti-diagonal i + j = d at a time for all pairs: a
-    cell depends only on the two diagonals before it. A diagonal is an
-    (n+1, Q, R) array indexed by i, inf off the table. Three buffers rotate:
+def _dtw_wavefront(a: np.ndarray, b: np.ndarray, table=None) -> np.ndarray:
+    """(P,) DTW costs of each column of ``a`` (n, P) against the same column
+    of ``b`` (m, P), filled one anti-diagonal i + j = d at a time for all
+    pairs: a cell depends only on the two diagonals before it. A diagonal is
+    an (n+1, P) array indexed by i, inf off the table. Three buffers rotate:
     each diagonal's step (the min of its cells' predecessors) overwrites the
     oldest, which then holds the next diagonal; of that band's stale
     neighbours only i = lo - 1 is read later, so it alone is reset to inf.
-    A given (n+1, m+1) ``table`` (Q = R = 1) receives each diagonal."""
-    (Q, n), (R, m) = A.shape, B.shape
+    Every pair sees the same operations as it would alone, so its cost keeps
+    its bits at any P. A given (n+1, m+1) ``table`` (P = 1) receives each
+    diagonal. ``dtw`` passes one pair; ``dtw_nearest`` passes blocks of at
+    most ``_DTW_BLOCK_PAIRS`` pairs that its lower bounds could not rule out."""
+    (n, P), m = a.shape, len(b)
     if n == 0 or m == 0:
         raise ValueError("dtw requires nonempty sequences")
-    a = np.ascontiguousarray(A.T)[:, :, None]
-    b = np.ascontiguousarray(B[:, ::-1].T)[:, None, :]  # reversed: a band meets b in order
-    prev2, prev1, cur = (np.full((n + 1, Q, R), np.inf) for _ in range(3))
+    b = b[::-1]  # reversed: a band meets b in order
+    prev2, prev1, cur = (np.full((n + 1, P), np.inf) for _ in range(3))
     prev2[0] = 0.0
     for d in range(2, n + m + 1):
         lo, hi = max(1, d - m), min(n, d - 1)
@@ -140,18 +144,98 @@ def _dtw_wavefront(A: np.ndarray, B: np.ndarray, table=None) -> np.ndarray:
         band += step
         cur[lo - 1] = np.inf
         if table is not None:  # cell (i, d - i) is flat index i * m + d
-            table.flat[lo * m + d : hi * m + d + 1 : m] = band[:, 0, 0]
+            table.flat[lo * m + d : hi * m + d + 1 : m] = band[:, 0]
         prev2, prev1, cur = prev1, cur, prev2
     return prev1[n].copy()
 
 
-def dtw_cost(a, B) -> np.ndarray:
-    """Optimal DTW costs against each row of ``B`` (R, m), equal to
-    ``dtw(a, B[r])[0]``, without paths: (R,) for a 1-D ``a`` (n,), (Q, R)
-    for a batch ``a`` (Q, n), in O(Q·R·n) memory."""
-    a = np.asarray(a, dtype=float)
-    costs = _dtw_wavefront(a if a.ndim == 2 else a.reshape(1, -1), np.asarray(B, dtype=float))
-    return costs if a.ndim == 2 else costs[0]
+def _dtw_pairs(A: np.ndarray, B: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """DTW costs of the pairs (``A[ia[p]]``, ``B[ib[p]]``), at most
+    ``_DTW_BLOCK_PAIRS`` pairs per wavefront, each block gathered straight
+    into the wavefront's (length, pair) layout."""
+    At, Bt = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+    out = np.empty(len(ia))
+    for s in range(0, len(ia), _DTW_BLOCK_PAIRS):
+        block = slice(s, s + _DTW_BLOCK_PAIRS)
+        out[block] = _dtw_wavefront(At.take(ia[block], axis=1), Bt.take(ib[block], axis=1))
+    return out
+
+
+def _range_gaps(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(Q, R) lower bounds on the summed distance from the points of each row
+    of ``X`` (Q, n) to each interval [``lo[r]``, ``hi[r]``]: a point above
+    hi adds x - hi, one below lo adds lo - x. The counts and sums of the
+    points past each end come from histograms over the ends' sorted ranks,
+    so no (Q, R, n) array is formed. Those sums subtract, so their rounding
+    error is bounded absolutely and taken off."""
+    (Q, n), R = X.shape, len(lo)
+    scale = np.abs(X).sum(axis=1)[:, None] + n * np.maximum(np.abs(lo), np.abs(hi))
+    gaps = -(n + 4) * _ROUNDING * scale
+    base = np.arange(Q)[:, None] * (R + 1)
+    for ends, side, sign in ((hi, "left", 1.0), (lo, "right", -1.0)):
+        order = np.argsort(ends)
+        # a point in bucket p lies above the ends of rank < p ("left": hi < x)
+        # or below those of rank >= p ("right": lo > x)
+        bucket = (base + np.searchsorted(ends[order], X, side)).ravel()
+        count, total = (
+            np.bincount(bucket, w, Q * (R + 1)).reshape(Q, R + 1) for w in (None, X.ravel())
+        )
+        if sign > 0:  # suffix sums over buckets above each rank
+            count, total = (np.cumsum(c[:, ::-1], axis=1)[:, -2::-1] for c in (count, total))
+        else:
+            count, total = (np.cumsum(c[:, :R], axis=1) for c in (count, total))
+        gaps[:, order] += sign * (total - count * ends[order])
+    return np.maximum(gaps, 0.0)
+
+
+def _dtw_lower_bound(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(Q, R) lower bounds on the DTW cost of each row of ``A`` (Q, n)
+    against each row of ``B`` (R, m), none above the cost the wavefront
+    computes. A warping path holds cells (0, 0) and (n-1, m-1), two cells
+    unless n = m = 1 (LB_Kim's first and last points), and at least one cell
+    in every other row, costing no less than that row's point's distance to
+    the other curve's [min, max] (LB_Yi); the same holds for columns. The
+    larger of the two sums is shrunk by a relative margin, since it adds in
+    another order than the path does."""
+    (Q, n), (R, m) = A.shape, B.shape
+    if n == 0 or m == 0:
+        raise ValueError("dtw requires nonempty sequences")
+    ends = np.abs(A[:, :1] - B[:, 0])
+    if n + m > 2:
+        ends += np.abs(A[:, -1:] - B[:, -1])
+    inner = np.maximum(
+        _range_gaps(A[:, 1:-1], B.min(axis=1), B.max(axis=1)),
+        _range_gaps(B[:, 1:-1], A.min(axis=1), A.max(axis=1)).T,
+    )
+    return (ends + inner) * (1 - (n + m) * _ROUNDING)
+
+
+def dtw_nearest(A, B, k: int, rank) -> np.ndarray:
+    """For each row of ``A`` (Q, n), the indices of its ``k`` DTW-nearest
+    rows of ``B`` (R, m), equal costs ordered by ``rank`` (R,): the first
+    ``k`` columns of ``np.lexsort((rank, costs))`` over the full (Q, R) cost
+    matrix, bit for bit, as a (Q, min(k, R)) array.
+
+    Exact DTW runs only where ``_dtw_lower_bound`` cannot rule a pair out.
+    Round one takes each query's 2k smallest bounds; each later round takes
+    every pair whose bound does not exceed the query's k-th smallest cost so
+    far, until none is left. A pair left out costs more than that k-th cost,
+    which only falls, so equal costs are never lost; and since every pair
+    the second round leaves had a bound above the first round's k-th cost,
+    no third round finds one."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    k = min(k, len(B))
+    bound = _dtw_lower_bound(A, B)
+    cost, done = np.full(bound.shape, np.inf), np.zeros(bound.shape, bool)
+    todo = np.zeros_like(done)
+    np.put_along_axis(todo, np.argsort(bound, axis=1)[:, : 2 * k], True, axis=1)
+    while todo.any():
+        rows, cols = np.nonzero(todo)
+        cost[rows, cols] = _dtw_pairs(A, B, rows, cols)
+        done |= todo
+        kth = np.partition(cost, k - 1, axis=1)[:, k - 1 : k]
+        todo = ~(done | (bound > kth))  # a NaN bound or cost rules nothing out
+    return np.lexsort((np.broadcast_to(rank, cost.shape), cost))[:, :k]
 
 
 def dtw(a, b) -> tuple[float, list[tuple[int, int]]]:
@@ -165,7 +249,7 @@ def dtw(a, b) -> tuple[float, list[tuple[int, int]]]:
     n, m = a.size, b.size
     acc = np.full((n + 1, m + 1), np.inf)
     acc[0, 0] = 0.0
-    _dtw_wavefront(a[None, :], b[None, :], acc)
+    _dtw_wavefront(a[:, None], b[:, None], acc)
     path = [(n - 1, m - 1)]
     i, j = n, m
     while (i, j) != (1, 1):

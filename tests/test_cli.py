@@ -246,6 +246,29 @@ def test_simulate_schedule_of_the_wrong_kind_fails(tmp_path, capsys, treatment, 
 
 
 @pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"beta": 0.6, "alpha": 0.4, "delta": 0.3, "N": 0.0}, "params.N: population N must be positive"),
+        ({"beta": 0.6, "alpha": float("nan"), "delta": 0.3, "N": 1e3}, "params.alpha must be finite, got nan"),
+    ],
+)
+def test_simulate_names_the_params_key_out_of_range(tmp_path, capsys, params, message):
+    spec = {
+        "family": "SEIRHD",
+        "params": params,
+        "init": [990.0, 6.0, 4.0, 0, 0, 0, 0, 0, 0, 0],
+        "treatment": {"kind": "binary_policy"},
+        "dt": 0.1,
+        "n_steps": 3,
+    }
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(spec))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize(
     "grid, message",
     [
         ({"dt": 0.1, "n_steps": 2.5}, "n_steps must be an integer"),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from odeguide import harness
+from odeguide import harness, metrics
 from odeguide.harness import (
     CaseStudyConfig,
     ExperimentConfig,
@@ -21,7 +21,7 @@ from odeguide.harness import (
     run_experiment,
     write_case_study_csv,
 )
-from odeguide.metrics import dtw, dtw_cost, wasserstein1
+from odeguide.metrics import dtw, wasserstein1
 
 
 def _tiny_config(out_dir, **overrides):
@@ -74,7 +74,13 @@ def test_config_rejects_dataset_keys_its_source_does_not_read(dataset, key, sour
         ("dex", {"k_Dex": "a"}, "^expert.k_Dex must be a number, got 'a'$"),
         ("dex", {"full_model": 1}, "^expert.full_model must be true or false, got 1$"),
         ("covid", {"beta": None}, "^expert.beta must be a number, got None$"),
-        ("covid", {"N": 0.0}, "^population N must be positive$"),
+        ("covid", {"N": 0.0}, "^expert.N: population N must be positive$"),
+        ("covid", {"beta": -1.0}, "^expert.beta: beta must be nonnegative$"),
+        ("dex", {"EC_50": 0.0}, "^expert.EC_50: EC_50 must be positive$"),
+        ("dex", {"h_P": 0.5}, "^expert.h_P: h_P must be >= 1$"),
+        ("covid", {"beta": float("nan")}, "^expert.beta must be finite, got nan$"),
+        ("dex", {"k_Dex": float("inf")}, "^expert.k_Dex must be finite, got inf$"),
+        ("dex", {"EC_50": float("nan")}, "^expert.EC_50 must be finite, got nan$"),
     ],
 )
 def test_config_checks_the_expert_section_when_loaded(kind, expert, message):
@@ -788,10 +794,21 @@ def test_case_study_breaks_equal_costs_by_name(tmp_path):
 
 
 def test_case_study_matches_per_pair_dtw_reference_across_blocks(tmp_path, monkeypatch):
-    # 200 regions leave room for 2 test regions per DTW block: 7 take 4 blocks
+    """Pre-period curves that share their first and last values and their
+    range [0, 1] give every DTW lower bound 0, so nothing is ruled out: after
+    each test region's 2(k + 1) smallest bounds, the other 7 * 200 - 70 pairs
+    run in wavefront blocks of at most 512 pairs."""
     rng = np.random.default_rng(6)
-    w, k = 5, 4
-    series = {f"r{i:03d}": (rng.normal(size=2 * w), [0] * w + [i % 2] * w) for i in range(200)}
+    w, k = 8, 4
+
+    def pre():
+        curve = rng.uniform(0.0, 1.0, w)
+        curve[[0, 1, w - 3, w - 1]] = [0.0, 1.0, 0.0, 1.0]
+        return curve
+
+    series = {
+        f"r{i:03d}": (np.concatenate([pre(), rng.normal(size=w)]), [0] * w + [i % 2] * w) for i in range(200)
+    }
     path = tmp_path / "regions.csv"
     _write_regions(path, series)
     config = CaseStudyConfig(
@@ -799,14 +816,16 @@ def test_case_study_matches_per_pair_dtw_reference_across_blocks(tmp_path, monke
     )
     blocks = []
 
-    def recording_dtw_cost(a, B):
-        blocks.append(a.shape[0] * B.shape[0])
-        return dtw_cost(a, B)
+    def recording_wavefront(a, b, table=None):
+        blocks.append(a.shape[1])
+        return wavefront(a, b, table)
 
-    monkeypatch.setattr(harness, "dtw_cost", recording_dtw_cost)
+    wavefront = metrics._dtw_wavefront
+    monkeypatch.setattr(metrics, "_dtw_wavefront", recording_wavefront)
     rows = case_study(config)
     assert len(rows) == 7
-    assert len(blocks) >= 3 and max(blocks) <= harness._DTW_BLOCK_PAIRS
+    assert blocks[0] == 7 * 2 * (k + 1) and sum(blocks) == 7 * 200
+    assert len(blocks) >= 4 and max(blocks) <= metrics._DTW_BLOCK_PAIRS
     _assert_matches_per_pair_dtw_reference(rows, series, w, k)
 
 

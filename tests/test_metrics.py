@@ -8,13 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dtw_reference import dtw_cost, nearest_by_full_matrix
+from odeguide import metrics
 from odeguide.metrics import (
     CALIBRATION_LEVELS,
     MetricReport,
     REPORT_COLUMNS,
+    _dtw_lower_bound,
     cate_rmse,
     dtw,
-    dtw_cost,
+    dtw_nearest,
     interval_scores,
     pearson,
     sorted_quantiles,
@@ -330,6 +333,107 @@ def test_dtw_matches_scalar_fill_cost_and_path():
     for a, B in _dtw_cases(12):
         for b in B:
             assert dtw(a, b) == _dtw_scalar_reference(a, b)
+
+
+def _lb_kim_and_yi(A, B):
+    """LB_Kim and LB_Yi taken both ways, (3, Q, R), summed by broadcasting."""
+    kim = np.abs(A[:, None, 0] - B[:, 0])
+    if A.shape[1] + B.shape[1] > 2:
+        kim = kim + np.abs(A[:, None, -1] - B[:, -1])
+
+    def yi(X, Y):  # each point of X outside the range of a row of Y
+        lo, hi = Y.min(axis=1)[:, None], Y.max(axis=1)[:, None]
+        return np.maximum(np.maximum(X[:, None, :] - hi, lo - X[:, None, :]), 0.0).sum(axis=2)
+
+    return np.stack([kim, yi(A, B), yi(B, A).T])
+
+
+@given(_dtw_batches(), st.sampled_from([0.0, 1e8, -3e15]))
+@example((np.array([[2.0]]), np.array([[0.0, 5.0, 1.0, 7.0, 3.0]])), 0.0)  # n = 1: the bound is the cost
+@example((np.array([[0.1, 0.7, 0.3]]), np.array([[0.1, 0.2, 0.3], [0.3, 0.7, 0.1]])), 0.0)
+# each quarter-ulp step vanishes into the path's running sum, but not from the bound's
+@example((np.array([[2.0**20, *[-(2.0**-34)] * 16, 2.0**20]]), np.zeros((1, 18))), 0.0)
+@settings(max_examples=100, deadline=None)
+def test_dtw_lower_bound_never_exceeds_the_cost(batch, offset):
+    """Bit for bit against the wavefront's costs, with offsets that make the
+    bound's differences of sums cancel; without one, the bound is no looser
+    than LB_Kim or LB_Yi either way."""
+    A, B = (x + offset for x in batch)
+    bound = _dtw_lower_bound(A, B)
+    assert bound.shape == (len(A), len(B))
+    assert (bound <= dtw_cost(A, B)).all()
+    if offset == 0.0:
+        assert (bound >= _lb_kim_and_yi(A, B).max(axis=0) * (1 - 1e-12) - 1e-9).all()
+
+
+@st.composite
+def _dtw_panels(draw):
+    """(A, B, k, rank): up to 8 candidate rows of length m drawn from a pool
+    of up to 4 curves, so that rows repeat (equal costs) and constant curves
+    occur; queries of length n, candidates themselves when n = m. k runs
+    past the number of candidates and ``rank`` is any order of them."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.just(n) | st.integers(1, 6))
+
+    def curves(length, count):
+        constant = _DTW_VALUES.map(lambda v: [v] * length)
+        row = st.lists(_DTW_VALUES, min_size=length, max_size=length) | constant
+        return np.array(draw(st.lists(row, min_size=count, max_size=count)))
+
+    pool = curves(m, draw(st.integers(1, 4)))
+    B = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))]
+    Q = draw(st.integers(1, 4))
+    A = B[draw(st.lists(st.integers(0, len(B) - 1), min_size=Q, max_size=Q))] if n == m else curves(n, Q)
+    k = draw(st.integers(1, len(B) + 2))
+    return A, B, k, np.array(draw(st.permutations(range(len(B)))))
+
+
+# every curve starts at 0, ends at 1 and spans [0, 1]: no bound exceeds 0
+_UNPRUNABLE = np.array([[0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1], [0, 0.5, 0, 1]])
+
+
+@given(_dtw_panels())
+@example((_UNPRUNABLE[:2], _UNPRUNABLE, 2, np.array([3, 1, 0, 2])))  # nothing prunes
+@example((np.array([[1.0], [3.0]]), np.array([[3.0], [1.0], [1.0], [2.0]]), 2, np.arange(4)))  # n = m = 1
+@example((np.ones((2, 3)), np.ones((3, 3)), 5, np.array([2, 0, 1])))  # constant, all tied, k > R
+@settings(max_examples=150, deadline=None)
+def test_dtw_nearest_equals_the_ranked_full_cost_matrix(panel):
+    A, B, k, rank = panel
+    got = dtw_nearest(A, B, k, rank)
+    assert got.shape == (len(A), min(k, len(B)))
+    assert got.tolist() == nearest_by_full_matrix(A, B, k, rank).tolist()
+
+
+def _pairs_computed(monkeypatch, *args):
+    pairs = []
+
+    def recording_wavefront(a, b, table=None):
+        pairs.append(a.shape[1])
+        return wavefront(a, b, table)
+
+    wavefront = metrics._dtw_wavefront
+    monkeypatch.setattr(metrics, "_dtw_wavefront", recording_wavefront)
+    return dtw_nearest(*args), pairs
+
+
+def test_dtw_nearest_skips_the_pairs_its_bounds_rule_out(monkeypatch):
+    """Curves at distinct constant levels: past each query's 2k nearest
+    levels, every bound exceeds the k-th cost. Curves that share their ends
+    and their range give every bound 0, so every pair runs."""
+    levels = np.repeat(np.arange(40.0)[:, None], 6, axis=1)
+    got, pairs = _pairs_computed(monkeypatch, levels[::4], levels, 3, np.arange(40))
+    assert sum(pairs) == 10 * 2 * 3
+    assert got.tolist() == nearest_by_full_matrix(levels[::4], levels, 3, np.arange(40)).tolist()
+    flat = np.random.default_rng(0).uniform(0.0, 1.0, size=(40, 6))
+    flat[:, [0, 1, 4, 5]] = [0.0, 1.0, 0.0, 1.0]
+    got, pairs = _pairs_computed(monkeypatch, flat[::4], flat, 3, np.arange(40))
+    assert sum(pairs) == 10 * 40 and max(pairs) <= metrics._DTW_BLOCK_PAIRS
+    assert got.tolist() == nearest_by_full_matrix(flat[::4], flat, 3, np.arange(40)).tolist()
+
+
+def test_dtw_nearest_rejects_empty_curves():
+    with pytest.raises(ValueError, match="dtw requires nonempty sequences"):
+        dtw_nearest(np.ones((2, 0)), np.ones((3, 2)), 1, np.arange(3))
 
 
 def test_metric_report_serialization_round_trip():
