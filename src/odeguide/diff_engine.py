@@ -1,22 +1,14 @@
-"""Minimal reverse-mode gradient engine and small MLP function approximators.
+"""Gradient plumbing and small MLP function approximators.
 
-Everything runs on float64 numpy arrays. A ``Tensor`` records the operations
-applied to it on a tape; ``backward()`` replays the tape in reverse to obtain
-exact gradients. Only the primitives needed by the rest of the package are
-supported (elementwise arithmetic, softplus, slicing, concatenation, sum),
-plus ``custom_vjp``: one node computed on arrays with a hand-written
-vector-Jacobian product, on which the one-input primitives are built. An MLP
-is one node too: ``mlp_apply`` runs ``mlp_forward`` and backpropagates with
-``mlp_backward``, the closed-form pass through its layers. ``concat``,
-``custom_vjp``, ``softplus`` and ``mlp_apply`` return plain arrays when no
-operand is a Tensor. A node's backward step receives the node's gradient and
-never refers to the node, so a node that the loss never reads is freed by
-refcounting at once.
-
-Training builds no tape: the hybrid and the denoiser take their gradients
-in closed form from ``mlp_forward`` and ``mlp_backward`` on arrays. The tape
-is the reference those gradients are tested against, and what
-``grad_check`` and the guidance tests differentiate.
+Everything runs on float64 numpy arrays. Gradients are closed-form: an MLP
+runs forward with ``mlp_forward`` and backpropagates with ``mlp_backward``,
+and each loss that training or guidance descends has a hand-written
+gradient beside it. A ``Tensor`` is an array with a gradient slot: a leaf,
+or one loss node built by ``loss_node``, whose value is a loss and whose
+backward step is that loss's closed-form gradient. ``value_and_grad`` and
+``grad_check`` differentiate such nodes, so a finite-difference check of a
+loss checks the gradient that runs. The reverse-mode tape the closed forms
+are tested against lives in ``tests/tape_reference.py``.
 """
 
 from __future__ import annotations
@@ -35,17 +27,15 @@ __all__ = [
     "MlpSpec",
     "GradRecord",
     "AdamState",
-    "concat",
-    "custom_vjp",
+    "holds_tensors",
     "init_mlp_params",
-    "mlp_apply",
+    "loss_node",
     "mlp_backward",
     "mlp_forward",
     "value_and_grad",
     "adam_step",
     "grad_check",
     "timestep_embedding",
-    "softplus",
 ]
 
 
@@ -53,204 +43,47 @@ class TrainingError(RuntimeError):
     """A training loop met a non-finite loss."""
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Tensor:
-    """Array node on the autodiff tape; ``backward(g)`` gets its gradient."""
+    """A float64 array with a gradient slot: a leaf, or one loss node made
+    by ``loss_node``, whose backward step hands each leaf its gradient."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
-    const = False  # True for ``_Constant``: no gradient flows into it
-    # numpy operators defer to the reflected Tensor operator, so that
-    # ``array * tensor`` records a tape node instead of an object array
-    __array_ufunc__ = None
+    __slots__ = ("data", "grad", "_backward")
 
-    def __init__(self, data, parents: tuple = (), backward: Callable | None = None):
+    def __init__(self, data, backward: Callable | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self._parents = parents
         self._backward = backward
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    # -- elementwise arithmetic ----------------------------------------
-
-    def __add__(self, other):
-        other = _as_tensor(other)
-
-        def back(g):
-            for node in (self, other):
-                if not node.const:
-                    _accum(node, _unbroadcast(g, node.data.shape))
-
-        return Tensor(self.data + other.data, (self, other), back)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = _as_tensor(other)
-
-        def back(g):
-            for node, factor in ((self, other), (other, self)):
-                if not node.const:
-                    _accum(node, _unbroadcast(g * factor.data, node.data.shape))
-
-        return Tensor(self.data * other.data, (self, other), back)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        other = _as_tensor(other)
-
-        def back(g):
-            if not self.const:
-                _accum(self, _unbroadcast(g, self.data.shape))
-            if not other.const:
-                _accum(other, -_unbroadcast(g, other.data.shape))
-
-        return Tensor(self.data - other.data, (self, other), back)
-
-    def __truediv__(self, other):
-        other = _as_tensor(other)
-
-        def back(g):
-            if not self.const:
-                _accum(self, _unbroadcast(g / other.data, self.data.shape))
-            if not other.const:
-                _accum(other, _unbroadcast(-g * self.data / other.data**2, other.data.shape))
-
-        return Tensor(self.data / other.data, (self, other), back)
-
-    def __rtruediv__(self, other):
-        return _as_tensor(other) / self
-
-    def __pow__(self, exponent: float):
-        return custom_vjp(
-            self.data**exponent, self, lambda g: g * exponent * self.data ** (exponent - 1)
-        )
-
-    def __getitem__(self, idx):
-        def vjp(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
-            return full
-
-        return custom_vjp(self.data[idx], self, vjp)
-
-    # -- reductions and shape ------------------------------------------
-
-    def sum(self, axis=None):
-        def vjp(g):
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.data.shape).copy()
-
-        return custom_vjp(self.data.sum(axis=axis), self, vjp)
-
-    def reshape(self, *shape):
-        return custom_vjp(self.data.reshape(*shape), self, lambda g: g.reshape(self.data.shape))
-
-    # -- nonlinearities -------------------------------------------------
-
-    def softplus(self):
-        return softplus(self)
-
-    # -- backward pass --------------------------------------------------
-
     def backward(self):
-        """Accumulate d(self)/d(node) into ``grad`` of every node on the tape.
-        The tape is consumed: a second call finds no backward steps left."""
+        """Set this scalar's gradient to one and run its backward step,
+        which is consumed: a second call runs none."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            back, node._backward = node._backward, None
-            if back is not None and node.grad is not None:
-                back(node.grad)
+        back, self._backward = self._backward, None
+        if back is not None:
+            back(self.grad)
 
 
-class _Constant(Tensor):
-    """A non-Tensor operand: backward neither computes nor stores its gradient."""
-
-    __slots__ = ()
-    const = True
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else _Constant(x)
-
-
-def _accum(node: Tensor, grad: np.ndarray) -> None:
-    if node.const:
-        return
-    if node.grad is None:
-        node.grad = grad
-    else:
-        node.grad = node.grad + grad
-
-
-def concat(parts: Sequence, axis: int = -1):
-    """Concatenate tensors/arrays along ``axis``. With no Tensor among the
-    parts this is ``np.concatenate``; beside a Tensor, scalars count as 1-D."""
-    if not any(isinstance(p, Tensor) for p in parts):
-        return np.concatenate(parts, axis=axis)
-    datas = [np.atleast_1d(p.data if isinstance(p, Tensor) else p) for p in parts]
-    data = np.concatenate(datas, axis=axis)
-    tensors = tuple(_as_tensor(p) for p in parts)
-    bounds = np.cumsum([d.shape[axis] for d in datas])[:-1]
+def loss_node(value_and_grad_fn: Callable, tensors: dict) -> Tensor:
+    """One loss node over the dict ``tensors`` of Tensors.
+    ``value_and_grad_fn(arrays)``, given their arrays under the same names,
+    returns a loss and its gradient per name: the node's value is that loss,
+    and its backward step adds g times each gradient to its Tensor's
+    ``grad``. A name with no gradient (a loss that is not finite) gets none."""
+    loss, grads = value_and_grad_fn({k: t.data for k, t in tensors.items()})
 
     def back(g):
-        for t, piece in zip(tensors, np.split(g, bounds, axis=axis)):
-            _accum(t, piece.reshape(t.data.shape))
+        for k, t in tensors.items():
+            if k in grads:
+                t.grad = g * grads[k] if t.grad is None else t.grad + g * grads[k]
 
-    return Tensor(data, tensors, back)
-
-
-def custom_vjp(data, parent, vjp: Callable):
-    """One node whose value ``data`` was computed from ``parent.data`` off
-    the tape; ``vjp(g)`` maps the gradient ``g`` of the result to the
-    gradient of ``parent``. A ``parent`` that is no Tensor gives ``data``."""
-    if not isinstance(parent, Tensor):
-        return data
-    return Tensor(data, (parent,), lambda g: _accum(parent, vjp(g)))
+    return Tensor(loss, back)
 
 
-def softplus(x):
-    """log(1 + e^x), computed stably; its derivative is sigmoid(x)."""
-    z = x.data if isinstance(x, Tensor) else x
-    return custom_vjp(np.logaddexp(0.0, z), x, lambda g: g / (1.0 + np.exp(-z)))
+def holds_tensors(params) -> bool:
+    """Whether ``params`` maps its names to Tensors (``ParamSet.as_tensors``)."""
+    return any(isinstance(v, Tensor) for _, v in params.items())
 
 
 # each activation with its slope as a function of its output
@@ -375,36 +208,6 @@ def mlp_backward(spec: MlpSpec, Ws, hs: list[np.ndarray], g: np.ndarray, dx: boo
             return dWs, dbs, None
         g = g @ Ws[i].T
     return dWs, dbs, g
-
-
-def mlp_apply(spec: MlpSpec, params, x, prefix: str = ""):
-    """Forward pass on (..., n_in) input: ``mlp_forward``'s last layer.
-
-    With a Tensor input or any Tensor parameter the result is one tape
-    node, whose backward pass is ``mlp_backward``.
-    """
-    in_width = x.shape[-1] if getattr(x, "shape", ()) else 1
-    if in_width != spec.n_in:
-        raise ValueError(f"input width {in_width} does not match layer 0 width {spec.n_in}")
-    operands = [x]
-    for i in range(len(spec.activations)):
-        operands += [params[f"{prefix}W{i}"], params[f"{prefix}b{i}"]]
-    arrays = [np.asarray(v.data if isinstance(v, Tensor) else v, float) for v in operands]
-    Ws = arrays[1::2]
-    hs = mlp_forward(spec, Ws, arrays[2::2], arrays[0].reshape(-1, spec.n_in))
-    out = hs[-1].reshape(*arrays[0].shape[:-1], spec.n_out)
-    if not any(isinstance(v, Tensor) for v in operands):
-        return out
-    nodes = tuple(_as_tensor(v) for v in operands)
-
-    def back(g):
-        dWs, dbs, dx = mlp_backward(spec, Ws, hs, g.reshape(-1, spec.n_out), not nodes[0].const)
-        for node, grad in zip(nodes[1::2] + nodes[2::2], dWs + dbs):
-            _accum(node, grad)
-        if dx is not None:
-            _accum(nodes[0], dx.reshape(arrays[0].shape))
-
-    return Tensor(out, nodes, back)
 
 
 # -- gradients and optimization ----------------------------------------

@@ -150,9 +150,9 @@ def _predict_y0(model, params, y_tau, tau, t_d, cond_vec):
     first layer's pre-activation is split by weight rows into
     ``rows(y, W_y) + (rows(emb, W_e) + rows(cond, W_c)) + b0``, so the
     embedding product runs once per call and the conditioning product once
-    per unit. Every product uses ``mlp_apply``'s row-invariant helpers: a
+    per unit. Every product uses ``mlp_forward``'s row-invariant helpers: a
     member's estimate depends only on its noisy state and its unit's
-    conditioning, and agrees with ``mlp_apply`` on the concatenated input
+    conditioning, and agrees with ``mlp_forward`` on the concatenated input
     to rounding (the sum is split), not bitwise.
     """
     y_tau, cond_vec = np.asarray(y_tau, float), np.asarray(cond_vec, float)
@@ -249,8 +249,8 @@ def train_diffusion(
     propensity weights.
 
     Each batch's loss and gradient come from ``_batch_loss_and_grad``, one
-    forward and one closed-form backward pass on arrays, bitwise equal to
-    the autodiff tape over ``_batch_loss_fn``, which is its test reference.
+    forward and one closed-form backward pass, bitwise equal to the tape
+    denoiser loss of ``tests/tape_reference.py``, its test reference.
     """
     n, T = y0_rows.shape
     if n == 0:
@@ -308,18 +308,20 @@ def _weighted_sse(y0_hat, y0, mask, row_weights):
     return ((diff * diff).sum(axis=1) * row_weights).sum() * (1.0 / len(y0))
 
 
-def _batch_loss_fn(tensors, model, schedule, y0, cond, mask, weights, taus, eps, embeds=None):
-    """The batch loss on the autodiff tape, given Tensor parameters: the
-    reference for ``_batch_loss_and_grad``."""
-    y_tau, inputs = _noised_inputs(model, schedule, y0, cond, taus, eps, embeds)
-    y0_hat = de.mlp_apply(model.spec, tensors, inputs, prefix="den_") + y_tau
-    return _weighted_sse(y0_hat, y0, mask, weights * schedule.loss_weights[taus - 1])
+def _batch_loss_fn(params, model, schedule, *batch):
+    """``_batch_loss_and_grad``'s loss; given Tensor parameters, one loss
+    node whose backward step is its gradient."""
+    loss_and_grad = lambda arrays: _batch_loss_and_grad(arrays, model, schedule, *batch)
+    if de.holds_tensors(params):
+        return de.loss_node(loss_and_grad, params)
+    return loss_and_grad(params)[0]
 
 
 def _batch_loss_and_grad(params, model, schedule, y0, cond, mask, weights, taus, eps, embeds=None):
-    """``_batch_loss_fn``'s value and parameter gradient from one forward
-    and one backward pass on arrays. The backward takes the tape's steps in
-    the tape's order, so both are bitwise the tape's."""
+    """The batch loss and its parameter gradient from one forward and one
+    backward pass. The backward takes the steps of the tape in
+    ``tests/tape_reference.py`` in the tape's order, so both are bitwise
+    the tape's."""
     y_tau, inputs = _noised_inputs(model, schedule, y0, cond, taus, eps, embeds)
     n_layers = len(model.spec.activations)
     Ws, bs = ([params[f"den_{k}{i}"] for i in range(n_layers)] for k in "Wb")

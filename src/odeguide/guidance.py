@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diff_engine import check_count, concat
+from .diff_engine import Tensor, check_count, loss_node
 from .metrics import dtw, pearson
 
 
@@ -82,15 +82,33 @@ class FactualWindow:
         return mask
 
 
+def _loss_node(loss, grad, y0_hat: Tensor, *args) -> Tensor:
+    """One loss node over ``y0_hat``: its value ``loss(y0_hat, *args)`` and
+    its backward step ``grad(y0_hat, *args)``, both on arrays."""
+    return loss_node(lambda a: (loss(a["y"], *args), {"y": grad(a["y"], *args)}), {"y": y0_hat})
+
+
+def _check_grid(y0_hat, y0_factual, signals, config) -> None:
+    """The relation loss's trajectories share the last axis, and its
+    direction term, a forward difference, needs two points of it."""
+    n = np.shape(y0_hat)[-1]
+    if not (np.shape(y0_factual)[-1] == np.shape(signals.f_cf)[-1] == np.shape(signals.f_f)[-1] == n):
+        raise ValueError("trajectories must share the data grid")
+    if config.use_direction and n < 2:
+        raise ValueError(f"the direction term needs a grid of at least 2 points, got {n}")
+
+
 def loss_cf(y0_hat, y0_factual, signals: ExpertGuidanceSignals, config: GuidanceConfig):
     """Penalize mismatch between the generated counterfactual-factual
-    relation and the mechanistic relation, in value and in first difference.
+    relation and the mechanistic relation, in value and in first difference,
+    over the last axis.
 
-    Accepts a Tensor ``y0_hat`` for gradient computation.
+    A Tensor ``y0_hat`` gives one loss node whose backward step is
+    ``grad_loss_cf``.
     """
-    n = len(y0_hat)
-    if not (len(y0_factual) == len(signals.f_cf) == len(signals.f_f) == n):
-        raise ValueError("trajectories must share the data grid")
+    if isinstance(y0_hat, Tensor):
+        return _loss_node(loss_cf, grad_loss_cf, y0_hat, y0_factual, signals, config)
+    _check_grid(y0_hat, y0_factual, signals, config)
     gen_rel = y0_hat - np.asarray(y0_factual, float)
     exp_rel = np.asarray(signals.f_cf, float) - np.asarray(signals.f_f, float)
     total = None
@@ -111,14 +129,19 @@ def loss_cf(y0_hat, y0_factual, signals: ExpertGuidanceSignals, config: Guidance
 def _finite_diff(rel):
     """Forward differences with a backward difference at the last index,
     over the last axis."""
-    return concat([rel[..., 1:] - rel[..., :-1], rel[..., -1:] - rel[..., -2:-1]])
+    return np.concatenate([rel[..., 1:] - rel[..., :-1], rel[..., -1:] - rel[..., -2:-1]], axis=-1)
 
 
 def loss_f(y0_hat, y0_factual, window: FactualWindow):
     """Squared deviation from the factual outcome on the pre-divergence
-    window; values outside the window never contribute."""
-    idx = np.flatnonzero(window.checked_mask(len(y0_hat))).tolist()
-    diff = y0_hat[idx] - np.asarray(y0_factual, float)[idx]
+    window over the last axis; values outside the window never contribute.
+    A Tensor ``y0_hat`` gives one loss node whose backward step is
+    ``grad_loss_f``."""
+    if isinstance(y0_hat, Tensor):
+        return _loss_node(loss_f, grad_loss_f, y0_hat, y0_factual, window)
+    y0_hat = np.asarray(y0_hat, float)
+    mask = np.broadcast_to(window.checked_mask(y0_hat.shape[-1]), y0_hat.shape)
+    diff = y0_hat[mask] - np.broadcast_to(np.asarray(y0_factual, float), y0_hat.shape)[mask]
     return (diff * diff).sum()
 
 
@@ -138,9 +161,7 @@ def grad_loss_cf(y0_hat: np.ndarray, y0_factual, signals, config) -> np.ndarray:
     the finite-difference operator and P_v, P_d switch the value and
     direction terms on."""
     y0_hat = np.asarray(y0_hat, float)
-    n = y0_hat.shape[-1]
-    if not (np.shape(y0_factual)[-1] == np.shape(signals.f_cf)[-1] == np.shape(signals.f_f)[-1] == n):
-        raise ValueError("trajectories must share the data grid")
+    _check_grid(y0_hat, y0_factual, signals, config)
     exp_rel = np.asarray(signals.f_cf, float) - np.asarray(signals.f_f, float)
     u = y0_hat - np.asarray(y0_factual, float) - exp_rel
     grad = np.zeros_like(u)

@@ -8,17 +8,15 @@ row per unit, stepped by ``ode_core.rk4_update``, the same RK4 that steps
 the expert alone; so every RK4 stage is one batched evaluation of each
 learned field, and the outcome field reads the packed state whole. Each unit's
 treatment reaches the expert as the (U, 1) drive of
-``expert_models.make_drive``, tabulated off the tape once per rollout over
-every stage time: the dose plasma level for PKPD, the contact rate beta_t
-(from the unit's own mandate start) for SEIRM. The expert's right-hand side
-is the simulations' block kernel, with numpy's power for the Hill terms; on
-the tape it is one node per stage, evaluated on arrays, whose gradient is
-the product with its closed-form Jacobian. Training runs one rollout of
-the whole training set on arrays, keeping every MLP call's layer outputs,
-and takes the gradient by the discrete adjoint of that rollout (the exact
-gradient of the computed loss); the tape over the same rollout is its test
-reference. Inference (``predict``) runs the same rollout on plain numpy
-arrays for any number of units; the plain-array MLP forward is
+``expert_models.make_drive``, tabulated once per rollout over every stage
+time: the dose plasma level for PKPD, the contact rate beta_t (from the
+unit's own mandate start) for SEIRM. The expert's right-hand side is the
+simulations' block kernel, with numpy's power for the Hill terms. Training
+runs one rollout of the whole training set, keeping every MLP call's layer
+outputs, and takes the gradient by the discrete adjoint of that rollout
+(the exact gradient of the computed loss); a tape copy of the rollout in
+``tests/tape_reference.py`` is its test reference. Inference (``predict``)
+runs the same rollout for any number of units; the MLP forward is
 row-invariant, so a unit's prediction is the same bits whichever units
 share the call.
 """
@@ -33,7 +31,7 @@ import numpy as np
 
 from . import diff_engine as de
 from .datagen import Dataset, UnitRecord
-from .diff_engine import MlpSpec, ParamSet, Tensor, TrainingError
+from .diff_engine import MlpSpec, ParamSet, TrainingError
 from .expert_models import (
     PkpdParams,
     SeirmParams,
@@ -110,25 +108,24 @@ def make_hybrid_model(
 
 def normalize_expert_state(raw, family: str, expert_params):
     """Map an unconstrained encoder output onto the family's state space:
-    positivity via softplus, plus a per-row total-population rescale for
-    SEIRM."""
-    pos = de.softplus(raw)
+    positivity via softplus log(1 + e^x), plus a per-row total-population
+    rescale for SEIRM."""
+    pos = np.logaddexp(0.0, raw)
     if family == "SEIRM":
-        total = pos.sum(axis=-1)
-        return pos * (expert_params.N / total.reshape(*total.shape, 1))
+        return pos * (expert_params.N / pos.sum(axis=-1, keepdims=True))
     return pos
 
 
-def encode_init(model: HybridCpModel, params, x0, a0, y0, _mlp=de.mlp_apply):
+def encode_init(model: HybridCpModel, mlp, x0, a0, y0):
     """Initial latent states (z_x, z_y, z_e) from the first observations:
-    ``x0`` is (U, d_x), ``a0`` and ``y0`` are (U,)."""
+    ``x0`` is (U, d_x), ``a0`` and ``y0`` are (U,); ``mlp(name, v)``
+    evaluates the MLP ``name``."""
     a0 = np.asarray(a0, float)[:, None]
     y0 = np.asarray(y0, float)[:, None]
     obs = np.concatenate([np.asarray(x0, float), a0, y0], axis=1)
-    zx0 = _mlp(model.specs["gxi"], params, obs, prefix="gxi_")
-    zy0 = _mlp(model.specs["gzeta"], params, de.concat([zx0, a0, y0]), prefix="gzeta_")
-    ze_raw = _mlp(model.specs["geta"], params, obs, prefix="geta_")
-    ze0 = normalize_expert_state(ze_raw, model.family, model.expert_params)
+    zx0 = mlp("gxi", obs)
+    zy0 = mlp("gzeta", np.concatenate([zx0, a0, y0], axis=-1))
+    ze0 = normalize_expert_state(mlp("geta", obs), model.family, model.expert_params)
     return zx0, zy0, ze0
 
 
@@ -156,20 +153,14 @@ def _expert_field(family: str, expert_params):
 def expert_rhs(model: HybridCpModel, ze, drive):
     """Mechanistic derivative of the expert state (last axis) under the
     treatment drive; never learned. ``drive`` broadcasts against one state
-    column: a scalar for one unit, (U, 1) for a batch. A Tensor ``ze`` gives
-    one tape node whose gradient is the product with the closed-form
-    Jacobian."""
-    z = ze.data if isinstance(ze, Tensor) else ze
-    field = _expert_field(model.family, model.expert_params)
-    dze = field(z, _drive_column(drive))
-    vjp = lambda g: np.einsum("...i,...ij->...j", g, _expert_jacobian(model, z, drive))
-    return de.custom_vjp(dze, ze, vjp)
+    column: a scalar for one unit, (U, 1) for a batch."""
+    return _expert_field(model.family, model.expert_params)(ze, _drive_column(drive))
 
 
-def readout(model: HybridCpModel, params, zy, zx, ze, a_t, _mlp=de.mlp_apply):
+def readout(mlp, zy, zx, ze, a_t):
     """Outcome (U, 1) and covariates (U, d_x) from the latent states."""
-    y = _mlp(model.specs["gy"], params, de.concat([ze, zy, zx, a_t]), prefix="gy_")
-    x = _mlp(model.specs["gx"], params, de.concat([zx, a_t]), prefix="gx_")
+    y = mlp("gy", np.concatenate([ze, zy, zx, a_t], axis=-1))
+    x = mlp("gx", np.concatenate([zx, a_t], axis=-1))
     return y, x
 
 
@@ -192,25 +183,28 @@ def rollout(
     a_seq,
     times: np.ndarray,
     treatments,
-    _mlp=de.mlp_apply,
+    mlp=None,
 ):
     """Encode, integrate, and read out U units at every point of their
     shared grid.
 
     ``x0`` is (U, d_x); ``a0`` and ``y0`` are (U,); ``a_seq`` is (U, T);
     ``treatments`` holds one schedule per unit. Returns the outcome (U, T)
-    and covariates (U, T, d_x): tensors on the tape, arrays otherwise.
-    Every MLP is evaluated by ``_mlp``, which has ``mlp_apply``'s signature.
+    and covariates (U, T, d_x). Every MLP is evaluated by ``mlp(name, v)``,
+    by default ``_bound_mlps``'s. ``tests/tape_reference.py`` holds a copy
+    of this rollout on the autodiff tape.
     """
     a_seq = np.asarray(a_seq, float)
     if a_seq.shape[1] != len(times):
         raise ValueError("treatment sequence must cover the grid")
+    if mlp is None:
+        mlp, _ = _bound_mlps(model, params)
     dts, drive_at = _drive_table(model, times, treatments)
     my, e = model.config.m_y, model.e_dim
 
-    zx, zy, ze = encode_init(model, params, x0, a0, y0, _mlp)
-    z = de.concat([zy, ze, zx])  # the packed state (z_y | z_e | z_x)
-    y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, :1], _mlp)
+    zx, zy, ze = encode_init(model, mlp, x0, a0, y0)
+    z = np.concatenate([zy, ze, zx], axis=-1)  # the packed state (z_y | z_e | z_x)
+    y_out, x_out = readout(mlp, zy, zx, ze, a_seq[:, :1])
     ys, xs = [y_out], [x_out]
     # the covariate channel sees the outcome latent through a one-grid-step
     # delay buffer; the buffer and the treatment stay fixed over an interval
@@ -220,33 +214,33 @@ def rollout(
         a_t = a_seq[:, k : k + 1]
 
         def rhs(z, t):
-            dzy = _mlp(model.specs["fy"], params, de.concat([z, a_t]), prefix="fy_")
-            fx_in = de.concat([z[:, my + e :], zy_lag, a_t])
-            dzx = _mlp(model.specs["fx"], params, fx_in, prefix="fx_")
+            dzy = mlp("fy", np.concatenate([z, a_t], axis=-1))
+            dzx = mlp("fx", np.concatenate([z[:, my + e :], zy_lag, a_t], axis=-1))
             dze = expert_rhs(model, z[:, my : my + e], drive_at(t))
-            return de.concat([dzy, dze, dzx])
+            return np.concatenate([dzy, dze, dzx], axis=-1)
 
         z, _ = rk4_update(rhs, z, times[k], dts[k])
         zy, ze, zx = z[:, :my], z[:, my : my + e], z[:, my + e :]
         zy_lag = zy_start
-        y_out, x_out = readout(model, params, zy, zx, ze, a_seq[:, k + 1 : k + 2], _mlp)
+        y_out, x_out = readout(mlp, zy, zx, ze, a_seq[:, k + 1 : k + 2])
         ys.append(y_out)
         xs.append(x_out)
-    return de.concat(ys), de.concat(xs).reshape(len(treatments), len(times), model.d_x)
+    xs = np.concatenate(xs, axis=-1)
+    return np.concatenate(ys, axis=-1), xs.reshape(len(treatments), len(times), model.d_x)
 
 
 def _bound_mlps(model: HybridCpModel, params, kept=None):
-    """``mlp_apply`` on plain arrays with every MLP's layers looked up once,
-    as ``rollout``'s ``_mlp``, and those layers as [Ws, bs] per MLP name.
-    With ``kept``, each call's layer outputs are appended to ``kept[name]``."""
+    """``rollout``'s ``mlp(name, v)``: ``mlp_forward`` on (U, n_in) rows
+    with every MLP's layers looked up once, and those layers as [Ws, bs]
+    per MLP name. With ``kept``, each call's layer outputs are appended to
+    ``kept[name]``."""
     layers = {
         name: [[params[f"{name}_{k}{i}"] for i in range(len(spec.activations))] for k in "Wb"]
         for name, spec in model.specs.items()
     }
 
-    def forward(spec, params, v, prefix):
-        name = prefix[:-1]  # "fy_" -> "fy"
-        hs = de.mlp_forward(spec, *layers[name], v)
+    def forward(name, v):
+        hs = de.mlp_forward(model.specs[name], *layers[name], v)
         if kept is not None:
             kept[name].append(hs)
         return hs[-1]
@@ -258,9 +252,8 @@ def predict(model: HybridCpModel, x0, a0, y0, a_seq, times, treatment):
     """Deterministic point predictions of U units on the model's own
     parameters: ``rollout``'s arguments, with ``treatment`` one schedule per
     unit. Returns the outcome (U, T) and covariates (U, T, d_x) arrays."""
-    forward, _ = _bound_mlps(model, model.params)
     times = np.asarray(times, float)
-    return rollout(model, model.params, x0, a0, y0, a_seq, times, treatment, _mlp=forward)
+    return rollout(model, model.params, x0, a0, y0, a_seq, times, treatment)
 
 
 def _factual_batch(units: list[UnitRecord]):
@@ -290,13 +283,16 @@ def _mse(y_hat, x_hat, obs, y, x):
     return ((y_hat[obs] - y) ** 2).sum() * (1.0 / y.size) + (dx * dx).sum() * (1.0 / x.size)
 
 
-def _dataset_loss(model: HybridCpModel, tensors, units: list[UnitRecord]):
+def _dataset_loss(model: HybridCpModel, params, units: list[UnitRecord]):
     """Mean squared error of one batched rollout over the factual arms:
     outcome and covariate errors, each averaged over the observed points
-    only. On the tape given Tensor parameters (the reference for
-    ``_loss_and_grad``), plain arrays otherwise."""
-    inputs, *target = _factual_batch(units)
-    return _mse(*rollout(model, tensors, *inputs), *target)
+    only. Given Tensor parameters, one loss node whose backward step is
+    ``_loss_and_grad``'s adjoint."""
+    batch = _factual_batch(units)
+    if de.holds_tensors(params):
+        return de.loss_node(lambda arrays: _loss_and_grad(model, arrays, batch), params)
+    inputs, *target = batch
+    return _mse(*rollout(model, params, *inputs), *target)
 
 
 def _loss_and_grad(model: HybridCpModel, params: ParamSet, batch) -> tuple[float, dict]:
@@ -316,7 +312,7 @@ def _loss_and_grad(model: HybridCpModel, params: ParamSet, batch) -> tuple[float
     inputs, obs, y, x = batch
     kept = {name: [] for name in model.specs}  # each call's layer outputs, in call order
     keep, layers = _bound_mlps(model, params, kept)
-    y_hat, x_hat = rollout(model, params, *inputs, _mlp=keep)
+    y_hat, x_hat = rollout(model, params, *inputs, mlp=keep)
     loss = float(_mse(y_hat, x_hat, obs, y, x))
     if not np.isfinite(loss):
         return loss, {}
@@ -377,7 +373,7 @@ def _loss_and_grad(model: HybridCpModel, params: ParamSet, batch) -> tuple[float
     raw = kept["geta"][-1][-1]
     d_pos = lam[:, ze_cols]
     if model.family == "SEIRM":  # z_e0 = pos * (N / total)
-        pos, n_pop = de.softplus(raw), model.expert_params.N
+        pos, n_pop = np.logaddexp(0.0, raw), model.expert_params.N
         total = pos.sum(axis=-1, keepdims=True)
         d_total = -(d_pos * pos).sum(axis=-1, keepdims=True) * n_pop / total**2
         d_pos = d_pos * (n_pop / total) + d_total
@@ -391,9 +387,9 @@ def train_hybrid(model: HybridCpModel, dataset: Dataset) -> tuple[HybridCpModel,
     """Fit the learned components to factual arms by MSE on observed points,
     with the optimiser settings of ``model.config``.
 
-    Each epoch's gradient is ``_loss_and_grad``'s closed-form adjoint on
-    arrays; the autodiff tape over ``_dataset_loss`` is its test reference.
-    The mechanistic expert parameters are never touched.
+    Each epoch's gradient is ``_loss_and_grad``'s closed-form adjoint; the
+    tape rollout of ``tests/tape_reference.py`` is its test reference. The
+    mechanistic expert parameters are never touched.
     """
     if not dataset.units:
         raise ValueError("dataset must be nonempty")
@@ -409,8 +405,7 @@ def train_hybrid(model: HybridCpModel, dataset: Dataset) -> tuple[HybridCpModel,
         losses.append(loss)
         params, state = de.adam_step(params, grads, state, config.lr)
     inputs, *target = batch
-    forward, _ = _bound_mlps(model, params)
-    final = float(_mse(*rollout(model, params, *inputs, _mlp=forward), *target))
+    final = float(_mse(*rollout(model, params, *inputs), *target))
     losses.append(final)
     trained = replace(model)
     trained.params = params

@@ -67,7 +67,8 @@ def _first_bad_row(values: np.ndarray) -> str:
 
 def rk4_update(rhs: Callable, state, t: float, dt: float):
     """One classic 4-stage Runge-Kutta update, by arithmetic alone, so that
-    ``state`` may be an array or a tape Tensor; ``rhs(state, t)`` returns
+    ``state`` may be an array or a Tensor of the tape reference in
+    ``tests/tape_reference.py``; ``rhs(state, t)`` returns
     derivatives of the same shape. Returns the new state and the slopes
     (k1, k2, k3, k4). Opposite infinities among the slopes give a NaN
     without a warning, so that a caller may check the slopes first."""

@@ -5,22 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odeguide import diff_engine as de
 from odeguide.diff_engine import (
     AdamState,
     MlpSpec,
     ParamSet,
-    Tensor,
-    _Constant,
     adam_step,
-    concat,
-    custom_vjp,
     grad_check,
     init_mlp_params,
-    mlp_apply,
-    softplus,
     timestep_embedding,
     value_and_grad,
 )
+from tape_reference import Tensor, _Constant, concat, custom_vjp, mlp_apply, on_tape, softplus
 
 
 def _square(t):
@@ -99,8 +95,9 @@ def test_constant_expression_zero_gradient():
 
 
 def test_backward_requires_scalar():
-    with pytest.raises(ValueError):
-        Tensor(np.array([1.0, 2.0])).backward()
+    for tensor in (Tensor, de.Tensor):
+        with pytest.raises(ValueError):
+            tensor(np.array([1.0, 2.0])).backward()
 
 
 # -- MLP ----------------------------------------------------------------
@@ -152,17 +149,17 @@ def test_random_mlp_grad_check():
         out = mlp_apply(spec, tensors, x)
         return (out * out).sum()
 
-    assert grad_check(loss, params) <= 1e-4
+    assert grad_check(on_tape(loss), params) <= 1e-4
 
 
 def test_grad_check_linear_function_tight():
     params = ParamSet({"w": np.array([1.0, -2.0, 0.5])})
-    assert grad_check(lambda t: (t["w"] * 3.0).sum(), params) <= 1e-10
+    assert grad_check(on_tape(lambda t: (t["w"] * 3.0).sum()), params) <= 1e-10
 
 
 def test_grad_check_quadratic_tight():
     params = ParamSet({"w": np.array([1.0, -2.0])})
-    assert grad_check(lambda t: _square(t["w"]).sum(), params) <= 1e-8
+    assert grad_check(on_tape(lambda t: _square(t["w"]).sum()), params) <= 1e-8
 
 
 # -- ParamSet -----------------------------------------------------------
@@ -285,10 +282,10 @@ def test_adam_two_steps_decrease_quadratic():
     state = AdamState()
     losses = []
     for _ in range(2):
-        rec = value_and_grad(lambda t: _square(t["w"]).sum(), ps)
+        rec = value_and_grad(on_tape(lambda t: _square(t["w"]).sum()), ps)
         losses.append(rec.loss)
         ps, state = adam_step(ps, rec.gradient, state, lr=0.1)
-    final = value_and_grad(lambda t: _square(t["w"]).sum(), ps).loss
+    final = value_and_grad(on_tape(lambda t: _square(t["w"]).sum()), ps).loss
     assert final < losses[1] < losses[0]
 
 
@@ -345,13 +342,13 @@ def test_backward_frees_the_tape_without_the_cyclic_gc():
         return (h * h).sum()
 
     tensors = params.as_tensors()
-    _backward_keeping_tape(f(tensors, x))
+    _backward_keeping_tape(on_tape(f)(tensors, x))
     want = {k: t.grad for k, t in tensors.items()}
     enabled = gc.isenabled()
     gc.disable()
     try:
         interior.clear()
-        record = value_and_grad(f, params, x)
+        record = value_and_grad(on_tape(f), params, x)
         assert interior[0]() is None, "tape node outlived value_and_grad"
     finally:
         if enabled:
@@ -376,13 +373,13 @@ def test_a_node_the_loss_never_reads_is_freed_without_the_cyclic_gc(unread):
         return (h * h).sum()
 
     tensors = params.as_tensors()
-    _backward_keeping_tape(f(tensors, x))
+    _backward_keeping_tape(on_tape(f)(tensors, x))
     want = {k: t.grad for k, t in tensors.items()}
     enabled = gc.isenabled()
     gc.disable()
     try:
         dangling.clear()
-        record = value_and_grad(f, params, x)
+        record = value_and_grad(on_tape(f), params, x)
         assert dangling[0]() is None, "unread tape node outlived value_and_grad"
     finally:
         if enabled:
@@ -421,7 +418,7 @@ def test_sub_equals_adding_the_negation_bitwise(case):
             results.append(d.data.tobytes())
             return (d * weight).sum()
 
-        record = value_and_grad(f, params)
+        record = value_and_grad(on_tape(f), params)
         results.append((record.loss, {k: g.tobytes() for k, g in record.gradient.items()}))
     assert results[0] == results[2] and results[1] == results[3]
 
@@ -458,7 +455,7 @@ def test_constants_get_no_gradient_and_parameter_gradients_are_unchanged():
     shapes = {"w": (3, 4), "b": (4,), "c": (1, 4)}
     params = ParamSet({k: rng.standard_normal(s) for k, s in shapes.items()})
     ref_tensors = params.as_tensors()
-    ref_root = _mixed_constant_loss(ref_tensors, Tensor)
+    ref_root = on_tape(_mixed_constant_loss)(ref_tensors, Tensor)
     ref_leaves = [n for n in _tape_nodes(ref_root) if not n._parents]
     _backward_keeping_tape(ref_root)
     # the reference computes a gradient for every leaf it was given (the
@@ -467,7 +464,7 @@ def test_constants_get_no_gradient_and_parameter_gradients_are_unchanged():
     assert all(n.grad is not None for n in given) and len(given) - len(ref_tensors) >= 10
 
     tensors = params.as_tensors()
-    root = _mixed_constant_loss(tensors, lambda v: v)
+    root = on_tape(_mixed_constant_loss)(tensors, lambda v: v)
     constants = [n for n in _tape_nodes(root) if n.const]
     assert len(constants) == len(ref_leaves) - len(tensors)
     root.backward()
@@ -482,7 +479,7 @@ def test_mlp_apply_on_arrays_is_row_invariant_and_matches_the_tensor_forward():
     params = ParamSet(init_mlp_params(spec, np.random.default_rng(2)))
     x = np.random.default_rng(3).standard_normal((9, 7))
     rows = mlp_apply(spec, params, x)
-    tape = mlp_apply(spec, params.as_tensors(), x)
+    tape = mlp_apply(spec, {k: Tensor(v) for k, v in params.items()}, x)
     assert isinstance(tape, Tensor)
     np.testing.assert_array_equal(rows, tape.data)
     for r in range(1, 9):
@@ -529,9 +526,9 @@ def test_mlp_node_gradient_matches_finite_differences(act, lead, input_on_tape):
         h = mlp_apply(spec, tensors, given[0] if given else tensors["x"], prefix="m_")
         return (h * h).sum()
 
-    assert grad_check(loss, params, 1e-5, *inputs) <= 1e-6
+    assert grad_check(on_tape(loss), params, 1e-5, *inputs) <= 1e-6
     # one node over the leaf operands, with the array forward's bits
-    tensors = params.as_tensors()
+    tensors = {k: Tensor(v) for k, v in params.items()}
     node = mlp_apply(spec, tensors, tensors["x"] if input_on_tape else x, prefix="m_")
     assert len(node._parents) == 7 and not any(p._parents for p in node._parents)
     np.testing.assert_array_equal(node.data, mlp_apply(spec, params, x, prefix="m_"))

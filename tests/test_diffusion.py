@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tape_reference as ref
 from odeguide import diff_engine as de
 from odeguide.datagen import gen_dex_dataset
 from odeguide.diffusion import (
@@ -124,8 +125,8 @@ def test_split_first_layer_agrees_with_mlp_apply_on_the_concatenated_input(horiz
     emb = de.timestep_embedding(17, 50)
     fixed = np.concatenate([np.broadcast_to(emb, (3, 1, emb.size)), cond], axis=-1)
     inp = np.concatenate([y, np.broadcast_to(fixed, (*y.shape[:-1], fixed.shape[-1]))], axis=-1)
-    ref = y + de.mlp_apply(model.spec, model.params, inp, prefix="den_")
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    want = y + ref.mlp_apply(model.spec, model.params, inp, prefix="den_")
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     # each member alone, with its unit's conditioning, has its bits in the pass
     for k, u, s in [(0, 0, 0), (1, 2, 4), (0, 1, 3)]:
         alone = _predict_y0(model, model.params, y[k, u, s], 17, 50, cond[u, 0])
@@ -251,17 +252,15 @@ def test_training_embeds_each_row_from_the_table_bitwise(monkeypatch, t_d):
     trained, losses = train_diffusion(model, *args, config, seed=3)
     assert seen == set(range(1, t_d + 1)) or len(seen) > 20
     monkeypatch.setattr(diffusion, "_batch_loss_and_grad", lambda *a: original(*a[:9]))
-    ref, ref_losses = train_diffusion(model, *args, config, seed=3)
-    assert losses == ref_losses
-    for name, value in ref.params.items():
+    untabled, untabled_losses = train_diffusion(model, *args, config, seed=3)
+    assert losses == untabled_losses
+    for name, value in untabled.params.items():
         np.testing.assert_array_equal(trained.params[name], value)
 
 
 def _tape_train_diffusion(model, y0_rows, cond_rows, mask_rows, weights, schedule, config, seed):
     """``train_diffusion`` as it ran on the autodiff tape: each batch's loss
-    and gradient from ``value_and_grad`` over ``_batch_loss_fn``."""
-    from odeguide.diffusion import _batch_loss_fn
-
+    and gradient from ``value_and_grad`` over the tape's ``batch_loss``."""
     n, T = y0_rows.shape
     rng = np.random.default_rng([seed, 13])
     t_d = schedule.t_d
@@ -275,7 +274,7 @@ def _tape_train_diffusion(model, y0_rows, cond_rows, mask_rows, weights, schedul
             taus = rng.integers(1, t_d + 1, size=idx.size)
             eps = rng.standard_normal((idx.size, T))
             record = de.value_and_grad(
-                _batch_loss_fn, params, model, schedule, y0_rows[idx], cond_rows[idx],
+                ref.on_tape(ref.batch_loss), params, model, schedule, y0_rows[idx], cond_rows[idx],
                 mask_rows[idx], weights[idx], taus, eps, table[taus - 1],
             )
             params, state = de.adam_step(params, record.gradient, state, config.lr)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tape_reference as ref
 from odeguide.diff_engine import Tensor
 from odeguide.guidance import (
     AlignmentTransform,
@@ -303,7 +304,7 @@ def test_loss_cf_gradient_through_tensor_inputs():
 
 
 def _tape_grad(loss_fn, y0_hat):
-    t = Tensor(np.asarray(y0_hat, float))
+    t = ref.Tensor(np.asarray(y0_hat, float))
     loss_fn(t).backward()
     return t.grad
 
@@ -328,7 +329,7 @@ def test_closed_form_grad_loss_cf_matches_tape(T, flags):
     batched = grad_loss_cf(rows, y0_f, signals, config)
     assert batched.shape == rows.shape
     for row, got in zip(rows, batched):
-        want = _tape_grad(lambda t: loss_cf(t, y0_f, signals, config), row)
+        want = _tape_grad(lambda t: ref.loss_cf(t, y0_f, signals, config), row)
         _assert_rel_close(grad_loss_cf(row, y0_f, signals, config), want)
         _assert_rel_close(got, want)
 
@@ -343,7 +344,7 @@ def test_closed_form_grad_loss_f_matches_tape(T, indices):
     batched = grad_loss_f(rows, y0_f, window)
     assert batched.shape == rows.shape
     for row, got in zip(rows, batched):
-        want = _tape_grad(lambda t: loss_f(t, y0_f, window), row)
+        want = _tape_grad(lambda t: ref.loss_f(t, y0_f, window), row)
         _assert_rel_close(grad_loss_f(row, y0_f, window), want)
         _assert_rel_close(got, want)
 
@@ -419,3 +420,41 @@ def test_unit_axis_guidance_gradients_equal_each_units_own():
 def test_guidance_config_rejects_bad_strengths(kwargs, message):
     with pytest.raises(ValueError, match=message):
         GuidanceConfig(**kwargs)
+
+
+def _numeric_grad_nd(f, x, eps=1e-6):
+    """``_numeric_grad`` of a function of an array of any shape."""
+    return _numeric_grad(lambda v: f(v.reshape(x.shape)), x.ravel(), eps).reshape(x.shape)
+
+
+def test_loss_f_windows_the_last_axis_of_stacked_rows():
+    rng = np.random.default_rng(8)
+    y0_hat, y0_f = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    window = FactualWindow(mask=np.array([True, True, False]))
+    got = loss_f(y0_hat, y0_f, window)
+    assert got == pytest.approx(sum(float(np.sum((row[:2] - y0_f[:2]) ** 2)) for row in y0_hat), rel=1e-14)
+    numeric = _numeric_grad_nd(lambda v: float(loss_f(v, y0_f, window)), y0_hat)
+    np.testing.assert_allclose(grad_loss_f(y0_hat, y0_f, window), numeric, atol=1e-7)
+
+
+def test_loss_cf_of_stacked_rows_is_the_sum_of_each_rows_loss():
+    rng = np.random.default_rng(9)
+    rows, y0_f = rng.standard_normal((4, 6)), rng.standard_normal(6)
+    signals, config = _signals(rng.standard_normal(6), rng.standard_normal(6)), GuidanceConfig()
+    got = loss_cf(rows, y0_f, signals, config)
+    assert got == pytest.approx(sum(float(loss_cf(row, y0_f, signals, config)) for row in rows), rel=1e-14)
+    numeric = _numeric_grad_nd(lambda v: float(loss_cf(v, y0_f, signals, config)), rows)
+    np.testing.assert_allclose(grad_loss_cf(rows, y0_f, signals, config), numeric, atol=1e-6)
+    with pytest.raises(ValueError, match="share the data grid"):
+        loss_cf(rows, y0_f[:-1], signals, config)
+
+
+def test_the_direction_term_on_a_one_point_grid_raises_naming_its_length():
+    one = np.ones(1)
+    signals = _signals(one, 0.5 * one)
+    for fn in (loss_cf, grad_loss_cf):
+        with pytest.raises(ValueError, match="at least 2 points, got 1"):
+            fn(one, 0.0 * one, signals, GuidanceConfig())
+    value_only = GuidanceConfig(use_direction=False)  # u = 1 - 0 - 0.5
+    assert loss_cf(one, 0.0 * one, signals, value_only) == 0.25
+    np.testing.assert_array_equal(grad_loss_cf(one, 0.0 * one, signals, value_only), [1.0])

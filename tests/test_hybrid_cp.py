@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import tape_reference as ref
 from expert_terms import seirm_terms
 from odeguide import diff_engine as de
 from odeguide import hybrid_cp
@@ -178,17 +179,17 @@ def _reference_rollout(model, params, traj, treatment):
     was batched. Returns per-point outcome scalars and covariate vectors."""
 
     def cat(parts):
-        if any(isinstance(p, de.Tensor) for p in parts):
-            return de.concat(parts)
+        if any(isinstance(p, ref.Tensor) for p in parts):
+            return ref.concat(parts)
         return np.concatenate([np.atleast_1d(p) for p in parts])
 
     def mlp(name, v):
-        return de.mlp_apply(model.specs[name], params, v, prefix=f"{name}_")
+        return ref.mlp_apply(model.specs[name], params, v, prefix=f"{name}_")
 
     def rhs(zy, zx, ze, zy_lag, a_t, t):
         dzy = mlp("fy", cat([zy, ze, zx, a_t]))
         dzx = mlp("fx", cat([zx, zy_lag, a_t]))
-        return dzy, dzx, expert_rhs(model, ze, treatment_drive(model, treatment, t))
+        return dzy, dzx, ref.expert_rhs(model, ze, treatment_drive(model, treatment, t))
 
     def read(zy, zx, ze, a_t):
         return mlp("gy", cat([ze, zy, zx, a_t]))[0], mlp("gx", cat([zx, a_t]))
@@ -197,7 +198,7 @@ def _reference_rollout(model, params, traj, treatment):
     obs = np.concatenate([traj.x[0], [a[0], traj.y[0]]])
     zx = mlp("gxi", obs)
     zy = mlp("gzeta", cat([zx, a[0], traj.y[0]]))
-    ze = normalize_expert_state(mlp("geta", obs), model.family, model.expert_params)
+    ze = ref.normalize_expert_state(mlp("geta", obs), model.family, model.expert_params)
     y, x = read(zy, zx, ze, a[0])
     ys, xs = [y], [x]
     zy_lag = zy
@@ -264,7 +265,7 @@ def _assert_close(got, want, rtol):
 def test_batched_loss_and_gradients_match_per_unit_reference(case):
     model, units = CASES[case]()
     got = de.value_and_grad(lambda t: _dataset_loss(model, t, units), model.params)
-    want = de.value_and_grad(lambda t: _reference_loss(model, t, units), model.params)
+    want = de.value_and_grad(ref.on_tape(lambda t: _reference_loss(model, t, units)), model.params)
     _assert_close(got.loss, want.loss, BATCH_RTOL)
     for name in model.params.names():
         _assert_close(got.gradient[name], want.gradient[name], BATCH_RTOL)
@@ -331,7 +332,8 @@ def test_final_loss_equals_value_and_grad_loss_bitwise():
     model = make_hybrid_model("PKPD", PkpdParams(), d_x=1, config=TINY, seed=0)
     trained, losses = train_hybrid(model, data)
     record = de.value_and_grad(lambda t: _dataset_loss(trained, t, data.units), trained.params)
-    assert losses[-1] == record.loss
+    tape = de.value_and_grad(ref.on_tape(lambda t: ref.dataset_loss(trained, t, data.units)), trained.params)
+    assert losses[-1] == record.loss == tape.loss
 
 
 def test_units_on_different_grids_rejected():
@@ -366,7 +368,7 @@ def test_both_trainers_raise_one_training_error_on_divergence():
 
 
 def _tape_relu(z):
-    return de.custom_vjp(np.maximum(z.data, 0.0), z, lambda g: g * (z.data > 0.0))
+    return ref.custom_vjp(np.maximum(z.data, 0.0), z, lambda g: g * (z.data > 0.0))
 
 
 def _tape_expert_rhs(model, ze, drive):
@@ -376,7 +378,7 @@ def _tape_expert_rhs(model, ze, drive):
     cols = [ze[..., k : k + 1] for k in range(model.e_dim)]
     p = model.expert_params
     if model.family == "SEIRM":
-        return de.concat(seirm_terms(*cols, p, drive))
+        return ref.concat(seirm_terms(*cols, p, drive))
     z1, z2, z3, z4 = cols[:4]
     z1c = _tape_relu(z1)
     hill = p.E_max * z1c**p.h_P / (p.EC_50**p.h_P + z1c**p.h_P)
@@ -384,9 +386,9 @@ def _tape_expert_rhs(model, ze, drive):
     dz2 = -p.k_2 * z2 + p.k_3 * (z3 + drive)
     dz3 = -p.k_3 * z3
     if not p.full_model:
-        return de.concat([dz1, dz2, dz3, p.k_DP * z4 - p.k_IIR * z4 * z1 - p.k_DC * z4])
+        return ref.concat([dz1, dz2, dz3, p.k_DP * z4 - p.k_IIR * z4 * z1 - p.k_DC * z4])
     dz4 = p.k_DP * z4 - p.k_IIR * z4 * z1 - p.k_DC * z4 * _tape_relu(cols[4]) ** p.h_C
-    return de.concat([dz1, dz2, dz3, dz4, p.k_1 * z1])
+    return ref.concat([dz1, dz2, dz3, dz4, p.k_1 * z1])
 
 
 def _dex_full_model_case():
@@ -399,9 +401,10 @@ def _dex_full_model_case():
 @pytest.mark.parametrize("case", sorted(CASES) + ["dex_full_model"])
 def test_expert_node_gradient_matches_the_per_column_tape(case, monkeypatch):
     model, units = CASES.get(case, _dex_full_model_case)()
-    got = de.value_and_grad(lambda t: _dataset_loss(model, t, units), model.params)
-    monkeypatch.setattr(hybrid_cp, "expert_rhs", _tape_expert_rhs)
-    want = de.value_and_grad(lambda t: _dataset_loss(model, t, units), model.params)
+    loss = ref.on_tape(lambda t: ref.dataset_loss(model, t, units))
+    got = de.value_and_grad(loss, model.params)
+    monkeypatch.setattr(ref, "expert_rhs", _tape_expert_rhs)
+    want = de.value_and_grad(loss, model.params)
     assert got.loss == want.loss  # the forward values are the same bits
     scale = max(np.max(np.abs(g)) for g in want.gradient.values())
     for name in model.params.names():
@@ -412,22 +415,23 @@ def test_a_dex_sized_hybrid_loss_builds_at_most_1028_tape_nodes(monkeypatch):
     data = gen_dex_dataset(n_patients=10, seed=0, n_days=14)
     config = HybridCpConfig(m_y=4, m_x=4, hidden=(16, 16))
     model = make_hybrid_model("PKPD", PkpdParams(), d_x=1, config=config, seed=0)
-    created = _count_tape_nodes(monkeypatch)
-    de.value_and_grad(lambda t: _dataset_loss(model, t, data.units), model.params)
+    created = _count_tape_nodes(monkeypatch, ref.Tensor)
+    de.value_and_grad(ref.on_tape(lambda t: ref.dataset_loss(model, t, data.units)), model.params)
     assert len(data.units) == 10 and data.units[0].factual.horizon == 15
     assert len(created) <= 1028
 
 
-def _count_tape_nodes(monkeypatch):
-    """A list that grows by one with every Tensor constructed from now on."""
+def _count_tape_nodes(monkeypatch, tensor=de.Tensor):
+    """A list that grows by one with every ``tensor`` (or subclass)
+    constructed from now on."""
     created = []
-    tensor_init = de.Tensor.__init__
+    tensor_init = tensor.__init__
 
     def counting_init(self, *args, **kwargs):
         created.append(1)
         tensor_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(de.Tensor, "__init__", counting_init)
+    monkeypatch.setattr(tensor, "__init__", counting_init)
     return created
 
 
@@ -446,10 +450,11 @@ def test_training_builds_no_tape_node(monkeypatch):
 
 
 def _assert_adjoint_matches_the_tape(model, units):
-    """``_loss_and_grad``'s loss is bitwise ``_dataset_loss``'s, on the tape
-    and on arrays; every gradient is within 1e-12 of the tape's largest."""
+    """``_loss_and_grad``'s loss is bitwise the tape rollout's and
+    ``_dataset_loss``'s on arrays; every gradient is within 1e-12 of the
+    tape's largest."""
     loss, grads = _loss_and_grad(model, model.params, _factual_batch(units))
-    want = de.value_and_grad(lambda t: _dataset_loss(model, t, units), model.params)
+    want = de.value_and_grad(ref.on_tape(lambda t: ref.dataset_loss(model, t, units)), model.params)
     assert loss == want.loss == float(_dataset_loss(model, dict(model.params.items()), units))
     scale = max(np.max(np.abs(g)) for g in want.gradient.values())
     assert sorted(grads) == sorted(want.gradient)
@@ -511,6 +516,6 @@ def test_rollout_drive_table_equals_a_drive_call_per_stage_bitwise(case, monkeyp
 def test_predict_equals_the_mlp_apply_rollout_bitwise(case):
     model, units = CASES.get(case, _dex_full_model_case)()
     inputs, *_ = _factual_batch(units)
-    want = hybrid_cp.rollout(model, dict(model.params.items()), *inputs)  # mlp_apply per call
+    want = ref.rollout(model, dict(model.params.items()), *inputs)  # mlp_apply per call
     got = predict(model, *inputs)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

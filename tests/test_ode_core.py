@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odeguide.diff_engine import Tensor
+from tape_reference import Tensor
 from odeguide.ode_core import (
     IntegrationError,
     OdeTrajectory,
