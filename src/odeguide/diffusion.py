@@ -77,7 +77,7 @@ def reverse_step(
     c_noisy = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar)
     sigma = np.sqrt(beta)
     out = c_clean * y0_hat + c_noisy * y_tau
-    if tau > 1 and noise is not None:
+    if noise is not None:
         out = out + sigma * noise
     return out
 

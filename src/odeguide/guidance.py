@@ -1,7 +1,7 @@
 """Mechanistic-model guidance for the reverse diffusion process: value and
 direction relation losses, factual-consistency loss, the combined guided
-update, DTW-affine alignment of mechanistic simulations to observed data,
-and correlation-based selection of the guidance strength."""
+update, per-unit affine alignment of mechanistic simulations to the observed
+factual points, and correlation-based selection of the guidance strength."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diff_engine import Tensor, check_count, loss_node
-from .metrics import dtw, pearson
+from .metrics import dtw, pearson  # unused here; benchmarks/spans.py wraps guidance.dtw
 
 
 class SelectionError(RuntimeError):
@@ -48,9 +48,8 @@ class GuidanceConfig:
 
 @dataclass
 class AlignmentTransform:
-    scale: float
-    shift: float
-    path: list[tuple[int, int]]
+    scale: np.ndarray
+    shift: np.ndarray
 
 
 @dataclass
@@ -211,43 +210,37 @@ def make_guide_fn(
 # -- alignment ----------------------------------------------------------
 
 
-def align_factual(
-    expert_f_sim: np.ndarray, observed_f: np.ndarray, expert_cf_sim: np.ndarray | None = None
-) -> tuple[AlignmentTransform, np.ndarray, np.ndarray | None]:
-    """Fit an affine map (scale, shift) from the mechanistic factual
-    simulation to the observed factual data along the DTW-optimal path, and
-    apply the same transform and warp to the counterfactual simulation.
+def align_factual(expert_f, expert_cf, y_f, observed) -> tuple[AlignmentTransform, np.ndarray, np.ndarray]:
+    """Fit each unit's least-squares affine map (scale, shift) from the
+    expert's factual curve to the factual outcome ``y_f`` on its observed
+    points, grid point i to grid point i, and apply it to the whole factual
+    and counterfactual expert curves. Units stack on the leading axes of
+    (..., T) inputs; scale and shift are (...,). An unobserved ``y_f``,
+    NaN included, reaches no arithmetic. An expert that spans < 1e-12 on
+    the observed points gets scale 1 and the mean residual as shift.
 
-    Returns (transform, aligned factual, aligned counterfactual or None),
-    both aligned curves living on the observed grid.
-    """
-    expert_f_sim = np.asarray(expert_f_sim, float).ravel()
-    observed_f = np.asarray(observed_f, float).ravel()
-    if expert_f_sim.size == 0 or observed_f.size == 0:
-        raise ValueError("alignment requires nonempty sequences")
-    _, path = dtw(expert_f_sim, observed_f)
-    rows, cols = np.array(path).T
-    e, o = expert_f_sim[rows], observed_f[cols]
-    if np.ptp(e) < 1e-12:
-        scale, shift = 1.0, float(np.mean(o - e))
-    else:
-        A = np.column_stack([e, np.ones_like(e)])
-        (scale, shift), *_ = np.linalg.lstsq(A, o, rcond=None)
-        scale, shift = float(scale), float(shift)
-    transform = AlignmentTransform(scale=scale, shift=shift, path=path)
-    counts = np.bincount(cols)  # the path meets every observed point
+    Returns (transform, aligned factual, aligned counterfactual)."""
+    e, cf, observed = np.asarray(expert_f, float), np.asarray(expert_cf, float), np.asarray(observed, bool)
+    if not e.shape == cf.shape == np.shape(y_f) == observed.shape:
+        shapes = (e.shape, cf.shape, np.shape(y_f), observed.shape)
+        raise ValueError("unequal grids: expert curves %s and %s, outcome %s, mask %s" % shapes)
+    count = observed.sum(axis=-1, keepdims=True)
+    if not count.all():
+        raise ValueError("alignment requires a nonempty set of observed points per unit")
 
-    def warp(series):
-        # each observed point takes the mean of the mapped points the path
-        # pairs with it, summed in path order
-        mapped = scale * series[rows] + shift
-        return np.bincount(cols, weights=mapped) / counts
+    def total(v):  # over each unit's observed points
+        return np.where(observed, v, 0.0).sum(axis=-1, keepdims=True)
 
-    aligned_f = warp(expert_f_sim)
-    aligned_cf = None
-    if expert_cf_sim is not None:
-        aligned_cf = warp(np.asarray(expert_cf_sim, float).ravel())
-    return transform, aligned_f, aligned_cf
+    y = np.where(observed, y_f, 0.0)  # before any arithmetic: 0 x NaN is NaN
+    e_mean, y_mean = total(e) / count, total(y) / count
+    hi = np.where(observed, e, -np.inf).max(axis=-1, keepdims=True)
+    lo = np.where(observed, e, np.inf).min(axis=-1, keepdims=True)
+    flat = hi - lo < 1e-12
+    de = e - e_mean
+    scale = np.where(flat, 1.0, total(de * (y - y_mean)) / np.where(flat, 1.0, total(de * de)))
+    shift = y_mean - scale * e_mean
+    transform = AlignmentTransform(scale=scale[..., 0], shift=shift[..., 0])
+    return transform, scale * e + shift, scale * cf + shift
 
 
 # -- guidance strength selection ----------------------------------------
@@ -266,7 +259,9 @@ def select_eta(
     seed: int,
 ) -> tuple[float, list[EtaSweepEntry]]:
     """Pick the candidate guidance strength whose guided ensemble mean
-    correlates best with the aligned mechanistic counterfactual.
+    correlates best with ``target_cf``: in the pipeline, an oracle target
+    (the validation units' true counterfactual) until eta is chosen from
+    factual data alone.
 
     ``sampler(eta, seed) -> (n_samples, T) array``. Candidates are scanned
     in ascending order; ties keep the smallest.

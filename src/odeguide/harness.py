@@ -249,7 +249,8 @@ def evaluate_ensembles(
     ensembles: list[np.ndarray], units: list[UnitRecord]
 ) -> MetricReport:
     """Score counterfactual ensembles (original units) against the held-out
-    counterfactual arms."""
+    counterfactual arms; the treatment effect is scored on each unit's
+    observed factual points."""
     if len(ensembles) != len(units) or not units:
         raise ValueError("need one ensemble per evaluated unit")
     for ens, unit in zip(ensembles, units):
@@ -263,9 +264,10 @@ def evaluate_ensembles(
         truth = cf.y_clean if cf.y_clean is not None else cf.y
         truths.append(np.asarray(truth, float))
         means.append(ens.mean(axis=0))
-        f_clean = unit.factual.y_clean if unit.factual.y_clean is not None else unit.factual.y
-        effects_est.append(np.asarray(unit.factual.y, float) - ens.mean(axis=0))
-        effects_true.append(np.asarray(f_clean, float) - truths[-1])
+        f, obs = unit.factual, unit.factual.observed
+        f_clean = f.y_clean if f.y_clean is not None else f.y
+        effects_est.append(np.asarray(f.y, float)[obs] - means[-1][obs])
+        effects_true.append(np.asarray(f_clean, float)[obs] - truths[-1][obs])
     mean_cat = np.concatenate(means)
     truth_cat = np.concatenate(truths)
     rmse = float(np.sqrt(np.mean((mean_cat - truth_cat) ** 2)))
@@ -417,9 +419,10 @@ def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False)
     row-invariant ``predict`` call and keeps the rows for later stages.
     Guidance, when ``guided``: the aligned mechanistic signals,
     pre-divergence window and scaled factual outcome of every unit, each
-    (U, 1, T). A mechanistic curve depends only on its schedule (the initial
-    state and parameters are the run's), so the schedules not yet in the
-    run's ``expert_curves`` are simulated in one call and kept. Returns the
+    (U, 1, T), aligned on the observed scaled outcome by one call. A
+    mechanistic curve depends only on its schedule (the initial state and
+    parameters are the run's), so the schedules not yet in the run's
+    ``expert_curves`` are simulated in one call and kept. Returns the
     conditioning context and the guidance triple, or None for the latter
     when not ``guided``.
     """
@@ -451,12 +454,13 @@ def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False)
     if new:
         family, params, init, dt = state["expert"]
         curves.update(zip(new, _expert_outcomes(family, params, init, new, state["times"], dt)))
-    pairs = [(curves[u.treatment_factual], curves[u.treatment_counterfactual]) for u in units]
-    aligned = y_s.transform([align_factual(f, u.factual.y, cf)[1:] for u, (f, cf) in zip(units, pairs)])
-    signals = ExpertGuidanceSignals(f_cf=aligned[:, 1, None], f_f=aligned[:, 0, None])  # (U, 1, T)
+    f, cf = (np.stack([curves[tr] for tr in arms[side::2]]) for side in (0, 1))  # arms alternate f, cf
+    y_f = y_s.transform(np.stack([u.factual.y for u in units]))
+    _, f_f, f_cf = align_factual(f, cf, y_f, np.stack([u.factual.observed for u in units]))
+    signals = ExpertGuidanceSignals(f_cf=f_cf[:, None], f_f=f_f[:, None])  # (U, 1, T)
     a_cf = np.stack([u.counterfactual.a for u in units])[:, None]
     window = FactualWindow.before_divergence(np.stack([u.factual.a for u in units])[:, None], a_cf)
-    return cond, (signals, window, y_s.transform(np.stack([u.factual.y for u in units])[:, None]))
+    return cond, (signals, window, y_f[:, None])
 
 
 def _stage_diffusion(config, state, out, meta):
@@ -513,16 +517,9 @@ def _stage_select_eta(config, state, out, meta):
         return
     val_units = state["train"].units[-gcfg.n_val_units :]  # all of them if fewer
     y_s = state["y_scaler"]
-    target = np.concatenate(
-        [
-            y_s.transform(
-                u.counterfactual.y_clean
-                if u.counterfactual.y_clean is not None
-                else u.counterfactual.y
-            )
-            for u in val_units
-        ]
-    )
+    # an oracle target, the true counterfactual, until eta is chosen from factual data alone
+    cfs = [u.counterfactual for u in val_units]
+    target = np.concatenate([y_s.transform(cf.y if cf.y_clean is None else cf.y_clean) for cf in cfs])
     # one stacked reverse pass: validation units x candidates
     etas = sorted(gcfg.eta_candidates)
     column = np.asarray(etas, float)[:, None, None, None]

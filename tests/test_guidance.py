@@ -4,7 +4,6 @@ import pytest
 import tape_reference as ref
 from odeguide.diff_engine import Tensor
 from odeguide.guidance import (
-    AlignmentTransform,
     ExpertGuidanceSignals,
     FactualWindow,
     GuidanceConfig,
@@ -181,62 +180,122 @@ def test_negative_strengths_rejected():
 # -- alignment ----------------------------------------------------------
 
 
+def _all(n):
+    return np.ones(n, bool)
+
+
 def test_align_identity_when_simulation_matches_observation():
     obs = np.array([0.0, 1.0, 3.0, 2.0])
-    transform, aligned, _ = align_factual(obs, obs)
+    transform, aligned, aligned_cf = align_factual(obs, obs, obs, _all(4))
     assert transform.scale == pytest.approx(1.0)
     assert transform.shift == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(aligned, obs, atol=1e-12)
+    np.testing.assert_allclose(aligned_cf, obs, atol=1e-12)
 
 
 def test_align_recovers_affine_map_and_warps_counterfactual():
     sim = np.array([0.0, 1.0, 2.0, 3.0])
     obs = 2.0 * sim + 3.0
     cf_sim = sim + 1.0
-    transform, aligned_f, aligned_cf = align_factual(sim, obs, cf_sim)
+    transform, aligned_f, aligned_cf = align_factual(sim, cf_sim, obs, _all(4))
     assert transform.scale == pytest.approx(2.0)
     assert transform.shift == pytest.approx(3.0)
     np.testing.assert_allclose(aligned_f, obs, atol=1e-9)
     np.testing.assert_allclose(aligned_cf, 2.0 * cf_sim + 3.0, atol=1e-9)
 
 
+def test_align_fits_on_observed_points_only():
+    sim = np.arange(6.0)
+    obs = 2.0 * sim + 3.0
+    observed = np.array([True, False, True, True, False, True])
+    obs[~observed] = [50.0, -7.0]  # off the map; never read
+    transform, aligned_f, _ = align_factual(sim, sim, obs, observed)
+    assert transform.scale == pytest.approx(2.0)
+    assert transform.shift == pytest.approx(3.0)
+    np.testing.assert_allclose(aligned_f, 2.0 * sim + 3.0, atol=1e-9)
+
+
 def test_align_constant_simulation_uses_pure_shift():
     sim = np.full(4, 2.0)
     obs = np.full(4, 7.0)
-    transform, aligned, _ = align_factual(sim, obs)
+    transform, aligned, _ = align_factual(sim, sim, obs, _all(4))
     assert transform.scale == 1.0
     assert transform.shift == pytest.approx(5.0)
     np.testing.assert_allclose(aligned, obs)
+
+
+def test_align_one_observed_point_gives_a_pure_shift():
+    sim, cf = np.array([1.0, 4.0, 2.0]), np.array([0.0, 1.0, 5.0])
+    observed = np.array([False, True, False])
+    transform, aligned_f, aligned_cf = align_factual(sim, cf, np.array([9.0, 10.0, -3.0]), observed)
+    assert transform.scale == 1.0
+    assert transform.shift == 6.0
+    np.testing.assert_array_equal(aligned_f, sim + 6.0)
+    np.testing.assert_array_equal(aligned_cf, cf + 6.0)
+
+
+def test_align_expert_constant_on_observed_points_gives_a_pure_shift():
+    # the expert varies only where the outcome is unobserved
+    sim = np.array([2.0, 8.0, 2.0, -1.0, 2.0])
+    observed = np.array([True, False, True, False, True])
+    obs = np.array([3.0, 0.0, 4.0, 0.0, 5.0])
+    transform, aligned_f, _ = align_factual(sim, sim, obs, observed)
+    assert transform.scale == 1.0
+    assert transform.shift == pytest.approx(2.0)
+    np.testing.assert_allclose(aligned_f, sim + 2.0)
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, 1e300])
+def test_align_ignores_unobserved_outcomes(poison):
+    rng = np.random.default_rng(4)
+    sim, cf, obs = rng.standard_normal((3, 2, 9))
+    observed = rng.random((2, 9)) < 0.6
+    observed[:, 0] = True
+    poisoned = np.where(observed, obs, poison)
+    (t, f, f_cf), (t_p, f_p, f_cf_p) = (align_factual(sim, cf, y, observed) for y in (obs, poisoned))
+    for a, b in ((f, f_p), (f_cf, f_cf_p), (t.scale, t_p.scale), (t.shift, t_p.shift)):
+        assert np.isfinite(b).all()
+        assert a.tobytes() == b.tobytes()
+
+
+def test_align_each_unit_equals_its_one_unit_call_bitwise():
+    rng = np.random.default_rng(7)
+    sim, cf, obs = rng.standard_normal((3, 5, 15))
+    sim[2] = 0.5  # a constant expert beside fitted ones
+    observed = rng.random((5, 15)) < 0.5
+    observed[:, 0] = True
+    transform, aligned_f, aligned_cf = align_factual(sim, cf, obs, observed)
+    assert transform.scale.shape == transform.shift.shape == (5,)
+    assert transform.scale[2] == 1.0
+    for i in range(5):
+        one, f_i, cf_i = align_factual(sim[i : i + 1], cf[i : i + 1], obs[i : i + 1], observed[i : i + 1])
+        assert f_i.tobytes() == aligned_f[i : i + 1].tobytes()
+        assert cf_i.tobytes() == aligned_cf[i : i + 1].tobytes()
+        assert one.scale.tobytes() == transform.scale[i : i + 1].tobytes()
 
 
 def test_align_reduces_mismatch_under_noise():
     rng = np.random.default_rng(5)
     sim = np.linspace(0.0, 5.0, 20)
     obs = 1.5 * sim - 2.0 + 0.05 * rng.standard_normal(20)
-    _, aligned, _ = align_factual(sim, obs)
+    _, aligned, _ = align_factual(sim, sim, obs, _all(20))
     assert aligned.shape == obs.shape
     rmse_aligned = np.sqrt(np.mean((aligned - obs) ** 2))
     rmse_raw = np.sqrt(np.mean((sim - obs) ** 2))
     assert rmse_aligned < rmse_raw
 
 
-def test_align_warp_equals_the_path_loop_bitwise():
-    # a longer simulation than observation, so observed points meet several
-    # path steps; each aligned point sums its mapped values in path order
-    rng = np.random.default_rng(9)
-    sim, obs, cf = rng.standard_normal(40), rng.standard_normal(13), rng.standard_normal(40)
-    transform, aligned_f, aligned_cf = align_factual(sim, obs, cf)
-    for series, aligned in ((sim, aligned_f), (cf, aligned_cf)):
-        sums, counts = np.zeros(obs.size), np.zeros(obs.size)
-        for i, j in transform.path:
-            sums[j] += transform.scale * series[i] + transform.shift
-            counts[j] += 1
-        assert (sums / counts).tobytes() == aligned.tobytes()
+def test_align_rejects_curves_of_different_lengths():
+    sim, obs = np.arange(5.0), np.arange(4.0)
+    with pytest.raises(ValueError, match=r"expert curves \(5,\) and \(5,\), outcome \(4,\)"):
+        align_factual(sim, sim, obs, _all(4))
 
 
 def test_align_rejects_empty_input():
     with pytest.raises(ValueError, match="nonempty"):
-        align_factual(np.array([]), np.array([1.0]))
+        align_factual(np.array([]), np.array([]), np.array([]), _all(0))
+    with pytest.raises(ValueError, match="nonempty"):
+        align_factual(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)), np.array([[True] * 3, [False] * 3]))
 
 
 # -- strength selection -------------------------------------------------

@@ -148,6 +148,19 @@ def test_evaluate_ensembles_perfect_prediction(tmp_path):
     assert report.n_units == 2 and report.n_samples == 5
 
 
+@pytest.mark.parametrize("poison", [np.nan, 100.0])
+def test_cate_reads_only_observed_factual_outcomes(poison):
+    from odeguide.datagen import gen_dex_dataset
+
+    units = gen_dex_dataset(n_patients=3, seed=0, n_days=4).units
+    assert not all(u.factual.observed.all() for u in units)
+    rng = np.random.default_rng(1)
+    ensembles = [u.counterfactual.y + rng.standard_normal((4, u.counterfactual.y.size)) for u in units]
+    clean = evaluate_ensembles(ensembles, units).cate_rmse
+    poisoned = evaluate_ensembles(ensembles, [_poison_unobserved(u, poison) for u in units]).cate_rmse
+    assert np.isfinite(clean) and poisoned == clean
+
+
 def test_evaluate_ensembles_requires_matching_lengths():
     with pytest.raises(ValueError, match="one ensemble per"):
         evaluate_ensembles([], [])
@@ -251,9 +264,45 @@ def test_each_guidance_curve_equals_its_single_schedule_simulation(tmp_path, mon
         signals = guidance[0]
         for i, unit in enumerate(units):
             f_sim, cf_sim = single(unit.treatment_factual), single(unit.treatment_counterfactual)
-            _, f, cf = harness.align_factual(f_sim, unit.factual.y, cf_sim)
-            np.testing.assert_array_equal(signals.f_f[i, 0], y_s.transform(f))
-            np.testing.assert_array_equal(signals.f_cf[i, 0], y_s.transform(cf))
+            y_f, observed = y_s.transform(unit.factual.y), unit.factual.observed
+            _, f, cf = harness.align_factual(f_sim[None], cf_sim[None], y_f[None], observed[None])
+            np.testing.assert_array_equal(signals.f_f[i], f)
+            np.testing.assert_array_equal(signals.f_cf[i], cf)
+
+
+def _poison_unobserved(unit, poison):
+    """``unit`` with ``poison`` added to its factual outcome (and clean
+    outcome) wherever that is unobserved."""
+    from dataclasses import replace
+
+    f = unit.factual
+    hidden = np.where(f.observed, 0.0, poison)
+    y_clean = None if f.y_clean is None else f.y_clean + hidden
+    return replace(unit, factual=replace(f, y=f.y + hidden, y_clean=y_clean))
+
+
+@pytest.mark.parametrize("poison", [np.nan, 100.0])
+def test_guidance_signals_do_not_read_unobserved_factual_outcomes(tmp_path, monkeypatch, poison):
+    built = []
+    original = harness._unit_inputs
+
+    def recorded(state, units, arm, guided=False):
+        if guided:
+            built.append((state, units))
+        return original(state, units, arm, guided)
+
+    monkeypatch.setattr(harness, "_unit_inputs", recorded)
+    guidance = {"eta_candidates": [0.0, 0.01], "nu": 0.01, "select": True, "n_val_units": 2}
+    run_experiment(_tiny_config(tmp_path, guidance=guidance))
+    assert len(built) == 2  # the select-eta and the sample stage
+    for state, units in built:
+        assert not all(u.factual.observed.all() for u in units)
+        clean = original(state, units, "counterfactual", True)[1][0]
+        poisoned = [_poison_unobserved(u, poison) for u in units]
+        dirty = original(state, poisoned, "counterfactual", True)[1][0]
+        assert np.isfinite(dirty.f_f).all() and np.isfinite(dirty.f_cf).all()
+        assert dirty.f_f.tobytes() == clean.f_f.tobytes()
+        assert dirty.f_cf.tobytes() == clean.f_cf.tobytes()
 
 
 def test_traced_run_binds_every_traced_name(tmp_path):
