@@ -18,10 +18,10 @@ one state column form one product (PKPD's five rates on z4, SEIRM's
 recovery and death rates on I), and SEIR-HD's compartment chain is a few
 calls over (B, 10) column blocks. Every entry keeps the operation order of
 the per-compartment expressions, so every row equals its own one-row
-simulation bitwise. A PKPD Hill power whose exponent is 1.0 is skipped, as
-``pow(x, 1.0)`` is ``x``; the others use C ``pow``. The hybrid predictor
-evaluates its expert with the same PKPD and SEIRM kernels, with numpy's
-power.
+simulation bitwise. One kernel serves every caller: data generation, the
+guidance curves and the hybrid predictor. The PKPD Hill terms take numpy's
+power, so with a non-integer exponent their bits follow numpy's SIMD target
+(``x ** 2.0`` is ``x * x`` and ``x ** 1.0`` is ``x`` on every target).
 
 ``seirm_jacobian`` and ``pkpd_jacobian`` give the closed-form Jacobians of
 the SEIRM and PKPD derivatives, which the hybrid predictor backpropagates
@@ -33,7 +33,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -252,18 +251,6 @@ def _columns(state) -> list:
     return [state[..., k] for k in range(state.shape[-1])]
 
 
-def _libm_power(base, exponent) -> np.ndarray:
-    """Elementwise C ``pow``. numpy's array power differs from it in the
-    last bit (about 1 base in 1,000 for squares, 1 in 20 for other
-    exponents); simulations use it so that their trajectories stay those of
-    the one-state scalar integrator earlier datasets were generated with.
-    ``exponent`` is a scalar or, from a per-row parameter, one per base."""
-    per_row = isinstance(exponent, np.ndarray)
-    exps = np.broadcast_to(exponent, base.shape).flat if per_row else repeat(exponent)
-    powers = map(math.pow, base.ravel().tolist(), exps)
-    return np.fromiter(powers, float, base.size).reshape(base.shape)
-
-
 def seirm_jacobian(state: np.ndarray, params: SeirmParams, beta_t) -> np.ndarray:
     """d SEIRM derivative / d state, (..., 5, 5) for states (..., 5); ``beta_t``
     broadcasts against one compartment."""
@@ -308,15 +295,6 @@ def pkpd_jacobian(state: np.ndarray, params: PkpdParams) -> np.ndarray:
     return jac
 
 
-def _bound_power(power, exponent):
-    """``power(base, exponent)`` as a function of the base alone; the
-    identity where every exponent is 1.0, since ``pow(x, 1.0)`` is ``x``
-    bitwise, in C and in numpy alike."""
-    if np.all(np.equal(exponent, 1.0)):
-        return lambda base: base
-    return lambda base: power(base, exponent)
-
-
 def _seirm_block(p):
     """The SEIRM derivative of states on the last axis, with the recovery
     and death rates times I as one product."""
@@ -340,7 +318,21 @@ def _seirm_block(p):
     return seirm
 
 
-def _pkpd_block(p, power):
+def _power(base, exponent):
+    """``base ** exponent``, a per-row (B,) exponent one distinct value at a
+    time: numpy takes a scalar 2.0, 0.5 or -1.0 as ``x * x``, ``sqrt`` or
+    ``1 / x``, which its power by an exponent array need not equal, and so
+    every row keeps the bits of its one-row call."""
+    if np.ndim(exponent) == 0:
+        return base**exponent
+    base, exponent = np.broadcast_arrays(base, exponent)
+    out = np.empty(base.shape)
+    for value in np.unique(exponent):
+        out[exponent == value] = base[exponent == value] ** value
+    return out
+
+
+def _pkpd_block(p):
     """The PKPD derivative of states on the last axis, with every rate that
     multiplies z4 in one product."""
     by_z4 = np.stack(np.broadcast_arrays(p.k_IR, p.k_PF, p.k_DP, p.k_IIR, p.k_DC)).reshape(5, -1)
@@ -348,9 +340,8 @@ def _pkpd_block(p, power):
     k_O, E_max, k_Dex, k_3, k_1, neg_k_2, neg_k_3 = (
         np.asarray(v, float) for v in (p.k_O, p.E_max, p.k_Dex, p.k_3, p.k_1, -p.k_2, -p.k_3)
     )
-    hill_c = np.asarray(p.EC_50**p.h_P, float)
-    hill_power, dc_power = _bound_power(power, p.h_P), _bound_power(power, p.h_C)
-    full = p.full_model
+    hill_c = _power(np.asarray(p.EC_50, float), p.h_P)
+    h_P, h_C, full = p.h_P, p.h_C, p.full_model
 
     def pkpd(x, z3_t):
         if x.ndim != 2:
@@ -360,13 +351,13 @@ def _pkpd_block(p, power):
         z1, z2, z3, z4 = x.T[:4]
         ir, pf, dp, iir, dc = by_z4 * z4
         z1c = np.maximum(z1, 0.0)  # negative immune response is unphysical
-        z1c_h = hill_power(z1c)
+        z1c_h = _power(z1c, h_P)
         hill = E_max * z1c_h / (hill_c + z1c_h)
         np.subtract(ir + pf * z1 - k_O * z1 + hill, k_Dex * z1c * z2, out=out[0])
         np.add(neg_k_2 * z2, k_3 * (z3 + z3_t), out=out[1])
         np.multiply(neg_k_3, z3, out=out[2])
         if full:
-            dc = dc * dc_power(np.maximum(x[:, 4], 0.0))
+            dc = dc * _power(np.maximum(x[:, 4], 0.0), h_C)
             np.multiply(k_1, z1, out=out[4])
         np.subtract(dp - iir * z1, dc, out=out[3])
         return result
@@ -374,16 +365,16 @@ def _pkpd_block(p, power):
     return pkpd
 
 
-def _derivative_fn(family: str, params, power=_libm_power):
+def _derivative_fn(family: str, params):
     """The family's derivative ``f(state, drive)`` over the last axis of a
     state (dim,) or a batch (B, dim), with ``params`` (scalars or (B,)
     vectors) bound once. Each family evaluates over column blocks, every
     entry in the operation order of its per-compartment expressions, so
-    trajectories keep their bits. ``power`` evaluates the PKPD Hill powers."""
+    trajectories keep their bits."""
     if family == "SEIRM":
         return _seirm_block(params)
     if family == "PKPD":
-        return _pkpd_block(params, power)
+        return _pkpd_block(params)
     # SEIR-HD: E, I_A, I_P, I_M, I_S, H_R and H_D (compartments 1-7) form a
     # chain: each gains a share of an upstream exit flow and loses its own
     # outflow.

@@ -4,9 +4,12 @@ regional case-study protocol based on neighbor matching."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import hashlib
 import json
+import platform
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -310,6 +313,24 @@ def _content_hash(config: ExperimentConfig) -> str:
     return h.hexdigest()
 
 
+def _numerics() -> dict:
+    """What fixes a run's bits beside its inputs: the kernel of numpy's
+    OpenBLAS, the SIMD target of numpy's power (the Hill terms with a
+    non-integer exponent), and the versions; "unknown" where numpy does not say."""
+    info = {"numpy_version": np.__version__, "python_version": platform.python_version()}
+    info["blas_core"] = info["power_simd"] = "unknown"
+    with contextlib.suppress(StopIteration, OSError, AttributeError):
+        lib = ctypes.CDLL(str(next(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"))))
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        info["blas_core"] = lib.scipy_openblas_get_corename64_().decode()
+    with contextlib.suppress(ImportError, KeyError, ValueError):
+        from numpy.lib.introspect import opt_func_info
+
+        (power,) = opt_func_info(func_name="power", signature="d")["power"].values()
+        info["power_simd"] = power["current"]
+    return info
+
+
 # -- the runner ---------------------------------------------------------
 
 
@@ -330,6 +351,7 @@ def run_experiment(
     (out / "checkpoints").mkdir(exist_ok=True)
     (out / "config.json").write_text(config.to_json())
     meta: dict = {"seed": config.seed, "content_hash": _content_hash(config), "stages": []}
+    meta.update(_numerics())
 
     def _finish_meta():
         (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2))
@@ -419,7 +441,9 @@ def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False)
     row-invariant ``predict`` call and keeps the rows for later stages.
     Guidance, when ``guided``: the aligned mechanistic signals,
     pre-divergence window and scaled factual outcome of every unit, each
-    (U, 1, T), aligned on the observed scaled outcome by one call. A
+    (U, 1, T), aligned on the observed scaled outcome by one call. The
+    factual outcome is interpolated linearly in time between its observed
+    points, so no unobserved outcome reaches guidance. A
     mechanistic curve depends only on its schedule (the initial state and
     parameters are the run's), so the schedules not yet in the run's
     ``expert_curves`` are simulated in one call and kept. Returns the
@@ -455,8 +479,10 @@ def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False)
         family, params, init, dt = state["expert"]
         curves.update(zip(new, _expert_outcomes(family, params, init, new, state["times"], dt)))
     f, cf = (np.stack([curves[tr] for tr in arms[side::2]]) for side in (0, 1))  # arms alternate f, cf
-    y_f = y_s.transform(np.stack([u.factual.y for u in units]))
-    _, f_f, f_cf = align_factual(f, cf, y_f, np.stack([u.factual.observed for u in units]))
+    observed, times = np.stack([u.factual.observed for u in units]), state["times"]
+    y_f = np.stack([np.interp(times, times[m], u.factual.y[m]) for u, m in zip(units, observed)])
+    y_f = y_s.transform(y_f)
+    _, f_f, f_cf = align_factual(f, cf, y_f, observed)
     signals = ExpertGuidanceSignals(f_cf=f_cf[:, None], f_f=f_f[:, None])  # (U, 1, T)
     a_cf = np.stack([u.counterfactual.a for u in units])[:, None]
     window = FactualWindow.before_divergence(np.stack([u.factual.a for u in units])[:, None], a_cf)

@@ -11,19 +11,17 @@ treatment reaches the expert as the (U, 1) drive of
 ``expert_models.make_drive``, tabulated once per rollout over every stage
 time: the dose plasma level for PKPD, the contact rate beta_t (from the
 unit's own mandate start) for SEIRM. The expert's right-hand side is the
-simulations' block kernel, with numpy's power for the Hill terms. Training
-runs one rollout of the whole training set, keeping every MLP call's layer
-outputs, and takes the gradient by the discrete adjoint of that rollout
-(the exact gradient of the computed loss); a tape copy of the rollout in
-``tests/tape_reference.py`` is its test reference. Inference (``predict``)
-runs the same rollout for any number of units; the MLP forward is
-row-invariant, so a unit's prediction is the same bits whichever units
-share the call.
+simulations' block kernel. Training runs one rollout of the whole training
+set, keeping every MLP call's layer outputs, and takes the gradient by the
+discrete adjoint of that rollout (the exact gradient of the computed loss);
+a tape copy of the rollout in ``tests/tape_reference.py`` is its test
+reference. Inference (``predict``) runs the same rollout for any number of
+units; the MLP forward is row-invariant, so a unit's prediction is the same
+bits whichever units share the call.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -143,11 +141,8 @@ def _expert_jacobian(model: HybridCpModel, z: np.ndarray, drive) -> np.ndarray:
     return pkpd_jacobian(z, p)
 
 
-@lru_cache(maxsize=16)
-def _expert_field(family: str, expert_params):
-    """The family's derivative kernel with the parameters bound, as
-    simulations evaluate it but with numpy's power for the Hill terms."""
-    return _derivative_fn(family, expert_params, operator.pow)
+# the simulations' derivative kernel, bound once per family and parameter set
+_expert_field = lru_cache(maxsize=16)(_derivative_fn)
 
 
 def expert_rhs(model: HybridCpModel, ze, drive):

@@ -1,9 +1,9 @@
 """Per-compartment SEIRM and PKPD derivative expressions, written with plain
-arithmetic so that they evaluate on numpy floats, on arrays of rows and on
-tape Tensors: the reference that the block kernels of ``expert_models`` and
-their closed-form Jacobians are tested against."""
+arithmetic so that they evaluate on numpy floats and on arrays of rows (the
+SEIRM terms also on tape Tensors): the reference that the block kernels of
+``expert_models`` and their closed-form Jacobians are tested against. The
+PKPD Hill powers take numpy's array power, as the kernels do."""
 
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -22,17 +22,22 @@ def seirm_terms(s, e, i, r, m, params: SeirmParams, beta_t):
     return ds, de, di, dr, dm
 
 
-def pkpd_terms(state: Sequence, params: PkpdParams, z3_t, power=operator.pow):
+def array_power(base, exponent):
+    """``base ** exponent`` as numpy's array power, which the block kernels
+    take, also for a scalar base, whose ``**`` would be C ``pow``."""
+    return (np.asarray(base)[None] ** exponent)[0]
+
+
+def pkpd_terms(state: Sequence, params: PkpdParams, z3_t):
     """Immune/drug derivative expressions; ``z3_t`` is the dosing signal
-    added to the plasma state when it feeds lung-tissue uptake, and
-    ``power`` evaluates the two Hill powers."""
+    added to the plasma state when it feeds lung-tissue uptake."""
     if params.full_model:
         z1, z2, z3, z4, z5 = state
     else:
         z1, z2, z3, z4 = state
     z1c = np.maximum(z1, 0.0)  # negative immune response is unphysical
-    z1c_h = power(z1c, params.h_P)
-    hill = params.E_max * z1c_h / (params.EC_50**params.h_P + z1c_h)
+    z1c_h = array_power(z1c, params.h_P)
+    hill = params.E_max * z1c_h / (array_power(params.EC_50, params.h_P) + z1c_h)
     dz1 = (
         params.k_IR * z4
         + params.k_PF * z4 * z1
@@ -44,7 +49,7 @@ def pkpd_terms(state: Sequence, params: PkpdParams, z3_t, power=operator.pow):
     dz3 = -params.k_3 * z3
     if params.full_model:
         z5c = np.maximum(z5, 0.0)
-        dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4 * power(z5c, params.h_C)
+        dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4 * array_power(z5c, params.h_C)
         dz5 = params.k_1 * z1
         return dz1, dz2, dz3, dz4, dz5
     dz4 = params.k_DP * z4 - params.k_IIR * z4 * z1 - params.k_DC * z4

@@ -1,6 +1,4 @@
 import json
-import math
-import operator
 import struct
 from dataclasses import fields, replace
 from typing import Sequence
@@ -21,7 +19,6 @@ from odeguide.expert_models import (
     SeirmParams,
     TreatmentSchedule,
     _derivative_fn,
-    _libm_power,
     _row_params,
     make_drive,
     pkpd_jacobian,
@@ -471,24 +468,6 @@ def test_covid_generator_rows_equal_reference(monkeypatch):
     _assert_rows_match_reference(spec, grid)
 
 
-@pytest.mark.parametrize("exponent", [2.0, 1.7])
-@pytest.mark.parametrize("shape", [(), (7,), (7, 1)])
-def test_libm_power_equals_math_pow_elementwise(shape, exponent):
-    base = np.random.default_rng(9).exponential(3.0, shape)
-    if shape == ():
-        base = np.float64(base)  # what np.maximum gives a one-state column
-    got = _libm_power(base, exponent)
-    assert got.shape == shape and got.dtype == np.float64
-    assert got.ravel().tolist() == [math.pow(b, exponent) for b in np.ravel(base).tolist()]
-
-
-def test_libm_power_takes_one_exponent_per_row():
-    base = np.random.default_rng(10).exponential(3.0, 5)
-    exponents = np.array([1.0, 2.0, 1.7, 2.3, 3.0])
-    want = [math.pow(b, e) for b, e in zip(base.tolist(), exponents.tolist())]
-    assert _libm_power(base, exponents).tolist() == want
-
-
 def test_single_row_batch_equals_reference_and_unbatched():
     p = PkpdParams(full_model=True)
     init = np.array([8.0, 0.02, 0.01, 12.0, 9.0])
@@ -578,7 +557,7 @@ def test_drive_table_equals_one_time_calls_at_every_rk4_stage_bitwise(case):
     assert np.array_equal(drive(times), np.hstack([drive(t) for t in times]))
 
 
-def _stacked_terms(family, params, state, drive, power=_libm_power):
+def _stacked_terms(family, params, state, drive):
     """The per-compartment expressions on (..., 1) state columns, joined on
     the last axis: what simulations and the hybrid evaluated before the
     block kernels."""
@@ -586,7 +565,7 @@ def _stacked_terms(family, params, state, drive, power=_libm_power):
     drive = np.asarray(drive, float)[..., None]
     if family == "SEIRM":
         return np.concatenate(seirm_terms(*cols, params, drive), axis=-1)
-    return np.concatenate(pkpd_terms(cols, params, drive, power), axis=-1)
+    return np.concatenate(pkpd_terms(cols, params, drive), axis=-1)
 
 
 # rows on both sides of each relu kink (z1 for PKPD, and z5 for the 5-dim model)
@@ -671,21 +650,20 @@ KERNEL_CASES = {
 }
 
 
-@pytest.mark.parametrize("power", [_libm_power, operator.pow], ids=["libm", "numpy"])
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_block_kernel_equals_the_stacked_terms_bitwise(case, power):
+def test_block_kernel_equals_the_stacked_terms_bitwise(case):
     family, params = KERNEL_CASES[case]
     dim = SEIRM_DIM if family == "SEIRM" else params.dim
     state = _kernel_states(dim, np.random.default_rng(11))
     drive = np.linspace(0.0, 0.9, len(state))
-    kernel = _derivative_fn(family, params, power)
+    kernel = _derivative_fn(family, params)
     got = kernel(state, drive)
     assert got.shape == state.shape
-    assert got.tobytes() == _stacked_terms(family, params, state, drive, power).tobytes()
+    assert got.tobytes() == _stacked_terms(family, params, state, drive).tobytes()
     for r in range(len(state)):  # one (dim,) state, with a scalar drive
-        want = _stacked_terms(family, params, state[r], drive[r], power)
+        want = _stacked_terms(family, params, state[r], drive[r])
         assert kernel(state[r], drive[r]).tobytes() == want.tobytes(), f"row {r}"
-    assert kernel(state, 0.4).tobytes() == _stacked_terms(family, params, state, 0.4, power).tobytes()
+    assert kernel(state, 0.4).tobytes() == _stacked_terms(family, params, state, 0.4).tobytes()
 
 
 PER_ROW_FIELDS = {
@@ -707,6 +685,26 @@ def test_block_kernel_with_per_row_parameters_equals_each_row_bitwise(case):
     for r, params in enumerate(rows):
         want = _stacked_terms(family, params, state[r], drive[r])
         assert got[r].tobytes() == want.tobytes(), f"row {r}"
+
+
+def test_per_row_hill_exponents_keep_each_rows_one_row_bits():
+    # numpy takes a scalar exponent of 2.0, 0.5 or -1.0 on a shortcut (x * x,
+    # sqrt, 1 / x) that its power of a per-row exponent need not equal, and
+    # C pow(0.6, 2.3), a Python float's power, is not numpy's on every target
+    base = PkpdParams(full_model=True)
+    kinds = (
+        base,
+        replace(base, h_P=1.7, h_C=0.5),
+        replace(base, h_C=-1.0),
+        replace(base, h_P=1.0, h_C=2.3),
+        replace(base, EC_50=0.6, h_P=2.3),
+    )
+    rows = kinds * 400
+    state = np.random.default_rng(14).exponential(4.0, (len(rows), 5))
+    got = _derivative_fn("PKPD", _row_params(rows))(state, 0.3)
+    kernels = {params: _derivative_fn("PKPD", params) for params in kinds}
+    for r, params in enumerate(rows):
+        assert got[r].tobytes() == kernels[params](state[r], 0.3).tobytes(), f"row {r}"
 
 
 def test_simulate_expert_with_per_row_pkpd_parameters_equals_the_reference_loop():
@@ -742,7 +740,7 @@ def test_dex_generator_rows_equal_reference(monkeypatch):
 @example(0x7FEFFFFFFFFFFFFF)  # the largest finite double
 @example(1 << 63)  # -0.0, which np.maximum(-0.0, 0.0) may return
 def test_pow_with_exponent_one_is_the_identity_bitwise(bits):
-    # the kernels skip a Hill power whose exponent is 1.0 on this property
+    # numpy's power by 1.0 is the identity, so a Hill term with h_C = 1.0
+    # (the default) keeps the bits of the bare state
     x = struct.unpack("<d", struct.pack("<Q", bits))[0]
-    assert struct.pack("<d", math.pow(x, 1.0)) == struct.pack("<d", x)
     assert (np.array([x]) ** 1.0).tobytes() == np.array([x]).tobytes()

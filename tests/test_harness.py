@@ -297,12 +297,28 @@ def test_guidance_signals_do_not_read_unobserved_factual_outcomes(tmp_path, monk
     assert len(built) == 2  # the select-eta and the sample stage
     for state, units in built:
         assert not all(u.factual.observed.all() for u in units)
-        clean = original(state, units, "counterfactual", True)[1][0]
+        clean, _, clean_y_f = original(state, units, "counterfactual", True)[1]
         poisoned = [_poison_unobserved(u, poison) for u in units]
-        dirty = original(state, poisoned, "counterfactual", True)[1][0]
+        dirty, _, dirty_y_f = original(state, poisoned, "counterfactual", True)[1]
         assert np.isfinite(dirty.f_f).all() and np.isfinite(dirty.f_cf).all()
         assert dirty.f_f.tobytes() == clean.f_f.tobytes()
         assert dirty.f_cf.tobytes() == clean.f_cf.tobytes()
+        assert np.isfinite(dirty_y_f).all()
+        assert dirty_y_f.tobytes() == clean_y_f.tobytes()
+
+
+def test_run_meta_records_what_fixes_the_bits(tmp_path, monkeypatch):
+    run_experiment(_tiny_config(tmp_path), stop_after="data")
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    for key in ("blas_core", "power_simd", "numpy_version", "python_version"):
+        assert isinstance(meta[key], str) and meta[key], key
+    assert meta["numpy_version"] == np.__version__
+
+    def missing(*args):
+        raise OSError("no such library")
+
+    monkeypatch.setattr(harness.ctypes, "CDLL", missing)
+    assert harness._numerics()["blas_core"] == "unknown"
 
 
 def test_traced_run_binds_every_traced_name(tmp_path):

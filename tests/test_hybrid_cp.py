@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tape_reference as ref
-from expert_terms import seirm_terms
+from expert_terms import array_power, seirm_terms
 from odeguide import diff_engine as de
 from odeguide import hybrid_cp
 from odeguide.datagen import gen_covid_dataset, gen_dex_dataset
@@ -12,6 +12,7 @@ from odeguide.expert_models import (
     PkpdParams,
     SeirmParams,
     TreatmentSchedule,
+    _derivative_fn,
     make_drive,
 )
 from odeguide.hybrid_cp import (
@@ -75,6 +76,17 @@ def test_expert_derivative_matches_mechanistic_terms():
     got = expert_rhs(model, ze, treatment_drive(model, sched, 0.0))
     want = np.array(seirm_terms(*ze, params, params.beta))
     np.testing.assert_allclose(np.asarray(got, float), want)
+
+
+@pytest.mark.parametrize("full_model", [False, True], ids=["4-dim", "5-dim"])
+def test_hybrid_expert_equals_the_simulation_kernel_bitwise(full_model):
+    # non-integer Hill exponents, which no power shortcut takes
+    params = PkpdParams(h_P=1.7, h_C=2.3, full_model=full_model)
+    model = make_hybrid_model("PKPD", params, d_x=3, config=TINY)
+    ze = np.random.default_rng(15).exponential(4.0, (200, params.dim))
+    drive = np.linspace(0.0, 1.0, len(ze))[:, None]  # (U, 1), as a rollout passes it
+    want = _derivative_fn("PKPD", params)(ze, drive[:, 0])
+    assert expert_rhs(model, ze, drive).tobytes() == want.tobytes()
 
 
 def test_zeroed_readouts_predict_zero_everywhere():
@@ -381,7 +393,7 @@ def _tape_expert_rhs(model, ze, drive):
         return ref.concat(seirm_terms(*cols, p, drive))
     z1, z2, z3, z4 = cols[:4]
     z1c = _tape_relu(z1)
-    hill = p.E_max * z1c**p.h_P / (p.EC_50**p.h_P + z1c**p.h_P)
+    hill = p.E_max * z1c**p.h_P / (array_power(p.EC_50, p.h_P) + z1c**p.h_P)
     dz1 = p.k_IR * z4 + p.k_PF * z4 * z1 - p.k_O * z1 + hill - p.k_Dex * z1c * z2
     dz2 = -p.k_2 * z2 + p.k_3 * (z3 + drive)
     dz3 = -p.k_3 * z3
