@@ -19,9 +19,10 @@ recovery and death rates on I), and SEIR-HD's compartment chain is a few
 calls over (B, 10) column blocks. Every entry keeps the operation order of
 the per-compartment expressions, so every row equals its own one-row
 simulation bitwise. One kernel serves every caller: data generation, the
-guidance curves and the hybrid predictor. The PKPD Hill terms take numpy's
-power, so with a non-integer exponent their bits follow numpy's SIMD target
-(``x ** 2.0`` is ``x * x`` and ``x ** 1.0`` is ``x`` on every target).
+guidance curves and the hybrid predictor. The PKPD rows of a batch share
+their Hill exponents, so each Hill term is one numpy power by a scalar; with
+a non-integer exponent its bits follow numpy's SIMD target (``x ** 2.0`` is
+``x * x`` and ``x ** 1.0`` is ``x`` on every target).
 
 ``seirm_jacobian`` and ``pkpd_jacobian`` give the closed-form Jacobians of
 the SEIRM and PKPD derivatives, which the hybrid predictor backpropagates
@@ -198,7 +199,9 @@ class TreatmentSchedule:
 class ExpertOdeSpec:
     """One simulation, or a batch of them: ``init`` is (dim,) or (B, dim),
     and with a batch ``params`` and ``treatment`` may each be a length-B
-    tuple with one entry per row instead of one value for all rows."""
+    tuple with one entry per row instead of one value for all rows. PKPD
+    rows share one model dimension and one pair of Hill exponents ``h_P``
+    and ``h_C``; their ``EC_50`` and rates may differ."""
 
     family: str  # "SEIRM" | "SEIRHD" | "PKPD"
     params: SeirmParams | SeirhdParams | PkpdParams | tuple
@@ -216,10 +219,10 @@ class ExpertOdeSpec:
         expected = {"SEIRM": SEIRM_DIM, "SEIRHD": SEIRHD_DIM}.get(self.family)
         if self.family == "PKPD":
             rows = self.params if isinstance(self.params, tuple) else (self.params,)
-            dims = {p.dim for p in rows}
-            if len(dims) > 1:
-                raise ValueError("PKPD rows must share one model dimension")
-            (expected,) = dims
+            shared = {(p.dim, p.h_P, p.h_C) for p in rows}
+            if len(shared) > 1:
+                raise ValueError("PKPD rows must share one model dimension, h_P and h_C")
+            ((expected, _, _),) = shared
         if expected is None:
             raise ValueError(f"unknown family {self.family!r}")
         if init.shape[-1] != expected:
@@ -278,7 +281,7 @@ def pkpd_jacobian(state: np.ndarray, params: PkpdParams) -> np.ndarray:
     p = params
     z1, z2, _, z4 = _columns(state)[:4]
     z1c = np.maximum(z1, 0.0)
-    c = p.EC_50**p.h_P
+    c = np.asarray(p.EC_50, float) ** p.h_P  # the kernel's Hill constant, bit for bit
     hill_slope = p.E_max * p.h_P * z1c ** (p.h_P - 1) * c / (c + z1c**p.h_P) ** 2
     jac = np.zeros(state.shape + (p.dim,))
     jac[..., 0, 0] = p.k_PF * z4 - p.k_O + (z1 > 0) * (hill_slope - p.k_Dex * z2)
@@ -318,20 +321,6 @@ def _seirm_block(p):
     return seirm
 
 
-def _power(base, exponent):
-    """``base ** exponent``, a per-row (B,) exponent one distinct value at a
-    time: numpy takes a scalar 2.0, 0.5 or -1.0 as ``x * x``, ``sqrt`` or
-    ``1 / x``, which its power by an exponent array need not equal, and so
-    every row keeps the bits of its one-row call."""
-    if np.ndim(exponent) == 0:
-        return base**exponent
-    base, exponent = np.broadcast_arrays(base, exponent)
-    out = np.empty(base.shape)
-    for value in np.unique(exponent):
-        out[exponent == value] = base[exponent == value] ** value
-    return out
-
-
 def _pkpd_block(p):
     """The PKPD derivative of states on the last axis, with every rate that
     multiplies z4 in one product."""
@@ -340,7 +329,7 @@ def _pkpd_block(p):
     k_O, E_max, k_Dex, k_3, k_1, neg_k_2, neg_k_3 = (
         np.asarray(v, float) for v in (p.k_O, p.E_max, p.k_Dex, p.k_3, p.k_1, -p.k_2, -p.k_3)
     )
-    hill_c = _power(np.asarray(p.EC_50, float), p.h_P)
+    hill_c = np.asarray(p.EC_50, float) ** p.h_P
     h_P, h_C, full = p.h_P, p.h_C, p.full_model
 
     def pkpd(x, z3_t):
@@ -351,13 +340,13 @@ def _pkpd_block(p):
         z1, z2, z3, z4 = x.T[:4]
         ir, pf, dp, iir, dc = by_z4 * z4
         z1c = np.maximum(z1, 0.0)  # negative immune response is unphysical
-        z1c_h = _power(z1c, h_P)
+        z1c_h = z1c**h_P
         hill = E_max * z1c_h / (hill_c + z1c_h)
         np.subtract(ir + pf * z1 - k_O * z1 + hill, k_Dex * z1c * z2, out=out[0])
         np.add(neg_k_2 * z2, k_3 * (z3 + z3_t), out=out[1])
         np.multiply(neg_k_3, z3, out=out[2])
         if full:
-            dc = dc * _power(np.maximum(x[:, 4], 0.0), h_C)
+            dc = dc * np.maximum(x[:, 4], 0.0) ** h_C
             np.multiply(k_1, z1, out=out[4])
         np.subtract(dp - iir * z1, dc, out=out[3])
         return result

@@ -22,7 +22,8 @@ class SelectionError(RuntimeError):
 class GuidanceConfig:
     eta: float = 0.0  # counterfactual relation guidance strength
     nu: float = 0.0  # factual consistency guidance strength
-    eta_candidates: tuple[float, ...] = (0.0, 10.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0)
+    # inside the explicit step's bound, eta < 0.1716 with both relation terms
+    eta_candidates: tuple[float, ...] = (0.0, 0.005, 0.01, 0.02, 0.05, 0.1)
     use_value: bool = True
     use_direction: bool = True
     select: bool = False  # pick eta from eta_candidates by a validation sweep

@@ -7,17 +7,18 @@ latent state is one packed (U, m_y + e + m_x) array (z_y | z_e | z_x), one
 row per unit, stepped by ``ode_core.rk4_update``, the same RK4 that steps
 the expert alone; so every RK4 stage is one batched evaluation of each
 learned field, and the outcome field reads the packed state whole. Each unit's
-treatment reaches the expert as the (U, 1) drive of
-``expert_models.make_drive``, tabulated once per rollout over every stage
-time: the dose plasma level for PKPD, the contact rate beta_t (from the
-unit's own mandate start) for SEIRM. The expert's right-hand side is the
-simulations' block kernel. Training runs one rollout of the whole training
-set, keeping every MLP call's layer outputs, and takes the gradient by the
-discrete adjoint of that rollout (the exact gradient of the computed loss);
-a tape copy of the rollout in ``tests/tape_reference.py`` is its test
-reference. Inference (``predict``) runs the same rollout for any number of
-units; the MLP forward is row-invariant, so a unit's prediction is the same
-bits whichever units share the call.
+treatment reaches the expert through ``expert_models.make_drive``,
+tabulated once per rollout over every stage time, and each stage reads its
+(U,) row of that table, as a simulation does: the dose plasma level for
+PKPD, the contact rate beta_t (from the unit's own mandate start) for SEIRM.
+The expert's right-hand side is the simulations' block kernel. Training
+runs one rollout of the whole training set, keeping every MLP call's layer
+outputs, and takes the gradient by the discrete adjoint of that rollout (the
+exact gradient of the computed loss); a tape copy of the rollout in
+``tests/tape_reference.py`` is its test reference. Inference (``predict``)
+runs the same rollout for any number of units; the MLP forward is
+row-invariant, so a unit's prediction is the same bits whichever units
+share the call.
 """
 
 from __future__ import annotations
@@ -127,17 +128,11 @@ def encode_init(model: HybridCpModel, mlp, x0, a0, y0):
     return zx0, zy0, ze0
 
 
-def _drive_column(drive):
-    """A drive that broadcasts against one state column, (U, 1) or a
-    scalar, as one that broadcasts against one compartment, (U,)."""
-    return drive[..., 0] if np.ndim(drive) else drive
-
-
 def _expert_jacobian(model: HybridCpModel, z: np.ndarray, drive) -> np.ndarray:
     """d expert_rhs / d z, (..., e, e)."""
     p = model.expert_params
     if model.family == "SEIRM":
-        return seirm_jacobian(z, p, _drive_column(drive))
+        return seirm_jacobian(z, p, drive)
     return pkpd_jacobian(z, p)
 
 
@@ -147,9 +142,9 @@ _expert_field = lru_cache(maxsize=16)(_derivative_fn)
 
 def expert_rhs(model: HybridCpModel, ze, drive):
     """Mechanistic derivative of the expert state (last axis) under the
-    treatment drive; never learned. ``drive`` broadcasts against one state
-    column: a scalar for one unit, (U, 1) for a batch."""
-    return _expert_field(model.family, model.expert_params)(ze, _drive_column(drive))
+    treatment drive; never learned. ``drive`` broadcasts against one
+    compartment: a scalar for one unit, (U,) for a batch."""
+    return _expert_field(model.family, model.expert_params)(ze, drive)
 
 
 def readout(mlp, zy, zx, ze, a_t):
@@ -161,12 +156,12 @@ def readout(mlp, zy, zx, ze, a_t):
 
 def _drive_table(model: HybridCpModel, times: np.ndarray, treatments):
     """Each grid interval's size, the step of its one RK4 update, and the
-    (U, 1) drive at a stage time of those steps, tabulated once over every
+    (U,) drive at a stage time of those steps, tabulated once over every
     stage."""
     dts = np.diff(times)
     drive = make_drive(model.family, model.expert_params, treatments)
     table, row = tabulate_drive(drive, times[:-1], dts)
-    return dts, lambda t: table[row[t], :, None]
+    return dts, lambda t: table[row[t]]
 
 
 def rollout(

@@ -61,17 +61,18 @@ def wasserstein1_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``wasserstein1`` of each row of ``a`` (R, n) against the same row of
     ``b`` (R, m). Equal sizes reduce to the mean absolute difference of the
     sorted samples; unequal sizes integrate |F_a^{-1} - F_b^{-1}| over the
-    merged quantile grid. Each row is reduced alone, which keeps its bits."""
+    merged quantile grid. Each row is reduced alone over C-contiguous rows
+    (``a[:, ia]`` would be Fortran-ordered), which keeps its bits."""
     a, b = np.sort(a, axis=1), np.sort(b, axis=1)
     n, m = a.shape[1], b.shape[1]
     if n == m:
-        return np.array([np.mean(row) for row in np.abs(a - b)])
+        return np.abs(a - b).mean(axis=1)
     edges = sorted_unique(np.concatenate([np.arange(1, n + 1) / n, np.arange(1, m + 1) / m]))
     widths = np.diff(np.concatenate([[0.0], edges]))
     mids = edges - widths / 2
     ia = np.minimum((mids * n).astype(int), n - 1)
     ib = np.minimum((mids * m).astype(int), m - 1)
-    return np.array([np.sum(row) for row in widths * np.abs(a[:, ia] - b[:, ib])])
+    return (widths * np.abs(a.take(ia, axis=1) - b.take(ib, axis=1))).sum(axis=1)
 
 
 def wasserstein1(samples_a, samples_b) -> float:

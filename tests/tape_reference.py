@@ -291,8 +291,9 @@ def normalize_expert_state(raw, family: str, expert_params):
 
 
 def expert_rhs(model: hc.HybridCpModel, ze, drive):
-    """``hybrid_cp.expert_rhs``; a Tensor ``ze`` gives one tape node whose
-    gradient is the product with the closed-form Jacobian."""
+    """``hybrid_cp.expert_rhs`` of (U, e) states under the (U,) ``drive``;
+    a Tensor ``ze`` gives one tape node whose gradient is the product with
+    the closed-form Jacobian."""
     z = ze.data if isinstance(ze, Tensor) else ze
     dze = hc.expert_rhs(model, z, drive)
     vjp = lambda g: np.einsum("...i,...ij->...j", g, hc._expert_jacobian(model, z, drive))

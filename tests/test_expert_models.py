@@ -615,6 +615,17 @@ def test_jacobian_matches_central_differences(case):
     np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-8)
 
 
+def test_pkpd_jacobian_takes_the_kernels_hill_constant_bitwise():
+    # C pow(0.6, 2.3), a Python float's power, is one ulp from numpy's
+    # power on some targets; the Jacobian must differentiate the kernel's
+    p = PkpdParams(EC_50=0.6, h_P=2.3)
+    state = np.array([0.7, 0.3, 0.1, 2.0])
+    z1, z2, _, z4 = state
+    c = np.asarray(0.6) ** 2.3
+    slope = p.E_max * p.h_P * z1 ** (p.h_P - 1) * c / (c + z1**p.h_P) ** 2
+    assert pkpd_jacobian(state, p)[0, 0] == p.k_PF * z4 - p.k_O + (slope - p.k_Dex * z2)
+
+
 def test_pkpd_jacobian_takes_the_relu_slope_zero_at_the_kink():
     p = PkpdParams(full_model=True)
     jac = pkpd_jacobian(np.array([0.0, 0.3, 0.1, 2.0, 0.0]), p)
@@ -667,9 +678,10 @@ def test_block_kernel_equals_the_stacked_terms_bitwise(case):
 
 
 PER_ROW_FIELDS = {
-    "PKPD-4": ("PKPD", PkpdParams(), ("k_IR", "k_PF", "k_O", "E_max", "EC_50", "h_P", "k_Dex",
+    "PKPD-4": ("PKPD", PkpdParams(), ("k_IR", "k_PF", "k_O", "E_max", "EC_50", "k_Dex",
                                       "k_2", "k_3", "k_DP", "k_IIR", "k_DC")),
-    "PKPD-5": ("PKPD", PkpdParams(full_model=True), ("h_P", "h_C", "k_1", "k_DC", "k_IIR")),
+    "PKPD-5": ("PKPD", PkpdParams(full_model=True, h_P=2.3, h_C=1.7),
+               ("EC_50", "k_1", "k_DC", "k_IIR")),
     "SEIRM": ("SEIRM", SeirmParams(0.5, 0.3, 0.25, 0.02, 1000.0), ("alpha", "gamma", "mu", "N")),
 }
 
@@ -677,7 +689,7 @@ PER_ROW_FIELDS = {
 @pytest.mark.parametrize("case", sorted(PER_ROW_FIELDS))
 def test_block_kernel_with_per_row_parameters_equals_each_row_bitwise(case):
     family, base, names = PER_ROW_FIELDS[case]
-    scales = (1.0, 1.3, 0.7, 1.0, 2.1, 1.15)  # rows 0 and 3 keep every exponent at its default
+    scales = (1.0, 1.3, 0.7, 1.0, 2.1, 1.15)
     rows = tuple(replace(base, **{n: getattr(base, n) * f for n in names}) for f in scales)
     state = _kernel_states(SEIRM_DIM if family == "SEIRM" else base.dim, np.random.default_rng(12))
     drive = np.linspace(0.1, 0.6, len(rows))
@@ -687,17 +699,27 @@ def test_block_kernel_with_per_row_parameters_equals_each_row_bitwise(case):
         assert got[r].tobytes() == want.tobytes(), f"row {r}"
 
 
-def test_per_row_hill_exponents_keep_each_rows_one_row_bits():
-    # numpy takes a scalar exponent of 2.0, 0.5 or -1.0 on a shortcut (x * x,
-    # sqrt, 1 / x) that its power of a per-row exponent need not equal, and
-    # C pow(0.6, 2.3), a Python float's power, is not numpy's on every target
+@pytest.mark.parametrize("field", ["h_P", "h_C"])
+def test_spec_rejects_pkpd_rows_with_different_hill_exponents(field):
     base = PkpdParams(full_model=True)
+    with pytest.raises(ValueError, match="h_P and h_C"):
+        ExpertOdeSpec(
+            family="PKPD",
+            params=(base, replace(base, **{field: 1.5})),
+            init=np.ones((2, 5)),
+            treatment=TreatmentSchedule(kind="dosing"),
+        )
+
+
+def test_per_row_ec50_under_shared_hill_exponents_keeps_each_rows_bits():
+    # C pow(0.6, 2.3), a Python float's power, is not numpy's on every
+    # target: each row's Hill constant must be numpy's, as in its one-row call
+    base = PkpdParams(full_model=True, h_P=2.3, h_C=1.7)
     kinds = (
         base,
-        replace(base, h_P=1.7, h_C=0.5),
-        replace(base, h_C=-1.0),
-        replace(base, h_P=1.0, h_C=2.3),
-        replace(base, EC_50=0.6, h_P=2.3),
+        replace(base, EC_50=0.6),
+        replace(base, EC_50=0.35, k_IR=0.2, k_DC=0.3),
+        replace(base, k_Dex=0.8, k_3=1.4, k_1=0.02),
     )
     rows = kinds * 400
     state = np.random.default_rng(14).exponential(4.0, (len(rows), 5))
@@ -708,8 +730,8 @@ def test_per_row_hill_exponents_keep_each_rows_one_row_bits():
 
 
 def test_simulate_expert_with_per_row_pkpd_parameters_equals_the_reference_loop():
-    base = PkpdParams(full_model=True)
-    params = (base, replace(base, h_C=1.6, k_IR=0.2), replace(base, h_P=1.0, k_DC=0.3), base)
+    base = PkpdParams(full_model=True, h_P=2.3, h_C=1.7)
+    params = (base, replace(base, EC_50=0.6, k_IR=0.2), replace(base, k_DC=0.3), base)
     init = np.random.default_rng(13).exponential(4.0, (4, 5))
     init[1, 0], init[2, 4], init[3, 4] = -1.0, -0.5, 0.0  # start below each relu kink
     spec = ExpertOdeSpec(

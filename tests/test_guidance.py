@@ -517,3 +517,25 @@ def test_the_direction_term_on_a_one_point_grid_raises_naming_its_length():
     value_only = GuidanceConfig(use_direction=False)  # u = 1 - 0 - 0.5
     assert loss_cf(one, 0.0 * one, signals, value_only) == 0.25
     np.testing.assert_array_equal(grad_loss_cf(one, 0.0 * one, signals, value_only), [1.0])
+
+
+def test_every_default_eta_candidate_keeps_the_guided_step_a_contraction():
+    # the guided step y - eta grad_cf - nu grad_f maps y - y* by I - A with
+    # A = eta H_cf + nu H_f; it contracts when A's eigenvalues lie in (0, 2)
+    T, nu = 15, 0.01
+    config = GuidanceConfig()
+    rng = np.random.default_rng(0)
+    y_f = rng.standard_normal(T)
+    signals = _signals(rng.standard_normal(T), rng.standard_normal(T))
+    window = FactualWindow(mask=np.arange(T) < 5)
+    zero = np.zeros(T)
+
+    def hessian(grad):
+        return np.stack([grad(e) - grad(zero) for e in np.eye(T)], axis=1)
+
+    h_cf = hessian(lambda v: grad_loss_cf(v, y_f, signals, config))
+    h_f = hessian(lambda v: grad_loss_f(v, y_f, window))
+    for eta in config.eta_candidates:
+        if eta > 0:
+            eigs = np.linalg.eigvalsh(eta * h_cf + nu * h_f)
+            assert 0 < eigs.min() and eigs.max() < 2, eta

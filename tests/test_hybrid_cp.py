@@ -84,8 +84,8 @@ def test_hybrid_expert_equals_the_simulation_kernel_bitwise(full_model):
     params = PkpdParams(h_P=1.7, h_C=2.3, full_model=full_model)
     model = make_hybrid_model("PKPD", params, d_x=3, config=TINY)
     ze = np.random.default_rng(15).exponential(4.0, (200, params.dim))
-    drive = np.linspace(0.0, 1.0, len(ze))[:, None]  # (U, 1), as a rollout passes it
-    want = _derivative_fn("PKPD", params)(ze, drive[:, 0])
+    drive = np.linspace(0.0, 1.0, len(ze))  # (U,), as a rollout passes it
+    want = _derivative_fn("PKPD", params)(ze, drive)
     assert expert_rhs(model, ze, drive).tobytes() == want.tobytes()
 
 
@@ -386,8 +386,9 @@ def _tape_relu(z):
 def _tape_expert_rhs(model, ze, drive):
     """The expert derivative as the tape recorded it before it became one
     node: a slice node per state column and a node per arithmetic operation
-    of the SEIRM or PKPD terms."""
+    of the SEIRM or PKPD terms. ``drive`` is (U,), one entry per unit."""
     cols = [ze[..., k : k + 1] for k in range(model.e_dim)]
+    drive = drive[:, None]
     p = model.expert_params
     if model.family == "SEIRM":
         return ref.concat(seirm_terms(*cols, p, drive))
@@ -496,8 +497,8 @@ class _DrivePerCall:
     def __init__(self, drive):
         self.drive = drive
 
-    def __getitem__(self, key):
-        return self.drive(key[0])
+    def __getitem__(self, t):
+        return self.drive(t)[:, 0]
 
 
 class _SameTime(dict):
