@@ -48,13 +48,14 @@ RELAXED_MANDATE_WEEK = 40.0
 
 @dataclass
 class Trajectory:
-    """Time-indexed record of outcome, covariates, and treatment."""
+    """Time-indexed record of outcome, covariates, and treatment of one
+    unit's arm, or of U units' arms on a leading unit axis (``stack_arm``)."""
 
     times: np.ndarray  # (T,)
-    y: np.ndarray  # (T,)
-    x: np.ndarray  # (T, d_x)
-    a: np.ndarray  # (T,) ints in {0, 1}
-    observed: np.ndarray  # (T,) bool
+    y: np.ndarray  # (T,) or (U, T)
+    x: np.ndarray  # (T, d_x) or (U, T, d_x)
+    a: np.ndarray  # (T,) or (U, T), ints in {0, 1}
+    observed: np.ndarray  # (T,) or (U, T), bool
     y_clean: np.ndarray | None = None  # noiseless outcome, when known
 
     @property
@@ -63,7 +64,7 @@ class Trajectory:
 
     @property
     def d_x(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
 
 @dataclass
@@ -75,6 +76,25 @@ class UnitRecord:
     treatment_factual: TreatmentSchedule
     treatment_counterfactual: TreatmentSchedule
     group: str
+
+
+def stack_arm(units: list[UnitRecord], arm: str) -> Trajectory:
+    """The ``arm`` ("factual" or "counterfactual") of every unit on a leading
+    unit axis: ``y``, ``a``, ``observed`` and ``y_clean`` (a unit's own ``y``
+    where it has none) are (U, T), ``x`` is (U, T, d_x). Raises unless all
+    units share one time grid."""
+    trajs = [getattr(u, arm) for u in units]
+    times = trajs[0].times
+    if any(not np.array_equal(tr.times, times) for tr in trajs):
+        raise ValueError("all units must share one time grid")
+    return Trajectory(
+        times=times,
+        y=np.stack([tr.y for tr in trajs]),
+        x=np.stack([tr.x for tr in trajs]),
+        a=np.stack([tr.a for tr in trajs]),
+        observed=np.stack([tr.observed for tr in trajs]),
+        y_clean=np.stack([tr.y if tr.y_clean is None else tr.y_clean for tr in trajs]),
+    )
 
 
 @dataclass

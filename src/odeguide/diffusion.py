@@ -4,11 +4,12 @@ prediction, inverse-propensity-reweighted training, and ensemble sampling."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import diff_engine as de
-from .datagen import Dataset, UnitRecord
+from .datagen import Dataset, UnitRecord, stack_arm
 from .diff_engine import MlpSpec, ParamSet, TrainingError
 
 
@@ -141,6 +142,15 @@ def make_denoiser(
     return model
 
 
+@lru_cache(maxsize=8)
+def _embedding_table(t_d: int) -> np.ndarray:
+    """Read-only (t_d, 2 N_FREQ) table whose row tau - 1 is
+    ``timestep_embedding(tau, t_d)``."""
+    table = np.stack([de.timestep_embedding(tau, t_d) for tau in range(1, t_d + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def _predict_y0(model, params, y_tau, tau, t_d, cond_vec):
     """Clean-signal estimate with a skip connection: the network learns the
     correction to the noisy sample, which keeps the low-noise regime
@@ -158,7 +168,7 @@ def _predict_y0(model, params, y_tau, tau, t_d, cond_vec):
     y_tau, cond_vec = np.asarray(y_tau, float), np.asarray(cond_vec, float)
     Ws, bs = ([params[f"den_{k}{i}"] for i in range(len(model.spec.activations))] for k in "Wb")
     W_y, W_e, W_c = np.split(Ws[0], [model.horizon, model.horizon + 2 * de.N_FREQ])
-    emb = de.timestep_embedding(tau, t_d)[None]
+    emb = _embedding_table(t_d)[tau - 1 : tau]
     fixed = de._rows(emb, W_e) + de._rows(cond_vec.reshape(-1, W_c.shape[0]), W_c)
     noisy = de._rows(y_tau.reshape(-1, model.horizon), W_y).reshape(*y_tau.shape[:-1], -1)
     pre = noisy + fixed.reshape(*cond_vec.shape[:-1], -1) + bs[0]
@@ -189,14 +199,12 @@ _NEWTON_STEPS = 50  # at most; the fit stops once a step is below 1e-10
 def fit_propensity(dataset: Dataset) -> PropensityModel:
     """Maximum-likelihood logistic fit on (x_t, a_{t-1}) -> a_t pairs from
     the factual arms (Newton-Raphson with ridge damping)."""
-    feats, labels = [], []
-    for unit in dataset.units:
-        traj = unit.factual
-        for t in range(1, traj.horizon):
-            feats.append(np.concatenate([traj.x[t], [float(traj.a[t - 1]), 1.0]]))
-            labels.append(float(traj.a[t]))
-    X = np.asarray(feats)
-    yv = np.asarray(labels)
+    f = stack_arm(dataset.units, "factual")
+    a = f.a.astype(float)
+    # one row per unit and time t >= 1, unit-major: (x_t | a_{t-1} | 1)
+    X = np.concatenate([f.x[:, 1:], a[:, :-1, None], np.ones_like(a[:, 1:, None])], axis=2)
+    X = X.reshape(-1, f.d_x + 2)
+    yv = a[:, 1:].ravel()
     w = np.zeros(X.shape[1])
     for _ in range(_NEWTON_STEPS):
         with np.errstate(over="ignore"):  # 1 / (1 + inf) is the exact limit 0
@@ -256,8 +264,6 @@ def train_diffusion(
     if n == 0:
         raise ValueError("training set must be nonempty")
     rng = np.random.default_rng([seed, 13])
-    t_d = schedule.t_d  # row tau - 1 of the table embeds step tau
-    table = np.stack([de.timestep_embedding(k, t_d) for k in range(1, t_d + 1)])
     params = model.params
     state = de.AdamState()
     losses: list[float] = []
@@ -279,7 +285,6 @@ def train_diffusion(
                 weights[idx],
                 taus,
                 eps,
-                table[taus - 1],
             )
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
@@ -292,14 +297,12 @@ def train_diffusion(
     return trained, losses
 
 
-def _noised_inputs(model, schedule, y0, cond, taus, eps, embeds):
+def _noised_inputs(model, schedule, y0, cond, taus, eps):
     """The noisy rows ``y_tau`` and the denoiser's input rows
     (y_tau | embedding | conditioning)."""
     abar = schedule.alpha_bar[taus - 1]
     y_tau = np.sqrt(abar)[:, None] * y0 + np.sqrt(1.0 - abar)[:, None] * eps
-    if embeds is None:  # no table rows given: embed each row's tau here
-        embeds = np.stack([de.timestep_embedding(int(t), schedule.t_d) for t in taus])
-    return y_tau, np.concatenate([y_tau, embeds, cond], axis=1)
+    return y_tau, np.concatenate([y_tau, _embedding_table(schedule.t_d)[taus - 1], cond], axis=1)
 
 
 def _weighted_sse(y0_hat, y0, mask, row_weights):
@@ -317,12 +320,12 @@ def _batch_loss_fn(params, model, schedule, *batch):
     return loss_and_grad(params)[0]
 
 
-def _batch_loss_and_grad(params, model, schedule, y0, cond, mask, weights, taus, eps, embeds=None):
+def _batch_loss_and_grad(params, model, schedule, y0, cond, mask, weights, taus, eps):
     """The batch loss and its parameter gradient from one forward and one
     backward pass. The backward takes the steps of the tape in
     ``tests/tape_reference.py`` in the tape's order, so both are bitwise
     the tape's."""
-    y_tau, inputs = _noised_inputs(model, schedule, y0, cond, taus, eps, embeds)
+    y_tau, inputs = _noised_inputs(model, schedule, y0, cond, taus, eps)
     n_layers = len(model.spec.activations)
     Ws, bs = ([params[f"den_{k}{i}"] for i in range(n_layers)] for k in "Wb")
     hs = de.mlp_forward(model.spec, Ws, bs, inputs)

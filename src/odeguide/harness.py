@@ -23,6 +23,7 @@ from .datagen import (
     gen_covid_dataset,
     gen_dex_dataset,
     read_dataset,
+    stack_arm,
     synthetic_census,
 )
 from .diff_engine import check_count, check_rate
@@ -176,8 +177,8 @@ class ExperimentConfig:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_json(self) -> str:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
+    def to_json(self, omit=()) -> str:
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in omit}
         return json.dumps(data, sort_keys=True, indent=2)
 
 
@@ -248,46 +249,33 @@ def _unit_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
 
-def evaluate_ensembles(
-    ensembles: list[np.ndarray], units: list[UnitRecord]
-) -> MetricReport:
-    """Score counterfactual ensembles (original units) against the held-out
-    counterfactual arms; the treatment effect is scored on each unit's
-    observed factual points."""
-    if len(ensembles) != len(units) or not units:
+def evaluate_ensembles(ensembles, units: list[UnitRecord]) -> MetricReport:
+    """Score the (U, n_samples, T) counterfactual ensembles of ``units``
+    (original scale; a list of U (n_samples, T) arrays also works) against
+    their held-out counterfactual arms, clean where known; the treatment
+    effect is scored on each unit's observed factual points."""
+    ens = np.asarray(ensembles, float)
+    if len(ens) != len(units) or not units:
         raise ValueError("need one ensemble per evaluated unit")
-    for ens, unit in zip(ensembles, units):
-        if not np.all(np.isfinite(ens)):
-            raise ValueError(f"evaluate: ensemble of unit {unit.unit_id!r} is not finite")
-    truths = []
-    effects_est, effects_true = [], []
-    means = []
-    for ens, unit in zip(ensembles, units):
-        cf = unit.counterfactual
-        truth = cf.y_clean if cf.y_clean is not None else cf.y
-        truths.append(np.asarray(truth, float))
-        means.append(ens.mean(axis=0))
-        f, obs = unit.factual, unit.factual.observed
-        f_clean = f.y_clean if f.y_clean is not None else f.y
-        effects_est.append(np.asarray(f.y, float)[obs] - means[-1][obs])
-        effects_true.append(np.asarray(f_clean, float)[obs] - truths[-1][obs])
-    mean_cat = np.concatenate(means)
-    truth_cat = np.concatenate(truths)
-    rmse = float(np.sqrt(np.mean((mean_cat - truth_cat) ** 2)))
-    corr = pearson(mean_cat, truth_cat)
-    per_unit = [interval_scores(e, t) for e, t in zip(ensembles, truths)]
+    finite = np.isfinite(ens).reshape(len(units), -1).all(axis=1)
+    if not finite.all():
+        unit = units[int(np.argmin(finite))]
+        raise ValueError(f"evaluate: ensemble of unit {unit.unit_id!r} is not finite")
+    f, truths = stack_arm(units, "factual"), stack_arm(units, "counterfactual").y_clean
+    means, obs = ens.mean(axis=1), f.observed
+    per_unit = [interval_scores(e, t) for e, t in zip(ens, truths)]
     cov75, cov90, cov95, calib = (float(np.mean(unit_scores)) for unit_scores in zip(*per_unit))
-    pooled = np.concatenate([e.T for e in ensembles], axis=1)  # (T, units x samples)
+    pooled = ens.transpose(2, 0, 1).reshape(ens.shape[2], -1)  # (T, units x samples)
     return MetricReport(
-        wasserstein1=float(np.mean(wasserstein1_rows(pooled, np.stack(truths, axis=1)))),
-        rmse=rmse,
+        wasserstein1=float(np.mean(wasserstein1_rows(pooled, truths.T))),
+        rmse=float(np.sqrt(np.mean((means - truths) ** 2))),
         pi_coverage_75=cov75,
         pi_coverage_90=cov90,
         pi_coverage_95=cov95,
-        cate_rmse=cate_rmse(np.concatenate(effects_est), np.concatenate(effects_true)),
+        cate_rmse=cate_rmse(f.y[obs] - means[obs], f.y_clean[obs] - truths[obs]),
         calibration_score=calib,
-        pearson_corr=corr,
-        n_samples=int(ensembles[0].shape[0]),
+        pearson_corr=pearson(means, truths),
+        n_samples=ens.shape[1],
         n_units=len(units),
     )
 
@@ -303,7 +291,9 @@ def _write_ensembles_csv(path: Path, unit_ids, times, ensembles) -> None:
 
 
 def _content_hash(config: ExperimentConfig) -> str:
-    h = hashlib.sha256(config.to_json().encode())
+    """SHA-256 of the config but its ``out_dir`` and of every file under its
+    dataset ``path``: the same inputs hash alike wherever a run writes."""
+    h = hashlib.sha256(config.to_json(omit={"out_dir"}).encode())
     if "path" in config.dataset:
         root = Path(config.dataset["path"])
         for p in sorted(root.rglob("*")):
@@ -386,11 +376,10 @@ def _stage_data(config, state, out, meta):
     if n < 2:
         raise ValueError(f"need at least 2 units to hold out a test unit, got {n}")
     # the hybrid predictor integrates all units together on one grid
-    if any(not np.array_equal(u.factual.times, units[0].factual.times) for u in units):
-        raise ValueError("all units must share one time grid")
-    n_times, history = units[0].factual.horizon, PropensityModel.history_length
-    if n_times < history:
-        raise ValueError(f"the grid has {n_times} points; the propensity model needs {history}")
+    factual = stack_arm(units, "factual")
+    times, history = factual.times, PropensityModel.history_length
+    if times.size < history:
+        raise ValueError(f"the grid has {times.size} points; the propensity model needs {history}")
     for u in units:
         f = u.factual
         # every rollout and the hybrid encoders start from y[0] and x[0]
@@ -398,14 +387,20 @@ def _stage_data(config, state, out, meta):
             raise ValueError(f"unit {u.unit_id!r} has an unobserved first factual point")
         if not (np.isfinite(f.y[f.observed]).all() and np.isfinite(f.x[f.observed]).all()):
             raise ValueError(f"unit {u.unit_id!r} has a non-finite factual y or x at an observed point")
+        # ensembles are sampled on the factual grid and scored against this arm
+        if not np.array_equal(u.counterfactual.times, times):
+            raise ValueError(f"unit {u.unit_id!r} has counterfactual times off the factual grid")
     rng = np.random.default_rng([config.seed, 23])
     n_test = min(max(1, round(config.evaluation.get("test_fraction", 0.2) * n)), n - 1)
     perm = rng.permutation(n)
+    # both arms of every unit, stacked once; stages take rows by index
+    state["units"], state["factual"] = units, factual
+    state["counterfactual"] = stack_arm(units, "counterfactual")
+    state["test_rows"], state["train_rows"] = perm[:n_test], perm[n_test:]
     state["test_units"] = [units[i] for i in perm[:n_test]]
     train_units = [units[i] for i in perm[n_test:]]
     state["train"] = Dataset(units=train_units, schema_version=1, seed=config.seed, config={})
-    state["times"] = units[0].factual.times
-    state["d_x"] = units[0].factual.d_x
+    state["times"] = times
     kind = dataset.config.get("kind", config.dataset.get("kind", "dex"))
     state["expert"] = _expert_setup(kind, config.expert)
     meta["n_train"], meta["n_test"] = len(train_units), n_test
@@ -413,7 +408,7 @@ def _stage_data(config, state, out, meta):
 
 def _stage_hybrid(config, state, out, meta):
     family, params, _, _ = state["expert"]
-    model = make_hybrid_model(family, params, state["d_x"], config.hybrid_config, seed=config.seed)
+    model = make_hybrid_model(family, params, state["factual"].d_x, config.hybrid_config, config.seed)
     model, losses = train_hybrid(model, state["train"])
     (out / "checkpoints" / "hybrid.json").write_text(model.params.to_json())
     state["hybrid"] = model
@@ -431,85 +426,78 @@ def _stage_propensity(config, state, out, meta):
     meta["mean_iptw_weight"] = float(state["weights"].mean())
 
 
-def _unit_inputs(state, units: list[UnitRecord], arm: str, guided: bool = False):
-    """Inputs of one sampling stage for all its units, stacked on a leading
-    unit axis, each kind built by one batched call.
+def _unit_inputs(state, rows, arm: str, guided: bool = False):
+    """Inputs of one sampling stage for the run's units ``rows`` (indices
+    into ``state["units"]`` and its stacked arms), stacked on a leading unit
+    axis, each kind built by one batched call.
 
     Conditioning: the scaled hybrid prediction of every unit's ``arm``,
     started from the factual initial observation (all that is available at
-    deployment); the first call rolls out both arms of every unit in one
-    row-invariant ``predict`` call and keeps the rows for later stages.
-    Guidance, when ``guided``: the aligned mechanistic signals,
-    pre-divergence window and scaled factual outcome of every unit, each
-    (U, 1, T), aligned on the observed scaled outcome by one call. The
-    factual outcome is interpolated linearly in time between its observed
-    points, so no unobserved outcome reaches guidance. A
-    mechanistic curve depends only on its schedule (the initial state and
-    parameters are the run's), so the schedules not yet in the run's
-    ``expert_curves`` are simulated in one call and kept. Returns the
-    conditioning context and the guidance triple, or None for the latter
-    when not ``guided``.
+    deployment); the first call rolls out both arms of every unit of the run
+    in one row-invariant ``predict`` call, all factual rows then all
+    counterfactual rows, and keeps them for later stages. Guidance, when
+    ``guided``: the aligned mechanistic signals, pre-divergence window and
+    scaled factual outcome of every unit, each (U, 1, T), aligned on the
+    observed scaled outcome by one call. The factual outcome is interpolated
+    linearly in time between its observed points, so no unobserved outcome
+    reaches guidance. A mechanistic curve depends only on its schedule (the
+    initial state and parameters are the run's), so the schedules not yet
+    in the run's ``expert_curves`` are simulated in one call and kept.
+    Returns the conditioning context and the guidance triple, or None for
+    the latter when not ``guided``.
     """
+    f, times = state["factual"], state["times"]
     if "predictions" not in state:
-        every = state["train"].units + state["test_units"]
-        pairs = [(u, side) for u in every for side in ("factual", "counterfactual")]
-        trajs = [getattr(u, side) for u, side in pairs]
+        sides = ("factual", "counterfactual")
+        both = [state[side] for side in sides]
         y_all, x_all = predict(
             state["hybrid"],
-            np.stack([u.factual.x[0] for u, _ in pairs]),
-            [float(tr.a[0]) for tr in trajs],
-            [float(u.factual.y[0]) for u, _ in pairs],
-            np.stack([tr.a for tr in trajs]),
-            state["times"],
-            [getattr(u, f"treatment_{side}") for u, side in pairs],
+            np.concatenate([f.x[:, 0]] * 2),
+            np.concatenate([tr.a[:, 0] for tr in both]),
+            np.concatenate([f.y[:, 0]] * 2),
+            np.concatenate([tr.a for tr in both]),
+            times,
+            [getattr(u, f"treatment_{side}") for side in sides for u in state["units"]],
         )
-        state["predictions"] = {(u.unit_id, side): i for i, (u, side) in enumerate(pairs)}, y_all, x_all
-    index, y_all, x_all = state["predictions"]
-    rows = [index[u.unit_id, arm] for u in units]
-    y_p, x_p, a = y_all[rows], x_all[rows], np.stack([getattr(u, arm).a for u in units])
+        state["predictions"] = dict(zip(sides, zip(np.split(y_all, 2), np.split(x_all, 2))))
+    y_p, x_p = (v[rows] for v in state["predictions"][arm])
     y_s, x_s = state["y_scaler"], state["x_scalers"]
     x_scaled = np.stack([x_s[j].transform(x_p[..., j]) for j in range(x_p.shape[-1])], axis=-1)
-    cond = ConditioningContext(y_prime=y_s.transform(y_p), x=x_scaled, a=a.astype(float))
+    a = state[arm].a[rows].astype(float)
+    cond = ConditioningContext(y_prime=y_s.transform(y_p), x=x_scaled, a=a)
     if not guided:
         return cond, None
     curves = state.setdefault("expert_curves", {})
-    arms = [tr for u in units for tr in (u.treatment_factual, u.treatment_counterfactual)]
-    new = list(dict.fromkeys(tr for tr in arms if tr not in curves))
+    units = [state["units"][i] for i in rows]
+    schedules = [tr for u in units for tr in (u.treatment_factual, u.treatment_counterfactual)]
+    new = list(dict.fromkeys(tr for tr in schedules if tr not in curves))
     if new:
         family, params, init, dt = state["expert"]
-        curves.update(zip(new, _expert_outcomes(family, params, init, new, state["times"], dt)))
-    f, cf = (np.stack([curves[tr] for tr in arms[side::2]]) for side in (0, 1))  # arms alternate f, cf
-    observed, times = np.stack([u.factual.observed for u in units]), state["times"]
-    y_f = np.stack([np.interp(times, times[m], u.factual.y[m]) for u, m in zip(units, observed)])
+        curves.update(zip(new, _expert_outcomes(family, params, init, new, times, dt)))
+    f_sim, cf_sim = (np.stack([curves[tr] for tr in schedules[side::2]]) for side in (0, 1))
+    observed = f.observed[rows]
+    y_f = np.stack([np.interp(times, times[m], y[m]) for y, m in zip(f.y[rows], observed)])
     y_f = y_s.transform(y_f)
-    _, f_f, f_cf = align_factual(f, cf, y_f, observed)
+    _, f_f, f_cf = align_factual(f_sim, cf_sim, y_f, observed)
     signals = ExpertGuidanceSignals(f_cf=f_cf[:, None], f_f=f_f[:, None])  # (U, 1, T)
-    a_cf = np.stack([u.counterfactual.a for u in units])[:, None]
-    window = FactualWindow.before_divergence(np.stack([u.factual.a for u in units])[:, None], a_cf)
+    a_cf = state["counterfactual"].a[rows]
+    window = FactualWindow.before_divergence(f.a[rows][:, None], a_cf[:, None])
     return cond, (signals, window, y_f[:, None])
 
 
 def _stage_diffusion(config, state, out, meta):
-    train_units = state["train"].units
-    y_obs = np.concatenate([u.factual.y[u.factual.observed] for u in train_units])
-    state["y_scaler"] = Scaler.fit(y_obs)
-    d_x = state["d_x"]
-    state["x_scalers"] = [
-        Scaler.fit(
-            np.concatenate([u.factual.x[u.factual.observed, j] for u in train_units])
-        )
-        for j in range(d_x)
-    ]
+    rows, f = state["train_rows"], state["factual"]
+    y, observed = f.y[rows], f.observed[rows]
+    state["y_scaler"] = Scaler.fit(y[observed])
+    state["x_scalers"] = [Scaler.fit(column) for column in f.x[rows][observed].T]
     cfg = config.diffusion_config
-    denoiser = make_denoiser(state["times"].size, d_x, cfg.hidden, seed=config.seed)
-    y0_rows = np.stack([state["y_scaler"].transform(u.factual.y) for u in train_units])
-    cond, _ = _unit_inputs(state, train_units, "factual")
-    mask_rows = np.stack([u.factual.observed.astype(float) for u in train_units])
+    denoiser = make_denoiser(f.horizon, f.d_x, cfg.hidden, seed=config.seed)
+    cond, _ = _unit_inputs(state, rows, "factual")
     denoiser, losses = train_diffusion(
         denoiser,
-        y0_rows,
+        state["y_scaler"].transform(y),
         cond.vector(),
-        mask_rows,
+        observed.astype(float),
         state["weights"],
         config.diffusion_schedule,
         cfg,
@@ -520,17 +508,17 @@ def _stage_diffusion(config, state, out, meta):
     meta["diffusion_final_loss"] = losses[-1]
 
 
-def _stacked_samples(config, state, units, key, n_samples, eta=None, nu=None) -> np.ndarray:
-    """One reverse pass over ``units``, each unit drawing from its own
-    sub-seed ``(config.seed, key, i)``; (K, 1, 1, 1) ``eta`` and ``nu``
-    columns guide K stacked copies, (K, U, n_samples, T), that share the
-    noise. Unguided when ``eta`` is None: (U, n_samples, T)."""
-    cond, guidance = _unit_inputs(state, units, "counterfactual", guided=eta is not None)
+def _stacked_samples(config, state, rows, key, n_samples, eta=None, nu=None) -> np.ndarray:
+    """One reverse pass over the run's units ``rows``, each unit drawing
+    from its own sub-seed ``(config.seed, key, i)``; (K, 1, 1, 1) ``eta``
+    and ``nu`` columns guide K stacked copies, (K, U, n_samples, T), that
+    share the noise. Unguided when ``eta`` is None: (U, n_samples, T)."""
+    cond, guidance = _unit_inputs(state, rows, "counterfactual", guided=eta is not None)
     guide = None
     if eta is not None:
         signals, window, y_f = guidance
         guide = make_guide_fn(y_f, signals, window, config.guidance_config, eta=eta, nu=nu)
-    seeds = [_unit_seed(config.seed, key, i) for i in range(len(units))]
+    seeds = [_unit_seed(config.seed, key, i) for i in range(len(rows))]
     return sample(state["denoiser"], cond, config.diffusion_schedule, n_samples, seeds, guide).samples
 
 
@@ -541,15 +529,13 @@ def _stage_select_eta(config, state, out, meta):
     if gcfg is None or not gcfg.select:
         state["eta"] = None if gcfg is None else gcfg.eta
         return
-    val_units = state["train"].units[-gcfg.n_val_units :]  # all of them if fewer
-    y_s = state["y_scaler"]
+    val = state["train_rows"][-gcfg.n_val_units :]  # all of them if fewer
     # an oracle target, the true counterfactual, until eta is chosen from factual data alone
-    cfs = [u.counterfactual for u in val_units]
-    target = np.concatenate([y_s.transform(cf.y if cf.y_clean is None else cf.y_clean) for cf in cfs])
+    target = state["y_scaler"].transform(state["counterfactual"].y_clean[val]).ravel()
     # one stacked reverse pass: validation units x candidates
     etas = sorted(gcfg.eta_candidates)
     column = np.asarray(etas, float)[:, None, None, None]
-    ens = _stacked_samples(config, state, val_units, 41, gcfg.n_val_samples, column, gcfg.nu)
+    ens = _stacked_samples(config, state, val, 41, gcfg.n_val_samples, column, gcfg.nu)
 
     def sampler(eta, _seed):
         # select_eta hands back config.seed, which the pass above used;
@@ -567,19 +553,19 @@ def _stage_select_eta(config, state, out, meta):
 
 def _stage_sample(config, state, out, meta):
     n_samples = config.evaluation.get("n_samples", 100)
-    units = state["test_units"]
-    unit_ids = [u.unit_id for u in units]
+    rows = state["test_rows"]
+    unit_ids = [u.unit_id for u in state["test_units"]]
     y_s = state["y_scaler"]
     if config.guidance is None:
-        state["unguided"] = list(y_s.inverse(_stacked_samples(config, state, units, 29, n_samples)))
+        state["unguided"] = y_s.inverse(_stacked_samples(config, state, rows, 29, n_samples))
         _write_ensembles_csv(out / "ensembles.csv", unit_ids, state["times"], state["unguided"])
         return
     # one stacked pass: copy 0 has zero strengths and is bitwise the
     # unguided ensemble, copy 1 is the guided one
     eta = np.array([0.0, state["eta"]])[:, None, None, None]
     nu = np.array([0.0, config.guidance_config.nu])[:, None, None, None]
-    unguided, guided = y_s.inverse(_stacked_samples(config, state, units, 29, n_samples, eta, nu))
-    state["unguided"], state["guided"] = list(unguided), list(guided)
+    unguided, guided = y_s.inverse(_stacked_samples(config, state, rows, 29, n_samples, eta, nu))
+    state["unguided"], state["guided"] = unguided, guided
     _write_ensembles_csv(out / "ensembles.csv", unit_ids, state["times"], guided)
     _write_ensembles_csv(out / "ensembles_unguided.csv", unit_ids, state["times"], unguided)
 

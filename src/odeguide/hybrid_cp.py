@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import diff_engine as de
-from .datagen import Dataset, UnitRecord
+from .datagen import Dataset, UnitRecord, stack_arm
 from .diff_engine import MlpSpec, ParamSet, TrainingError
 from .expert_models import (
     PkpdParams,
@@ -250,20 +250,10 @@ def _factual_batch(units: list[UnitRecord]):
     """The factual arms of ``units`` as ``rollout``'s inputs after
     ``params``, and the (unit, time) indices of the observed points,
     unit-major, with their outcomes and covariates."""
-    trajs = [u.factual for u in units]
-    times = trajs[0].times
-    if any(not np.array_equal(tr.times, times) for tr in trajs):
-        raise ValueError("all units must share one time grid")
-    inputs = (
-        np.stack([tr.x[0] for tr in trajs]),
-        [float(tr.a[0]) for tr in trajs],
-        [float(tr.y[0]) for tr in trajs],
-        np.stack([tr.a for tr in trajs]),
-        times,
-        [u.treatment_factual for u in units],
-    )
-    obs = np.nonzero(np.stack([tr.observed for tr in trajs]))
-    return inputs, obs, np.stack([tr.y for tr in trajs])[obs], np.stack([tr.x for tr in trajs])[obs]
+    f = stack_arm(units, "factual")
+    inputs = (f.x[:, 0], f.a[:, 0], f.y[:, 0], f.a, f.times, [u.treatment_factual for u in units])
+    obs = np.nonzero(f.observed)
+    return inputs, obs, f.y[obs], f.x[obs]
 
 
 def _mse(y_hat, x_hat, obs, y, x):

@@ -351,9 +351,9 @@ def dataset_loss(model: hc.HybridCpModel, tensors, units):
 # -- the denoiser and the guidance losses on the tape ----------------------
 
 
-def batch_loss(tensors, model, schedule, y0, cond, mask, weights, taus, eps, embeds=None):
+def batch_loss(tensors, model, schedule, y0, cond, mask, weights, taus, eps):
     """``diffusion._batch_loss_fn`` with the denoiser as one tape node."""
-    y_tau, inputs = _noised_inputs(model, schedule, y0, cond, taus, eps, embeds)
+    y_tau, inputs = _noised_inputs(model, schedule, y0, cond, taus, eps)
     y0_hat = mlp_apply(model.spec, tensors, inputs, prefix="den_") + y_tau
     return _weighted_sse(y0_hat, y0, mask, weights * schedule.loss_weights[taus - 1])
 

@@ -12,6 +12,7 @@ from odeguide.datagen import (
     irregular_mask,
     read_dataset,
     seirhd_initial_state,
+    stack_arm,
     synthetic_census,
     write_dataset,
 )
@@ -249,3 +250,34 @@ def test_dataset_written_without_noiseless_column_still_loads(tmp_path):
         assert other.factual.y_clean is None and other.counterfactual.y_clean is None
         assert np.array_equal(unit.factual.y, other.factual.y)
         assert np.array_equal(unit.factual.observed, other.factual.observed)
+
+
+@pytest.mark.parametrize("arm", ["factual", "counterfactual"])
+def test_stack_arm_puts_every_unit_on_a_leading_axis(arm):
+    units = gen_covid_dataset(synthetic_census(n_cities=3, seed=1), seed=1, n_weeks=6).units
+    stacked = stack_arm(units, arm)
+    assert stacked.y.shape == stacked.a.shape == stacked.observed.shape == (3, 6)
+    assert stacked.x.shape == (3, 6, 2) and stacked.d_x == 2 and stacked.horizon == 6
+    for i, u in enumerate(units):
+        traj = getattr(u, arm)
+        for name in ("y", "x", "a", "observed", "y_clean"):
+            assert getattr(stacked, name)[i].tobytes() == getattr(traj, name).tobytes(), name
+    assert stacked.times.tobytes() == units[0].factual.times.tobytes()
+
+
+def test_stack_arm_rejects_mixed_grids():
+    units = gen_dex_dataset(n_patients=3, seed=0, n_days=4).units
+    units[2].counterfactual.times = units[2].counterfactual.times + 0.5
+    stack_arm(units, "factual")
+    with pytest.raises(ValueError, match="all units must share one time grid"):
+        stack_arm(units, "counterfactual")
+
+
+def test_stack_arm_falls_back_to_y_per_unit_without_a_clean_outcome():
+    units = gen_dex_dataset(n_patients=3, seed=0, n_days=4).units
+    units[1].factual.y_clean = None
+    stacked = stack_arm(units, "factual")
+    assert stacked.y_clean[1].tobytes() == units[1].factual.y.tobytes()
+    for i in (0, 2):
+        assert stacked.y_clean[i].tobytes() == units[i].factual.y_clean.tobytes()
+        assert not np.array_equal(stacked.y_clean[i], stacked.y[i])  # noisy y differs

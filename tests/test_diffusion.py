@@ -169,6 +169,25 @@ def test_fit_propensity_recovers_treatment_signal():
     assert np.mean(probs_treated) > np.mean(probs_control)
 
 
+@pytest.mark.parametrize("kind", ["dex", "covid"])
+def test_fit_propensity_keeps_the_per_unit_loops_bits(kind):
+    """The stacked feature block holds the per-unit loop's rows in its
+    order, so the fit and every weight keep their bits."""
+    import unit_loop_reference
+
+    from odeguide.datagen import gen_covid_dataset, synthetic_census
+
+    if kind == "dex":
+        data = gen_dex_dataset(n_patients=12, seed=2, n_days=8)
+        assert not all(u.factual.observed.all() for u in data.units)
+    else:
+        data = gen_covid_dataset(synthetic_census(n_cities=5, seed=1), seed=1)
+    got, want = fit_propensity(data), unit_loop_reference.fit_propensity(data)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    for u in data.units:
+        assert propensity_weight(got, u) == propensity_weight(want, u)
+
+
 def test_propensity_fit_that_nearly_separates_does_not_overflow():
     # the fit on these three patients drives logits past exp's range; the
     # limit 1 / (1 + inf) = 0 is exact, so neither the fit nor the weights
@@ -226,9 +245,8 @@ def test_training_reduces_loss():
 
 @pytest.mark.parametrize("t_d", [1, 5, 50])
 def test_training_embeds_each_row_from_the_table_bitwise(monkeypatch, t_d):
-    """Training hands each row the table row of its tau, which must be
-    ``timestep_embedding(tau, ...)``; dropping the table (the loss then
-    embeds row by row) gives bitwise the same losses and parameters."""
+    """Training embeds each row's tau from one cached, read-only table,
+    whose row tau - 1 must be ``timestep_embedding(tau, ...)`` bitwise."""
     from odeguide import diffusion
 
     rng = np.random.default_rng(4)
@@ -238,24 +256,21 @@ def test_training_embeds_each_row_from_the_table_bitwise(monkeypatch, t_d):
     data = (rng.standard_normal((n, T)), rng.standard_normal((n, model.cond_dim)))
     args = (data[0], data[1], np.ones((n, T)), rng.uniform(0.5, 2.0, n), s)
     config = DiffusionTrainConfig(epochs=4, lr=1e-2, batch_size=10)
-    original = diffusion._batch_loss_and_grad
+    original = diffusion._noised_inputs
     seen = set()
 
-    def checked(*a):
-        taus, embeds = a[7], a[9]
-        for tau, row in zip(taus, embeds):
+    def checked(model, schedule, y0, cond, taus, eps):
+        y_tau, inputs = original(model, schedule, y0, cond, taus, eps)
+        for tau, row in zip(taus, inputs[:, T : T + 2 * de.N_FREQ]):
             np.testing.assert_array_equal(row, de.timestep_embedding(int(tau), t_d))
             seen.add(int(tau))
-        return original(*a)
+        return y_tau, inputs
 
-    monkeypatch.setattr(diffusion, "_batch_loss_and_grad", checked)
-    trained, losses = train_diffusion(model, *args, config, seed=3)
+    monkeypatch.setattr(diffusion, "_noised_inputs", checked)
+    train_diffusion(model, *args, config, seed=3)
     assert seen == set(range(1, t_d + 1)) or len(seen) > 20
-    monkeypatch.setattr(diffusion, "_batch_loss_and_grad", lambda *a: original(*a[:9]))
-    untabled, untabled_losses = train_diffusion(model, *args, config, seed=3)
-    assert losses == untabled_losses
-    for name, value in untabled.params.items():
-        np.testing.assert_array_equal(trained.params[name], value)
+    table = diffusion._embedding_table(t_d)
+    assert table is diffusion._embedding_table(t_d) and not table.flags.writeable
 
 
 def _tape_train_diffusion(model, y0_rows, cond_rows, mask_rows, weights, schedule, config, seed):
@@ -264,7 +279,6 @@ def _tape_train_diffusion(model, y0_rows, cond_rows, mask_rows, weights, schedul
     n, T = y0_rows.shape
     rng = np.random.default_rng([seed, 13])
     t_d = schedule.t_d
-    table = np.stack([de.timestep_embedding(k, t_d) for k in range(1, t_d + 1)])
     params, state, losses = model.params, de.AdamState(), []
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -275,7 +289,7 @@ def _tape_train_diffusion(model, y0_rows, cond_rows, mask_rows, weights, schedul
             eps = rng.standard_normal((idx.size, T))
             record = de.value_and_grad(
                 ref.on_tape(ref.batch_loss), params, model, schedule, y0_rows[idx], cond_rows[idx],
-                mask_rows[idx], weights[idx], taus, eps, table[taus - 1],
+                mask_rows[idx], weights[idx], taus, eps,
             )
             params, state = de.adam_step(params, record.gradient, state, config.lr)
             batch_losses.append(record.loss)

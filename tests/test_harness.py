@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,23 @@ def test_cate_reads_only_observed_factual_outcomes(poison):
     assert np.isfinite(clean) and poisoned == clean
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_evaluation_keeps_the_per_unit_loops_bits(seed):
+    import unit_loop_reference
+    from odeguide.datagen import gen_dex_dataset
+
+    units = gen_dex_dataset(n_patients=5, seed=seed, n_days=6).units
+    assert not all(u.factual.observed.all() for u in units)
+    for u in units[seed % 2 :: 2]:  # these units score against their noisy outcomes
+        u.factual.y_clean = u.counterfactual.y_clean = None
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, (len(units), 1, 1))
+    ens = np.stack([u.counterfactual.y for u in units])[:, None] + scale * rng.standard_normal((5, 9, 7))
+    want = asdict(unit_loop_reference.evaluate_ensembles(list(ens), units))
+    assert asdict(evaluate_ensembles(ens, units)) == want
+    assert asdict(evaluate_ensembles(list(ens), units)) == want
+
+
 def test_evaluate_ensembles_requires_matching_lengths():
     with pytest.raises(ValueError, match="one ensemble per"):
         evaluate_ensembles([], [])
@@ -233,10 +251,10 @@ def test_each_guidance_curve_equals_its_single_schedule_simulation(tmp_path, mon
     built = []
     original = harness._unit_inputs
 
-    def recorded(state, units, arm, guided=False):
-        cond, guidance = original(state, units, arm, guided)
+    def recorded(state, rows, arm, guided=False):
+        cond, guidance = original(state, rows, arm, guided)
         if guided:
-            built.append((state, units, guidance))
+            built.append((state, [state["units"][i] for i in rows], guidance))
         return cond, guidance
 
     monkeypatch.setattr(harness, "_unit_inputs", recorded)
@@ -286,20 +304,26 @@ def test_guidance_signals_do_not_read_unobserved_factual_outcomes(tmp_path, monk
     built = []
     original = harness._unit_inputs
 
-    def recorded(state, units, arm, guided=False):
+    def recorded(state, rows, arm, guided=False):
         if guided:
-            built.append((state, units))
-        return original(state, units, arm, guided)
+            built.append((state, rows))
+        return original(state, rows, arm, guided)
 
     monkeypatch.setattr(harness, "_unit_inputs", recorded)
     guidance = {"eta_candidates": [0.0, 0.01], "nu": 0.01, "select": True, "n_val_units": 2}
     run_experiment(_tiny_config(tmp_path, guidance=guidance))
     assert len(built) == 2  # the select-eta and the sample stage
-    for state, units in built:
-        assert not all(u.factual.observed.all() for u in units)
-        clean, _, clean_y_f = original(state, units, "counterfactual", True)[1]
-        poisoned = [_poison_unobserved(u, poison) for u in units]
-        dirty, _, dirty_y_f = original(state, poisoned, "counterfactual", True)[1]
+    for state, rows in built:
+        f = state["factual"]  # the stacked arm holds every outcome the stages read
+        assert not f.observed[rows].all()
+        clean, _, clean_y_f = original(state, rows, "counterfactual", True)[1]
+        hidden = np.where(f.observed, 0.0, poison)
+        poisoned = {
+            **state,
+            "units": [_poison_unobserved(u, poison) for u in state["units"]],
+            "factual": replace(f, y=f.y + hidden, y_clean=f.y_clean + hidden),
+        }
+        dirty, _, dirty_y_f = original(poisoned, rows, "counterfactual", True)[1]
         assert np.isfinite(dirty.f_f).all() and np.isfinite(dirty.f_cf).all()
         assert dirty.f_f.tobytes() == clean.f_f.tobytes()
         assert dirty.f_cf.tobytes() == clean.f_cf.tobytes()
@@ -319,6 +343,16 @@ def test_run_meta_records_what_fixes_the_bits(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness.ctypes, "CDLL", missing)
     assert harness._numerics()["blas_core"] == "unknown"
+
+
+def test_content_hash_does_not_depend_on_the_output_directory(tmp_path):
+    def content_hash(out, seed=0):
+        run_experiment(_tiny_config(tmp_path / out, seed=seed), stop_after="data")
+        return json.loads((tmp_path / out / "run_meta.json").read_text())["content_hash"]
+
+    first = content_hash("a")
+    assert content_hash("b") == first
+    assert content_hash("c", seed=1) != first
 
 
 def test_traced_run_binds_every_traced_name(tmp_path):
@@ -1015,6 +1049,21 @@ def _dataset_run(tmp_path, edit, stop_after="data"):
     write_dataset(ds, tmp_path / "data")
     config = _tiny_config(tmp_path / "run", dataset={"path": str(tmp_path / "data")})
     return run_experiment(config, stop_after=stop_after)
+
+
+@pytest.mark.parametrize(
+    "shifted,named", [(range(6), "patient_000"), ([3], "patient_003")], ids=["every_unit", "one_unit"]
+)
+def test_counterfactual_arms_off_the_factual_grid_fail_in_the_data_stage(tmp_path, shifted, named):
+    # ensembles are sampled on the factual grid, so a truth on another grid
+    # would be scored against values at other times
+    def edit(units):
+        for i in shifted:
+            units[i].counterfactual.times = units[i].counterfactual.times + 0.5
+
+    with pytest.raises(StageError, match=f"unit '{named}' has counterfactual times off the factual grid") as err:
+        _dataset_run(tmp_path, edit)
+    assert err.value.stage == "data"
 
 
 @pytest.mark.parametrize("field", ["y", "x"])
